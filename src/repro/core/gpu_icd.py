@@ -220,6 +220,10 @@ def gpu_icd_reconstruct(
 
     if grid is None:
         grid = SuperVoxelGrid(system, params.sv_side, overlap=params.overlap)
+    elif grid.geometry != geometry:
+        raise ValueError(
+            f"grid was built for {grid.geometry}, but the system matrix is for {geometry}"
+        )
     selector = SVSelector(grid.n_svs, params.fraction)
     checkerboard = grid.checkerboard_groups()
 

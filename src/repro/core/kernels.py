@@ -60,6 +60,7 @@ import threading
 import numpy as np
 
 from repro.core.prior import Prior, QGGMRFPrior, QuadraticPrior
+from repro.core.supervoxel import member_entries
 from repro.observability import NULL_RECORDER
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -233,12 +234,14 @@ class _SVPrep:
             lens = np.diff(sv.member_offsets)
             lmax = max(int(lens.max()) if lens.size else 1, 1)
             n_members = sv.n_voxels
+            # Taken in row-major order, the first lens[m] cells of each row m
+            # line up with the members' concatenated footprints, which are
+            # their CSC entries in member order.
+            filled = np.arange(lmax) < lens[:, None]
             idx_pad = np.zeros((n_members, lmax), dtype=np.int64)
+            idx_pad[filled] = sv.svb_indices
             wa_pad = np.zeros((n_members, lmax), dtype=np.float64)
-            fast = ctx.fast
-            for m, fp in enumerate(self.fp_views):
-                idx_pad[m, : fp.size] = fp
-                wa_pad[m, : fp.size] = fast.wa_views[int(sv.voxels[m])]
+            wa_pad[filled] = member_entries(ctx.wa, ctx.indptr, sv.voxels)
             # wa_pad first: readers treat a non-None idx_pad as "built".
             self.wa_pad = wa_pad
             self.idx_pad = idx_pad
@@ -247,15 +250,15 @@ class _SVPrep:
 class KernelContext:
     """Flat, hoisted view of a :class:`SliceUpdater` the kernels execute over.
 
-    Everything data-independent is materialised once: per-voxel footprint
-    index/weight/value views of the CSC storage (also reused by the
-    ``python`` kernel — it removes the per-voxel ``column_slice`` +
-    re-gather the sequential driver used to do), the width-8 padded
-    neighborhood tables, and the prior's canonical scalar constants.  A
-    context is bound to one updater (hence one system matrix / scan / prior)
-    and caches per-SV preparation keyed by SV index, so it must not be
-    shared across different :class:`SuperVoxelGrid` instances — drivers
-    build one updater per run, which gives each run a fresh context.
+    Everything data-independent is materialised once: the width-8 padded
+    neighborhood tables and the prior's canonical scalar constants up
+    front; what only some kernels read (per-voxel footprint views for the
+    ``python`` kernel, Python-list mirrors, the vectorized kernel's layout)
+    on first use.  A context is bound to one updater (hence one system
+    matrix / scan / prior) and caches per-SV preparation keyed by SV index,
+    so it must not be shared across different :class:`SuperVoxelGrid`
+    instances — drivers build one updater per run, which gives each run a
+    fresh context.
     """
 
     def __init__(self, updater) -> None:
@@ -266,11 +269,6 @@ class KernelContext:
         self.wa = updater.wa
         self.a_data = updater.a_data
         self.theta2 = updater.theta2
-        cuts = self.indptr[1:-1]
-        #: per-voxel views of the CSC arrays (footprint hoisting).
-        self.fp_views = np.split(self.indices, cuts)
-        self.wa_views = np.split(self.wa, cuts)
-        self.a_views = np.split(self.a_data, cuts)
 
         nb = updater.neighborhood
         n_voxels = nb.indices.shape[0]
@@ -284,10 +282,11 @@ class KernelContext:
         self._nb_idx_lists = None
         self._theta2_list = None
         self._col_sizes = None
+        self._fp_views = None
         self._fast = None
         #: guards every lazy build below — wave backends call into one
         #: shared context from concurrent pool threads (re-entrant: the
-        #: _FastPack build reads col_sizes, sv_prep builds read fast).
+        #: _FastPack build reads col_sizes and the list mirrors).
         self._lock = threading.RLock()
 
         self.positivity = bool(updater.positivity)
@@ -337,6 +336,15 @@ class KernelContext:
                 if self._col_sizes is None:
                     self._col_sizes = np.diff(self.indptr).tolist()
         return self._col_sizes
+
+    @property
+    def fp_views(self) -> list:
+        """Per-voxel views of the CSC row indices (the ``python`` kernel's footprints)."""
+        if self._fp_views is None:
+            with self._lock:
+                if self._fp_views is None:
+                    self._fp_views = np.split(self.indices, self.indptr[1:-1])
+        return self._fp_views
 
     @property
     def fast(self) -> "_FastPack":

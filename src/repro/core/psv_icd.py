@@ -136,7 +136,9 @@ def psv_icd_reconstruct(
         SV selection fraction after the first iteration (paper: 20 %).
     grid:
         Optionally a prebuilt :class:`SuperVoxelGrid` (grids are geometry
-        -static, so sweeps over other parameters can share one).
+        -static, so sweeps over other parameters can share one).  It must be
+        built for ``system``'s geometry; its ``sv_side`` and ``overlap``
+        take the place of the arguments, also in the trace.
     kernel:
         Inner-loop implementation (``"auto"``/``"python"``/``"vectorized"``/
         ``"numba"``); all kernels produce bit-identical iterates.
@@ -193,6 +195,10 @@ def psv_icd_reconstruct(
 
     if grid is None:
         grid = SuperVoxelGrid(system, sv_side, overlap=overlap)
+    elif grid.geometry != geometry:
+        raise ValueError(
+            f"grid was built for {grid.geometry}, but the system matrix is for {geometry}"
+        )
     selector = SVSelector(grid.n_svs, fraction)
 
     if backend not in BACKENDS:
@@ -237,7 +243,7 @@ def psv_icd_reconstruct(
         total_updates = 0
         iteration = 0
 
-    trace = PSVExecutionTrace(n_cores=n_cores, sv_side=sv_side)
+    trace = PSVExecutionTrace(n_cores=n_cores, sv_side=grid.sv_side)
     try:
         while total_updates < max_equits * n_voxels:
             iteration += 1

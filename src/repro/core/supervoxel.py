@@ -26,6 +26,19 @@ from repro.utils import check_positive
 __all__ = ["SuperVoxel", "SuperVoxelGrid"]
 
 
+def member_entries(values: np.ndarray, indptr: np.ndarray, voxels: np.ndarray) -> np.ndarray:
+    """The CSC ``values`` of columns ``voxels`` (at least one), concatenated in order.
+
+    Consecutive voxels are consecutive columns whose entries form one
+    contiguous slice, so a tile costs one slice per tile row, not one per
+    voxel.
+    """
+    cuts = np.flatnonzero(np.diff(voxels) != 1) + 1
+    firsts = voxels[np.r_[0, cuts]]
+    lasts = voxels[np.r_[cuts - 1, voxels.size - 1]]
+    return np.concatenate([values[indptr[a] : indptr[b + 1]] for a, b in zip(firsts, lasts)])
+
+
 @dataclass
 class SuperVoxel:
     """One SuperVoxel: member voxels plus its SVB addressing tables.
@@ -75,9 +88,11 @@ class SuperVoxel:
         # the band channels strictly increase; across views the flat offsets
         # are disjoint), which is what lets the merge paths use plain fancy
         # `+=` instead of np.add.at.  Cheap one-time guard against a future
-        # grid change silently breaking that invariant.
-        if self._valid_gather.size and np.unique(self._valid_gather).size != self._valid_gather.size:
-            raise AssertionError(f"SV {self.index}: gather indices are not unique")
+        # grid change silently breaking that invariant: in view-major order
+        # they strictly increase, which implies unique.
+        vg = self._valid_gather
+        if not np.all(vg[1:] > vg[:-1]):
+            raise AssertionError(f"SV {self.index}: valid gather indices must strictly increase")
 
     @property
     def valid_mask(self) -> np.ndarray:
@@ -185,18 +200,31 @@ class SuperVoxelGrid:
         n_views = self.geometry.n_views
         n_chan = self.geometry.n_channels
         indptr = self.system.matrix.indptr
-        all_rows = self.system.matrix.indices
+        counts = indptr[voxels + 1] - indptr[voxels]
+        offsets = np.zeros(voxels.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
 
-        band_lo = np.full(n_views, n_chan, dtype=np.int64)
-        band_hi = np.zeros(n_views, dtype=np.int64)
-        member_rows: list[np.ndarray] = []
-        for j in voxels:
-            r = all_rows[indptr[j] : indptr[j + 1]]
-            member_rows.append(r)
-            v = r // n_chan
-            c = r % n_chan
-            np.minimum.at(band_lo, v, c)
-            np.maximum.at(band_hi, v, c + 1)
+        # One gather of every member's CSC rows, in member order.
+        # Temporaries keep the CSC index dtype.
+        entries = member_entries(self.system.matrix.indices, indptr, voxels)
+        views = entries // n_chan
+
+        # Split the entries into (member, view) runs.  A column's rows are
+        # sorted view-major, so a run's first and last entries hold that
+        # member's lowest and highest channel in that view.
+        member = np.repeat(np.arange(voxels.size, dtype=entries.dtype), counts)
+        run_start = np.ones(entries.size, dtype=bool)
+        run_start[1:] = (views[1:] != views[:-1]) | (member[1:] != member[:-1])
+        run_end = np.ones(entries.size, dtype=bool)
+        run_end[:-1] = run_start[1:]
+        first = np.flatnonzero(run_start)
+        last = np.flatnonzero(run_end)
+        lo = np.full((voxels.size, n_views), n_chan, dtype=entries.dtype)
+        lo[member[first], views[first]] = entries[first] - views[first] * n_chan
+        hi = np.zeros((voxels.size, n_views), dtype=entries.dtype)
+        hi[member[last], views[last]] = entries[last] - views[last] * n_chan + 1
+        band_lo = lo.min(axis=0).astype(np.int64)
+        band_hi = hi.max(axis=0).astype(np.int64)
         # Views where no member has entries (possible only for clipped
         # detectors) get an empty band at channel 0.
         empty = band_lo > band_hi
@@ -212,14 +240,10 @@ class SuperVoxelGrid:
         gather = np.where(valid, np.arange(n_views)[:, None] * n_chan + chan, -1)
         gather_idx = gather.ravel().astype(np.int64)
 
-        # Per-member footprint positions within the flat SVB.
-        offsets = np.zeros(len(member_rows) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([r.size for r in member_rows])
-        svb_indices = np.empty(int(offsets[-1]), dtype=np.int64)
-        for m, r in enumerate(member_rows):
-            v = r // n_chan
-            c = r % n_chan
-            svb_indices[offsets[m] : offsets[m + 1]] = v * width + (c - band_lo[v])
+        # Per-member footprint positions within the flat SVB: entry
+        # (v, c) = v * n_chan + c lands in cell v * width + c - band_lo[v].
+        shift = np.arange(n_views) * (n_chan - width) + band_lo
+        svb_indices = np.subtract(entries, shift.astype(entries.dtype)[views], dtype=np.int64)
         return SuperVoxel(
             index=index,
             grid_pos=(bi, bj),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import GPUICDParams, gpu_icd_reconstruct
+from repro.core import GPUICDParams, SuperVoxelGrid, gpu_icd_reconstruct
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,13 @@ class TestGPUICDParams:
 
 
 class TestGPUICD:
+    def test_grid_geometry_mismatch(self, scan32, system32, system16, small_params):
+        with pytest.raises(ValueError, match="n_pixels=16.*n_pixels=32"):
+            gpu_icd_reconstruct(
+                scan32, system32, params=small_params, grid=SuperVoxelGrid(system16, 8),
+                max_equits=1, track_cost=False,
+            )
+
     def test_cost_monotone(self, scan32, system32, small_params):
         res = gpu_icd_reconstruct(scan32, system32, params=small_params, max_equits=4, seed=0)
         assert np.all(np.diff(res.history.costs) <= 1e-9)

@@ -229,3 +229,28 @@ class TestFloat32Storage:
         assert abs(r32 - r64) < 0.1
         # And the two images themselves agree to well under 0.1 HU RMSE.
         assert rmse_hu(res32.image, res64.image) < 0.1
+
+
+# ----------------------------------------------------------------------
+# Per-SV padded theta1 tables.
+# ----------------------------------------------------------------------
+class TestSVPrepPads:
+    @pytest.mark.parametrize("sv_side, overlap", [(8, 1), (7, 0)])
+    def test_build_pads_matches_per_member_loop(self, scan32, system32, sv_side, overlap):
+        """The masked fill equals filling the tables one member row at a time."""
+        updater = SliceUpdater(system32, scan32, QGGMRFPrior(sigma=1.0), shared_neighborhood(32))
+        ctx = updater.context()
+        grid = SuperVoxelGrid(system32, sv_side, overlap=overlap)
+        for sv in grid.svs:
+            prep = ctx.sv_prep(sv)
+            prep.build_pads(ctx)
+            lens = np.diff(sv.member_offsets)
+            idx_ref = np.zeros((sv.n_voxels, max(int(lens.max()), 1)), dtype=np.int64)
+            wa_ref = np.zeros(idx_ref.shape, dtype=np.float64)
+            for m, j in enumerate(sv.voxels):
+                idx_ref[m, : lens[m]] = sv.member_footprint(m)
+                wa_ref[m, : lens[m]] = ctx.fast.wa_views[int(j)]
+            assert prep.idx_pad.dtype == idx_ref.dtype
+            assert prep.wa_pad.dtype == wa_ref.dtype
+            np.testing.assert_array_equal(prep.idx_pad, idx_ref)
+            np.testing.assert_array_equal(prep.wa_pad, wa_ref)

@@ -72,6 +72,25 @@ class TestPSVICD:
         )
         assert res.grid is grid
 
+    def test_trace_records_grid_sv_side(self, scan32, system32):
+        """The CPU timing model prices updates by the grid actually used."""
+        from repro.core import SuperVoxelGrid
+
+        res = psv_icd_reconstruct(
+            scan32, system32, grid=SuperVoxelGrid(system32, 8), sv_side=13,
+            max_equits=1, seed=0, track_cost=False,
+        )
+        assert res.trace.sv_side == 8
+
+    def test_grid_geometry_mismatch(self, scan32, system32, system16):
+        from repro.core import SuperVoxelGrid
+
+        with pytest.raises(ValueError, match="n_pixels=16.*n_pixels=32"):
+            psv_icd_reconstruct(
+                scan32, system32, grid=SuperVoxelGrid(system16, 8), max_equits=1,
+                track_cost=False,
+            )
+
     def test_positivity(self, scan32, system32):
         res = psv_icd_reconstruct(scan32, system32, sv_side=8, max_equits=2, seed=0,
                                   track_cost=False)
