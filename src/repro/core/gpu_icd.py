@@ -35,7 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.backends import BACKENDS, make_backend, make_wave_tasks
-from repro.core.convergence import RMSE_CONVERGED_HU, IterationRecord, RunHistory, rmse_hu
+from repro.core.convergence import (
+    RMSE_CONVERGED_HU,
+    IterationRecord,
+    RunHistory,
+    StopRule,
+    abs_change_hu,
+    rmse_hu,
+)
 from repro.core.cost import map_cost
 from repro.core.icd import ICDResult, default_prior, init_label, initial_image, resilience_hooks
 from repro.core.kernels import resolve_kernel
@@ -144,6 +151,7 @@ def gpu_icd_reconstruct(
     max_equits: float = 20.0,
     golden: np.ndarray | None = None,
     stop_rmse: float | None = None,
+    stop_delta_hu: float | None = None,
     init: "str | np.ndarray" = "fbp",
     zero_skip: bool = True,
     positivity: bool = True,
@@ -199,6 +207,10 @@ def gpu_icd_reconstruct(
     batch spans are then emitted as ``wave`` spans by the backend instead
     of driver-side ``kernel_batch`` spans.  ``wave_batch`` caps the pool
     backends' shard size (default: one shard per worker).
+
+    ``stop_delta_hu`` (off by default) stops the run once the mean
+    ``|dx|`` per voxel update over the trailing equit falls below it, as
+    in :func:`repro.core.icd.icd_reconstruct`.
 
     ``checkpoint`` / ``checkpoint_every`` / ``resume_from`` / ``sentinel``
     enable the resilience layer (disabled by default) with the same
@@ -268,11 +280,18 @@ def gpu_icd_reconstruct(
         history = RunHistory()
         total_updates = 0
         iteration = 0
+    stop = StopRule(
+        n_voxels=n_voxels,
+        max_updates=max_equits * n_voxels,
+        stop_rmse=stop_rmse,
+        stop_delta_hu=stop_delta_hu,
+    )
 
     trace = GPUExecutionTrace(params=params)
     try:
-        while total_updates < max_equits * n_voxels:
+        while (reason := stop.reason(history, total_updates)) is None:
             iteration += 1
+            x_before = x.copy() if stop_delta_hu is not None else None
             selected = set(int(s) for s in selector.select(iteration, rng))
             iter_updates = 0
             iter_svs = 0
@@ -411,6 +430,7 @@ def gpu_icd_reconstruct(
                         else float("nan")
                     )
                     rmse = rmse_hu(img, golden) if golden is not None else None
+                    delta_hu = None if x_before is None else abs_change_hu(x, x_before)
             history.append(
                 IterationRecord(
                     iteration=iteration,
@@ -419,6 +439,7 @@ def gpu_icd_reconstruct(
                     rmse=rmse,
                     updates=iter_updates,
                     svs_updated=iter_svs,
+                    delta_hu=delta_hu,
                 )
             )
             if hooks is not None:
@@ -434,15 +455,11 @@ def gpu_icd_reconstruct(
                 )
                 if rolled is not None:  # corruption detected: replay from checkpoint
                     iteration, total_updates = rolled
-                    continue
-            if iter_updates == 0 and iteration > 1:
-                break
-            if stop_rmse is not None and rmse is not None and rmse < stop_rmse:
-                break
     finally:
         if exec_backend is not None:
             exec_backend.close()
 
+    history.stop_reason = reason
     history.mark_converged_if_below(stop_rmse if stop_rmse is not None else RMSE_CONVERGED_HU)
     return GPUICDResult(
         image=x.reshape(geometry.n_pixels, geometry.n_pixels),

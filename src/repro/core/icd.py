@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.convergence import RMSE_CONVERGED_HU, IterationRecord, RunHistory, rmse_hu
+from repro.core.convergence import (
+    RMSE_CONVERGED_HU,
+    IterationRecord,
+    RunHistory,
+    StopRule,
+    abs_change_hu,
+    rmse_hu,
+)
 from repro.core.cost import map_cost
 from repro.core.kernels import resolve_kernel, run_sweep
 from repro.core.prior import Neighborhood, Prior, QGGMRFPrior, shared_neighborhood
@@ -129,6 +136,7 @@ def icd_reconstruct(
     max_iterations: int | None = None,
     golden: np.ndarray | None = None,
     stop_rmse: float | None = None,
+    stop_delta_hu: float | None = None,
     init: "str | np.ndarray" = "fbp",
     zero_skip: bool = True,
     voxel_subset: np.ndarray | None = None,
@@ -161,6 +169,12 @@ def icd_reconstruct(
         Converged reference image; enables RMSE tracking.
     stop_rmse:
         If set (HU), stop as soon as RMSE vs ``golden`` drops below it.
+    stop_delta_hu:
+        If set (HU), stop once the mean ``|dx|`` per voxel update over the
+        trailing equit of iterations drops below it — a stop that needs no
+        golden image (:class:`~repro.core.convergence.StopRule`).  Each
+        record's ``delta_hu`` is computed only when this is set.
+        ``history.stop_reason`` says which stop ended the run.
     init:
         Starting image ("fbp", "zero", or an ``(n, n)`` mu-units array —
         see :func:`initial_image`).
@@ -244,10 +258,16 @@ def icd_reconstruct(
         history = RunHistory()
         total_updates = 0
         iteration = 0
-    while total_updates < max_equits * n_voxels and (
-        max_iterations is None or iteration < max_iterations
-    ):
+    stop = StopRule(
+        n_voxels=n_voxels,
+        max_updates=max_equits * n_voxels,
+        max_iterations=max_iterations,
+        stop_rmse=stop_rmse,
+        stop_delta_hu=stop_delta_hu,
+    )
+    while (reason := stop.reason(history, total_updates)) is None:
         iteration += 1
+        x_before = x.copy() if stop_delta_hu is not None else None
         order = (
             rng.permutation(n_voxels)
             if subset is None
@@ -271,6 +291,7 @@ def icd_reconstruct(
                     else float("nan")
                 )
                 rmse = rmse_hu(img, golden) if golden is not None else None
+                delta_hu = None if x_before is None else abs_change_hu(x, x_before)
         history.append(
             IterationRecord(
                 iteration=iteration,
@@ -279,6 +300,7 @@ def icd_reconstruct(
                 rmse=rmse,
                 updates=updates,
                 svs_updated=0,
+                delta_hu=delta_hu,
             )
         )
         if hooks is not None:
@@ -293,12 +315,8 @@ def icd_reconstruct(
             )
             if rolled is not None:  # corruption detected: replay from checkpoint
                 iteration, total_updates = rolled
-                continue
-        if updates == 0:
-            break  # fully zero image with zero data: nothing will change
-        if stop_rmse is not None and rmse is not None and rmse < stop_rmse:
-            break
 
+    history.stop_reason = reason
     history.mark_converged_if_below(stop_rmse if stop_rmse is not None else RMSE_CONVERGED_HU)
     return ICDResult(
         image=x.reshape(geometry.n_pixels, geometry.n_pixels),

@@ -36,7 +36,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.backends import BACKENDS, make_backend, make_wave_tasks
-from repro.core.convergence import RMSE_CONVERGED_HU, IterationRecord, RunHistory, rmse_hu
+from repro.core.convergence import (
+    RMSE_CONVERGED_HU,
+    IterationRecord,
+    RunHistory,
+    StopRule,
+    abs_change_hu,
+    rmse_hu,
+)
 from repro.core.cost import map_cost
 from repro.core.icd import ICDResult, default_prior, init_label, initial_image, resilience_hooks
 from repro.core.kernels import resolve_kernel
@@ -102,6 +109,7 @@ def psv_icd_reconstruct(
     max_equits: float = 20.0,
     golden: np.ndarray | None = None,
     stop_rmse: float | None = None,
+    stop_delta_hu: float | None = None,
     init: "str | np.ndarray" = "fbp",
     zero_skip: bool = True,
     positivity: bool = True,
@@ -242,11 +250,18 @@ def psv_icd_reconstruct(
         history = RunHistory()
         total_updates = 0
         iteration = 0
+    stop = StopRule(
+        n_voxels=n_voxels,
+        max_updates=max_equits * n_voxels,
+        stop_rmse=stop_rmse,
+        stop_delta_hu=stop_delta_hu,
+    )
 
     trace = PSVExecutionTrace(n_cores=n_cores, sv_side=grid.sv_side)
     try:
-        while total_updates < max_equits * n_voxels:
+        while (reason := stop.reason(history, total_updates)) is None:
             iteration += 1
+            x_before = x.copy() if stop_delta_hu is not None else None
             selected = selector.select(iteration, rng)
             iter_updates = 0
             with rec.span("iteration", index=iteration):
@@ -343,6 +358,7 @@ def psv_icd_reconstruct(
                         else float("nan")
                     )
                     rmse = rmse_hu(img, golden) if golden is not None else None
+                    delta_hu = None if x_before is None else abs_change_hu(x, x_before)
             history.append(
                 IterationRecord(
                     iteration=iteration,
@@ -351,6 +367,7 @@ def psv_icd_reconstruct(
                     rmse=rmse,
                     updates=iter_updates,
                     svs_updated=int(selected.size),
+                    delta_hu=delta_hu,
                 )
             )
             if hooks is not None:
@@ -366,15 +383,11 @@ def psv_icd_reconstruct(
                 )
                 if rolled is not None:  # corruption detected: replay from checkpoint
                     iteration, total_updates = rolled
-                    continue
-            if iter_updates == 0 and iteration > 1:
-                break
-            if stop_rmse is not None and rmse is not None and rmse < stop_rmse:
-                break
     finally:
         if exec_backend is not None:
             exec_backend.close()
 
+    history.stop_reason = reason
     history.mark_converged_if_below(stop_rmse if stop_rmse is not None else RMSE_CONVERGED_HU)
     return PSVICDResult(
         image=x.reshape(geometry.n_pixels, geometry.n_pixels),

@@ -278,6 +278,9 @@ def save_reconstruction(
         )
         payload["hist_updates"] = np.array([r.updates for r in history.records])
         payload["hist_svs"] = np.array([r.svs_updated for r in history.records])
+        payload["hist_delta_hu"] = np.array(
+            [np.nan if r.delta_hu is None else r.delta_hu for r in history.records]
+        )
         payload["converged_equits"] = np.array(
             np.nan if history.converged_equits is None else history.converged_equits
         )
@@ -289,6 +292,7 @@ def save_reconstruction(
         payload["converged_threshold_hu"] = np.array(
             np.nan if history.converged_threshold_hu is None else history.converged_threshold_hu
         )
+        payload["stop_reason"] = np.array(history.stop_reason or "")
     _atomic_savez(path, payload)
 
 
@@ -316,7 +320,14 @@ def load_reconstruction(path: str | Path) -> tuple[np.ndarray, RunHistory | None
             rmses = _read_key(data, "hist_rmse", path)
             updates = _read_key(data, "hist_updates", path)
             svs = _read_key(data, "hist_svs", path)
-            lengths = {a.size for a in (iterations, equits, costs, rmses, updates, svs)}
+            # Files written before the per-iteration statistic and the stop
+            # reason existed lack their keys; both load as None.
+            deltas = (
+                _read_key(data, "hist_delta_hu", path)
+                if "hist_delta_hu" in data
+                else np.full(iterations.size, np.nan)
+            )
+            lengths = {a.size for a in (iterations, equits, costs, rmses, updates, svs, deltas)}
             if len(lengths) != 1:
                 raise CorruptFileError(
                     f"{path}: history arrays have mismatched lengths {sorted(lengths)}"
@@ -330,6 +341,7 @@ def load_reconstruction(path: str | Path) -> tuple[np.ndarray, RunHistory | None
                         rmse=None if np.isnan(rmses[i]) else float(rmses[i]),
                         updates=int(updates[i]),
                         svs_updated=int(svs[i]),
+                        delta_hu=None if np.isnan(deltas[i]) else float(deltas[i]),
                     )
                 )
             ce = float(_read_key(data, "converged_equits", path))
@@ -345,4 +357,6 @@ def load_reconstruction(path: str | Path) -> tuple[np.ndarray, RunHistory | None
                 ct = float(_read_key(data, "converged_threshold_hu", path))
                 if not np.isnan(ct):
                     history.converged_threshold_hu = ct
+            if "stop_reason" in data:
+                history.stop_reason = str(_read_key(data, "stop_reason", path)) or None
         return image, history, metadata

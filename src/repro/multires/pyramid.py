@@ -244,6 +244,7 @@ def multires_reconstruct(
     prior=None,
     golden: np.ndarray | None = None,
     stop_rmse: float | None = None,
+    stop_delta_hu: float | None = None,
     init="fbp",
     seed: int | np.random.Generator | None = 0,
     track_cost: bool = True,
@@ -270,6 +271,11 @@ def multires_reconstruct(
         Equit budget per *coarse* level (scalar, or one value per coarse
         level).  ``max_equits`` / ``golden`` / ``stop_rmse`` apply to the
         finest level only.
+    stop_delta_hu:
+        The base drivers' reference-free stop, forwarded to *every* level:
+        a coarse level ends when it converges or spends its
+        ``coarse_equits``, whichever comes first.  The result's
+        ``history.stop_reason`` is the finest level's.
     init:
         Starting image for the *coarsest* level; finer levels are seeded
         by prolongation.
@@ -376,6 +382,7 @@ def multires_reconstruct(
                 max_equits=max_equits if is_final else budgets[k],
                 golden=golden if is_final else None,
                 stop_rmse=stop_rmse if is_final else None,
+                stop_delta_hu=stop_delta_hu,
                 init=init_k,
                 seed=seed,
                 track_cost=track_cost,
@@ -428,6 +435,7 @@ def multires_reconstruct(
     history = RunHistory()
     for record in final_result.history.records:
         history.append(dataclasses.replace(record, equits=record.equits + offset))
+    history.stop_reason = final_result.history.stop_reason
     history.mark_converged_if_below(
         stop_rmse if stop_rmse is not None else RMSE_CONVERGED_HU
     )

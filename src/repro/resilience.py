@@ -172,17 +172,21 @@ def _history_to_json(history: RunHistory) -> str:
                     "rmse": r.rmse,
                     "updates": r.updates,
                     "svs_updated": r.svs_updated,
+                    "delta_hu": r.delta_hu,
                 }
                 for r in history.records
             ],
             "converged_equits": history.converged_equits,
             "converged_iteration": history.converged_iteration,
             "converged_threshold_hu": history.converged_threshold_hu,
+            "stop_reason": history.stop_reason,
         }
     )
 
 
 def _history_from_json(raw: str) -> RunHistory:
+    # Checkpoints written before ``delta_hu`` / ``stop_reason`` existed lack
+    # those keys; they load as None.
     doc = json.loads(raw)
     history = RunHistory()
     for r in doc["records"]:
@@ -190,6 +194,7 @@ def _history_from_json(raw: str) -> RunHistory:
     history.converged_equits = doc["converged_equits"]
     history.converged_iteration = doc["converged_iteration"]
     history.converged_threshold_hu = doc["converged_threshold_hu"]
+    history.stop_reason = doc.get("stop_reason")
     return history
 
 
@@ -790,5 +795,6 @@ class ResilienceHooks:
         history.converged_equits = ckpt.history.converged_equits
         history.converged_iteration = ckpt.history.converged_iteration
         history.converged_threshold_hu = ckpt.history.converged_threshold_hu
+        history.stop_reason = ckpt.history.stop_reason
         if selector is not None and ckpt.update_amounts is not None:
             selector.update_amounts[:] = ckpt.update_amounts

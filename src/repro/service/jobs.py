@@ -334,6 +334,15 @@ class Job:
             return result.history.equits
         return 0.0
 
+    @property
+    def stop_reason(self) -> str | None:
+        """Why the completed run stopped (``RunHistory.stop_reason``).
+
+        None until DONE, and for results from files that predate it.
+        """
+        history = getattr(self.result, "history", None)
+        return None if history is None else history.stop_reason
+
     def snapshot(self) -> dict[str, Any]:
         """A JSON-ready status snapshot (what ``status.json`` persists)."""
         with self._lock:
@@ -352,4 +361,5 @@ class Job:
                 "finished_at": self.finished_at,
                 "cancel_requested": self._cancel.is_set(),
                 "equits": self.equits,
+                "stop_reason": self.stop_reason,
             }

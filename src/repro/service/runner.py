@@ -11,6 +11,10 @@ One function — :func:`run_job` — turns a spec into a driver call:
   ``resume_from="latest"`` — a fresh job finds no checkpoint and starts
   clean, a job whose previous worker was killed resumes bit-identically
   from its last snapshot instead of recomputing from scratch;
+* a spec that does not name ``stop_delta_hu`` runs with
+  :data:`DEFAULT_STOP_DELTA_HU`, so a job stops when it converges rather
+  than at ``max_equits``; an explicit ``None`` (JSON ``null``) turns the
+  rule off;
 * for ``gpu_icd``, spec params naming :class:`GPUICDParams` fields are
   folded into the ``params=`` object the driver expects;
 * the test-only ``fault`` hook arms an
@@ -38,7 +42,19 @@ from repro.resilience import FaultInjector, IntegritySentinel
 from repro.service.faults import DegradingCheckpointManager
 from repro.service.jobs import JobSpec
 
-__all__ = ["system_for", "clear_system_cache", "run_job", "cache_key_defaults"]
+__all__ = [
+    "DEFAULT_STOP_DELTA_HU",
+    "system_for",
+    "clear_system_cache",
+    "run_job",
+    "cache_key_defaults",
+]
+
+#: The service's ``stop_delta_hu`` when a spec does not name one: mean
+#: ``|dx|`` per voxel update over the trailing equit, in HU.  Calibrated on
+#: the harness cases at 64² and 128² (DESIGN.md §18): wherever it fires,
+#: the stop lands within 5 HU of the 40-equit golden image.
+DEFAULT_STOP_DELTA_HU = 0.25
 
 _DRIVER_FNS = {
     "icd": icd_reconstruct,
@@ -114,8 +130,14 @@ def cache_key_defaults(
     ndarray ``init`` seeds, ...) are spec params and therefore keyed
     already — :func:`repro.service.cache.cache_key` hashes ndarray values
     by content.
+
+    The resolved ``stop_delta_hu`` is folded in the same way: an omitted
+    one and an explicit :data:`DEFAULT_STOP_DELTA_HU` run the same job and
+    share a key, while ``None`` (rule off) runs to the budget and does not.
     """
     defaults: dict[str, Any] = {}
+    if "stop_delta_hu" not in params:
+        defaults["stop_delta_hu"] = DEFAULT_STOP_DELTA_HU
     if driver == "multires" and "base_driver" not in params:
         defaults["base_driver"] = "icd"
     if (
@@ -176,6 +198,10 @@ def run_job(
     iterations and always resumes from the newest valid snapshot there
     (none yet = fresh start).  Returns the driver's result object.
 
+    A spec without a ``stop_delta_hu`` param runs with
+    :data:`DEFAULT_STOP_DELTA_HU`; the spec's own value, ``None`` included,
+    always wins, and ``driver_defaults`` cannot set it.
+
     ``driver_defaults`` supplies service-level execution defaults (e.g.
     ``{"backend": "process", "n_workers": 4, "pipeline": True}``).  Spec
     params always win, and keys the target driver doesn't accept are
@@ -190,7 +216,7 @@ def run_job(
     """
     driver_fn = _DRIVER_FNS[spec.driver]
     system = system_for(spec.scan.geometry)
-    kwargs = dict(spec.params)
+    kwargs = {"stop_delta_hu": DEFAULT_STOP_DELTA_HU, **spec.params}
     if driver_defaults:
         accepted = set(inspect.signature(driver_fn).parameters)
         kwargs = {

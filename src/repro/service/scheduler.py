@@ -380,6 +380,9 @@ class Scheduler:
             self._forget_degraded(job.job_id)
 
         job.result = result
+        if job.stop_reason is not None:
+            # One counter per reason, so budget stops show on /metrics.
+            self._count(f"service.stop_reason.{job.stop_reason}")
         if job.cache_key is not None:
             self.cache.put(
                 job.cache_key,

@@ -10,6 +10,8 @@ and ``nan != nan`` would fail dataclass equality on identical records.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -35,6 +37,7 @@ from repro.resilience import (
     Checkpoint,
     CheckpointError,
     CorruptCheckpointError,
+    _history_from_json,
     capture_rng_state,
     restore_rng_state,
 )
@@ -60,7 +63,7 @@ def same_history(h1, h2) -> bool:
     if len(h1.records) != len(h2.records):
         return False
     for a, b in zip(h1.records, h2.records):
-        for f in ("iteration", "equits", "cost", "rmse", "updates", "svs_updated"):
+        for f in ("iteration", "equits", "cost", "rmse", "updates", "svs_updated", "delta_hu"):
             va, vb = getattr(a, f), getattr(b, f)
             both_nan = (
                 isinstance(va, float) and isinstance(vb, float)
@@ -72,6 +75,7 @@ def same_history(h1, h2) -> bool:
         h1.converged_equits == h2.converged_equits
         and h1.converged_iteration == h2.converged_iteration
         and h1.converged_threshold_hu == h2.converged_threshold_hu
+        and h1.stop_reason == h2.stop_reason
     )
 
 
@@ -135,6 +139,26 @@ class TestCheckpointContainer:
         r2 = np.random.default_rng(999)
         r2 = restore_rng_state(r2, back.rng_state)
         assert np.array_equal(rng.integers(0, 1000, 8), r2.integers(0, 1000, 8))
+
+    def test_stop_reason_and_statistic_round_trip(self, rng):
+        ckpt = self._ckpt(rng)
+        ckpt.history.records[0] = dataclasses.replace(ckpt.history.records[0], delta_hu=2.5)
+        ckpt.history.stop_reason = "target"
+        back = Checkpoint.from_bytes(ckpt.to_bytes())
+        assert back.history.records[0].delta_hu == 2.5
+        assert back.history.stop_reason == "target"
+
+    def test_history_without_stop_fields_loads_as_none(self):
+        """Checkpoints written before ``delta_hu``/``stop_reason`` existed."""
+        old = json.dumps({
+            "records": [{"iteration": 1, "equits": 1.0, "cost": 0.0, "rmse": None,
+                         "updates": 10, "svs_updated": 0}],
+            "converged_equits": None, "converged_iteration": None,
+            "converged_threshold_hu": None,
+        })
+        history = _history_from_json(old)
+        assert history.records[0].delta_hu is None
+        assert history.stop_reason is None
 
     def test_bad_magic_rejected(self, rng):
         raw = self._ckpt(rng).to_bytes()

@@ -49,11 +49,11 @@ from repro.service.runner import run_job
 from repro.service.worker import worker_result_path, worker_verdict_path
 
 
-def icd_spec(scan, *, seed=0, equits=1.0, job_id=None, fault=None):
+def icd_spec(scan, *, seed=0, equits=1.0, job_id=None, fault=None, **params):
     return JobSpec(
         driver="icd",
         scan=scan,
-        params={"max_equits": equits, "seed": seed, "track_cost": False},
+        params={"max_equits": equits, "seed": seed, "track_cost": False, **params},
         job_id=job_id,
         fault=fault,
     )
@@ -400,7 +400,9 @@ class TestJobDeadline:
         with ReconstructionService(
             n_workers=1, worker_model="thread", job_deadline_s=0.05
         ) as svc:
-            job_id = svc.submit(icd_spec(scan16, equits=500.0))
+            # Opted out of the default stop rule, which would end the job
+            # long before its deadline.
+            job_id = svc.submit(icd_spec(scan16, equits=500.0, stop_delta_hu=None))
             with pytest.raises(JobFailedError, match="deadline"):
                 svc.result(job_id, timeout=120)
             job = svc.job(job_id)
@@ -414,7 +416,7 @@ class TestJobDeadline:
             job_deadline_s=0.3,
             max_restarts=0,
         ) as svc:
-            job_id = svc.submit(icd_spec(scan16, equits=5000.0))
+            job_id = svc.submit(icd_spec(scan16, equits=5000.0, stop_delta_hu=None))
             with pytest.raises(JobFailedError, match="deadline"):
                 svc.result(job_id, timeout=120)
             job = svc.job(job_id)

@@ -233,6 +233,27 @@ class TestMetrics:
         assert 'repro_gauge{name="jobs_known"} 1' in text
         assert 'repro_counter_total{name="http.requests"}' in text
 
+    def test_stop_reason_in_status_result_and_metrics(self, gateway):
+        """A DONE job reports why it stopped; /metrics counts each reason."""
+        stops = {
+            "converged": {"max_equits": 30.0, "seed": 1},
+            "budget": {"max_equits": 2.0, "seed": 2, "stop_delta_hu": None},
+        }
+        for reason, params in stops.items():
+            _, _, doc = submit(gateway, params=params)
+            job_id = doc["job_id"]
+            code, _, raw = http(gateway, "GET", f"/jobs/{job_id}/result?timeout=120")
+            assert code == 200
+            _, history, _ = load_result_bytes(raw)
+            assert history.stop_reason == reason
+            _, _, status = http_json(gateway, "GET", f"/jobs/{job_id}")
+            assert status["state"] == "DONE"
+            assert status["stop_reason"] == reason
+            assert status["equits"] < 30.0
+        text = http(gateway, "GET", "/metrics")[2].decode()
+        for reason in stops:
+            assert f'repro_counter_total{{name="service.stop_reason.{reason}"}} 1' in text
+
     def test_healthz(self, gateway):
         code, _, doc = http_json(gateway, "GET", "/healthz")
         assert code == 200

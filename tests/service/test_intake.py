@@ -84,8 +84,10 @@ class TestIntake:
 
 class TestCancelFile:
     def test_cancel_sentinel_cancels_the_job(self, queue_dir):
+        # Opted out of the default stop rule, which would finish the job
+        # before the cancel file lands.
         write_job_spec(queue_dir, "victim", driver="icd", scan_path="scan.npz",
-                       params=dict(PARAMS, max_equits=500.0))
+                       params=dict(PARAMS, max_equits=500.0, stop_delta_hu=None))
         with DirectoryService(queue_dir, n_workers=1) as service:
             # wait until it actually starts, then drop the cancel file
             deadline_hit = service.run(drain=True, max_seconds=0.5)

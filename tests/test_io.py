@@ -140,6 +140,37 @@ class TestReconstructionRoundtrip:
         assert loaded.converged_iteration is None
         assert loaded.converged_threshold_hu is None
 
+    def test_stop_reason_and_statistic_round_trip(self, tmp_path):
+        from repro.core.convergence import IterationRecord, RunHistory
+
+        h = RunHistory()
+        h.append(IterationRecord(1, 1.0, 2.0, None, 10, 1, delta_hu=3.5))
+        h.append(IterationRecord(2, 2.0, 2.0, None, 10, 1))
+        h.stop_reason = "converged"
+        p = tmp_path / "r.npz"
+        save_reconstruction(p, np.zeros((2, 2)), h)
+        _, loaded, _ = load_reconstruction(p)
+        assert [r.delta_hu for r in loaded.records] == [3.5, None]
+        assert loaded.stop_reason == "converged"
+
+    def test_files_without_stop_reason_load_as_none(self, tmp_path):
+        """Files written before the stop reason existed load with None."""
+        from repro.core.convergence import IterationRecord, RunHistory
+
+        h = RunHistory()
+        h.append(IterationRecord(1, 1.0, 2.0, 5.0, 10, 1, delta_hu=1.0))
+        h.stop_reason = "budget"
+        p = tmp_path / "old.npz"
+        save_reconstruction(p, np.zeros((2, 2)), h)
+        with np.load(p, allow_pickle=False) as data:
+            stripped = {
+                k: data[k] for k in data.files if k not in ("hist_delta_hu", "stop_reason")
+            }
+        np.savez_compressed(p, **stripped)
+        _, loaded, _ = load_reconstruction(p)
+        assert loaded.stop_reason is None
+        assert loaded.records[0].delta_hu is None
+
     def test_wrong_format_rejected(self, tmp_path):
         p = tmp_path / "bad.npz"
         np.savez(p, format=np.array("repro-scan-v1"), image=np.zeros((2, 2)))
