@@ -41,10 +41,8 @@ import numpy as np
 from conftest import report
 
 from repro.core import SuperVoxelGrid, default_prior, initial_image
-from repro.core.backends import make_backend, run_wave
 from repro.core.kernels import HAVE_NUMBA, run_sv_visit, run_sweep
 from repro.core.prior import shared_neighborhood
-from repro.core.sv_engine import process_supervoxel
 from repro.core.voxel_update import SliceUpdater
 from repro.utils import resolve_rng
 
@@ -115,97 +113,7 @@ def _time_sv_wave(contender, kctx, updater, grid, x0, e0, stale_width):
     return total / dt
 
 
-#: Wave width for the backend throughput comparison (the paper's core count
-#: is 16; 8 keeps every wave full on the small benchmark grid).
-BACKEND_WAVE_WIDTH = 8
-#: Pool size for the thread/process backend contenders.
-BACKEND_WORKERS = min(4, os.cpu_count() or 1)
-
-
-def _time_inline_waves(updater, grid, x0, e0, kernel):
-    """The drivers' inline wave emulation over all SVs; updates/sec."""
-    x = x0.copy()
-    e = e0.copy()
-    svs = list(range(grid.n_svs))
-    total = 0
-    t0 = time.perf_counter()
-    for start in range(0, len(svs), BACKEND_WAVE_WIDTH):
-        wave = svs[start : start + BACKEND_WAVE_WIDTH]
-        svbs, originals = [], []
-        for sv_id in wave:
-            svb = grid.svs[sv_id].extract(e)
-            originals.append(svb.copy())
-            svbs.append(svb)
-        for sv_id, svb in zip(wave, svbs):
-            sv = grid.svs[sv_id]
-            stats = process_supervoxel(
-                sv, updater, x, svb, rng=resolve_rng(11 + sv.index),
-                zero_skip=True, stale_width=1, kernel=kernel,
-            )
-            total += stats.updates
-        for sv_id, svb, orig in zip(wave, svbs, originals):
-            grid.svs[sv_id].accumulate_delta(svb, orig, e)
-    dt = time.perf_counter() - t0
-    return total / dt, x, e
-
-
-def _time_backend_waves(backend, grid, x0, e0, kernel):
-    """All SVs through ``backend`` in waves; returns (updates/sec, x, e)."""
-    x = x0.copy()
-    e = e0.copy()
-    svs = list(range(grid.n_svs))
-    total = 0
-    t0 = time.perf_counter()
-    for start in range(0, len(svs), BACKEND_WAVE_WIDTH):
-        wave = svs[start : start + BACKEND_WAVE_WIDTH]
-        stats = run_wave(backend, wave, x, e, base_seed=1, kernel=kernel)
-        total += sum(s.updates for s in stats)
-    dt = time.perf_counter() - t0
-    return total / dt, x, e
-
-
-def _bench_backend_waves(ctx, updater, grid, x0, e0):
-    """Wave throughput: inline emulation vs serial/thread/process backends.
-
-    The backend contenders must be bit-identical to each other (snapshot
-    isolation + deterministic merge — the cross-backend contract); inline
-    is timed as the reference execution model but checked only for shape,
-    since its visibility semantics legitimately differ.
-    """
-    kernel = "numba" if HAVE_NUMBA else "vectorized"
-    scan = ctx.scan(ctx.cases[0])
-    backends = {
-        "serial": make_backend("serial", updater=updater, grid=grid),
-        "thread": make_backend(
-            "thread", updater=updater, grid=grid, n_workers=BACKEND_WORKERS
-        ),
-        "process": make_backend(
-            "process", updater=updater, grid=grid, scan=scan, system=ctx.system,
-            prior=default_prior(), n_workers=BACKEND_WORKERS,
-        ),
-    }
-    best = {"inline": 0.0, **{name: 0.0 for name in backends}}
-    try:
-        # Warmup + cross-backend bit-identity check.
-        _, x_ref, e_ref = _time_backend_waves(backends["serial"], grid, x0, e0, kernel)
-        for name, backend in backends.items():
-            _, x_b, e_b = _time_backend_waves(backend, grid, x0, e0, kernel)
-            assert np.array_equal(x_b, x_ref), f"{name}: image not bit-equal to serial"
-            assert np.array_equal(e_b, e_ref), f"{name}: error sinogram not bit-equal"
-        for _ in range(TRIALS):
-            ups, _, _ = _time_inline_waves(updater, grid, x0, e0, kernel)
-            best["inline"] = max(best["inline"], ups)
-            for name, backend in backends.items():
-                ups, _, _ = _time_backend_waves(backend, grid, x0, e0, kernel)
-                best[name] = max(best[name], ups)
-    finally:
-        for backend in backends.values():
-            backend.close()
-    return best, kernel
-
-
-def _emit_json(path, n_pixels, sv_side, stale_width, best, wave_best,
-               backend_best, backend_kernel):
+def _emit_json(path, n_pixels, sv_side, stale_width, best, wave_best):
     """Write the measured throughputs as the perf-trajectory JSON report."""
     oracle = best["python"]
     payload = {
@@ -222,15 +130,6 @@ def _emit_json(path, n_pixels, sv_side, stale_width, best, wave_best,
             "updates_per_s": {k: round(v, 1) for k, v in wave_best.items()},
             "speedup_vs_python": {
                 k: round(v / wave_best["python"], 3) for k, v in wave_best.items()
-            },
-        },
-        "backend_wave": {
-            "kernel": backend_kernel,
-            "wave_width": BACKEND_WAVE_WIDTH,
-            "workers": BACKEND_WORKERS,
-            "updates_per_s": {k: round(v, 1) for k, v in backend_best.items()},
-            "speedup_vs_inline": {
-                k: round(v / backend_best["inline"], 3) for k, v in backend_best.items()
             },
         },
     }
@@ -294,22 +193,11 @@ def bench_kernels(ctx):
         lines.append(
             f"{c:12s} {wave_best[c]:12.0f} {wave_best[c] / wave_best['python']:9.2f}x"
         )
-
-    # Execution-backend wave throughput (inline emulation vs real backends).
-    backend_best, backend_kernel = _bench_backend_waves(ctx, updater, grid, x0, e0)
-    lines.append("")
-    lines.append(
-        f"backend waves (kernel={backend_kernel}, width={BACKEND_WAVE_WIDTH}, "
-        f"workers={BACKEND_WORKERS})"
-    )
-    for c, ups in backend_best.items():
-        lines.append(f"{c:12s} {ups:12.0f} {ups / backend_best['inline']:9.2f}x")
     report("KERNELS — voxel-updates/sec per kernel", "\n".join(lines))
 
     emit_path = os.environ.get("REPRO_BENCH_JSON")
     if emit_path:
-        _emit_json(emit_path, n, grid.sv_side, stale, best, wave_best,
-                   backend_best, backend_kernel)
+        _emit_json(emit_path, n, grid.sv_side, stale, best, wave_best)
 
     assert best["vectorized"] >= VEC_MIN_SPEEDUP * oracle, (
         f"vectorized kernel regressed: {best['vectorized']:.0f} vs "

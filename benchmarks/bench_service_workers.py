@@ -17,7 +17,7 @@ Two phases (the PR-8 acceptance harness):
   2x client concurrency) instead of growing by one entry per submission,
   with zero server-side 5xx and the evictions visible in the counters.
 
-Assertion modes (mirrors ``bench_backends``): the scaling check is skipped
+Assertion modes: the scaling check is skipped
 on single-core machines (the GIL is not the bottleneck being removed when
 there is nothing to scale onto), advisory by default on multi-core (a
 ``::warning`` annotation, not a failure — shared CI runners are noisy),

@@ -1,17 +1,5 @@
 """MBIR core: priors, the ICD voxel update, and the three reconstruction drivers."""
 
-from repro.core.backends import (
-    BACKENDS,
-    ProcessBackend,
-    SerialBackend,
-    SVWaveResult,
-    SVWaveTask,
-    ThreadBackend,
-    make_backend,
-    make_wave_tasks,
-    run_wave,
-    wave_task_seed,
-)
 from repro.core.convergence import RMSE_CONVERGED_HU, IterationRecord, RunHistory, rmse_hu
 from repro.core.cost import data_cost, map_cost, prior_cost
 from repro.core.gpu_icd import (
@@ -35,7 +23,6 @@ from repro.core.kernels import (
     resolve_kernel,
     run_sv_visit,
     run_sweep,
-    run_wave_fused,
 )
 from repro.core.prior import Neighborhood, Prior, QGGMRFPrior, QuadraticPrior, shared_neighborhood
 from repro.core.psv_icd import (
@@ -55,23 +42,12 @@ from repro.core.voxel_update import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "SVWaveTask",
-    "SVWaveResult",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "make_backend",
-    "make_wave_tasks",
-    "run_wave",
-    "wave_task_seed",
     "HAVE_NUMBA",
     "KERNELS",
     "KernelContext",
     "resolve_kernel",
     "run_sweep",
     "run_sv_visit",
-    "run_wave_fused",
     "shared_neighborhood",
     "solve_surrogate_scalar",
     "RMSE_CONVERGED_HU",

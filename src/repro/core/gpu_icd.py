@@ -29,12 +29,10 @@ group (``threshold``), avoiding under-filled launches.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.backends import BACKENDS, make_backend, make_wave_tasks
 from repro.core.convergence import (
     RMSE_CONVERGED_HU,
     IterationRecord,
@@ -161,12 +159,6 @@ def gpu_icd_reconstruct(
     kernel: str | None = "auto",
     neighborhood: Neighborhood | None = None,
     metrics: MetricsRecorder | None = None,
-    backend: str = "inline",
-    n_workers: int | None = None,
-    wave_timeout: float | None = None,
-    pipeline: bool = False,
-    wave_batch: int | None = None,
-    fault_injection: tuple | None = None,
     checkpoint=None,
     checkpoint_every: int = 1,
     resume_from=None,
@@ -191,22 +183,6 @@ def gpu_icd_reconstruct(
     can be joined against the timing model via
     :meth:`repro.gpusim.timing.GPUTimingModel.measured_vs_modeled`.
     Instrumentation never changes iterates.
-
-    ``backend`` routes each checkerboard batch through a
-    :mod:`repro.core.backends` executor (``"serial"`` / ``"thread"`` /
-    ``"process"``) instead of the inline batch loop; the batch becomes a
-    snapshot-isolated wave with ``stale_width=params.threadblocks_per_sv``
-    per SV.  All three backends are bit-identical to one another (the
-    iterates differ validly from inline — see
-    :func:`repro.core.psv_icd.psv_icd_reconstruct`).  ``n_workers`` and
-    ``wave_timeout`` configure the pool backends; ``fault_injection``
-    forwards a test-only worker-fault spec to them.  ``pipeline=True``
-    routes each checkerboard group's batches through the backend's
-    two-deep pipeline (merge of batch ``k-1`` overlaps compute of batch
-    ``k``; bit-identical to sequential batches on the same backend) —
-    batch spans are then emitted as ``wave`` spans by the backend instead
-    of driver-side ``kernel_batch`` spans.  ``wave_batch`` caps the pool
-    backends' shard size (default: one shard per worker).
 
     ``stop_delta_hu`` (off by default) stops the run once the mean
     ``|dx|`` per voxel update over the trailing equit falls below it, as
@@ -239,30 +215,6 @@ def gpu_icd_reconstruct(
     selector = SVSelector(grid.n_svs, params.fraction)
     checkerboard = grid.checkerboard_groups()
 
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; use one of {BACKENDS}")
-    if pipeline and backend == "inline":
-        raise ValueError("pipeline=True requires backend='serial'/'thread'/'process'")
-    exec_backend = None
-    if backend != "inline":
-        if n_workers is None:
-            n_workers = max(1, min(4, os.cpu_count() or 1))
-        exec_backend = make_backend(
-            backend,
-            updater=updater,
-            grid=grid,
-            scan=scan,
-            system=system,
-            prior=prior,
-            positivity=positivity,
-            n_workers=n_workers,
-            wave_timeout=wave_timeout,
-            wave_batch=wave_batch,
-            fault_injection=fault_injection,
-        )
-    elif fault_injection is not None:
-        raise ValueError("fault_injection requires a pool backend ('thread'/'process')")
-
     n_voxels = geometry.n_voxels
     hooks = resilience_hooks(
         "gpu_icd", checkpoint, checkpoint_every, resume_from, sentinel, metrics
@@ -288,176 +240,108 @@ def gpu_icd_reconstruct(
     )
 
     trace = GPUExecutionTrace(params=params)
-    try:
-        while (reason := stop.reason(history, total_updates)) is None:
-            iteration += 1
-            x_before = x.copy() if stop_delta_hu is not None else None
-            selected = set(int(s) for s in selector.select(iteration, rng))
-            iter_updates = 0
-            iter_svs = 0
-            with rec.span("iteration", index=iteration):
-                for group_id in range(4):
-                    group_svs = [sv for sv in checkerboard[group_id] if sv in selected]
-                    rng.shuffle(group_svs)
-                    if exec_backend is not None and pipeline:
-                        # Pipelined path: materialise the group's batch list
-                        # (replicating the threshold-skip logic and the
-                        # per-batch seed draws in the exact order the
-                        # sequential path performs them — same rng stream,
-                        # same iterates), then run the batches through the
-                        # backend's two-deep pipeline.
-                        batches = []
-                        for start in range(0, len(group_svs), params.batch_size):
-                            batch = group_svs[start : start + params.batch_size]
-                            if start > 0 and len(batch) < params.threshold and iteration > 1:
-                                trace.skipped_launches += 1
-                                rec.count("gpu.skipped_launches", 1)
-                                break
-                            batch_seed = int(rng.integers(0, 2**63 - 1))
-                            batches.append(
-                                (
-                                    batch,
-                                    make_wave_tasks(
-                                        batch_seed,
-                                        batch,
-                                        zero_skip=zero_skip and iteration > 1,
-                                        stale_width=params.threadblocks_per_sv,
-                                        kernel=kernel,
-                                    ),
-                                )
-                            )
-                        per_batch = exec_backend.run_waves(
-                            [tasks for _, tasks in batches], x, e, metrics=rec
-                        )
-                        for (batch, _), batch_stats in zip(batches, per_batch):
-                            for stats in batch_stats:
-                                selector.record_update(stats.sv_index, stats.total_abs_delta)
-                                iter_updates += stats.updates
-                            iter_svs += len(batch)
-                            if rec.enabled:
-                                rec.count("gpu.batches", 1)
-                                rec.count("gpu.svs", len(batch))
-                            trace.kernels.append(
-                                KernelTrace(
-                                    iteration=iteration,
-                                    group=group_id,
-                                    sv_stats=tuple(batch_stats),
-                                )
-                            )
-                        continue
-                    for start in range(0, len(group_svs), params.batch_size):
-                        batch = group_svs[start : start + params.batch_size]
-                        if start > 0 and len(batch) < params.threshold and iteration > 1:
-                            # Under-filled *trailing* launch suppressed (§3.2) —
-                            # the deferred SVs are picked up by a later
-                            # selection.  The first launch of a group always
-                            # runs (a group smaller than the threshold would
-                            # otherwise starve forever), and iteration 1 is
-                            # exempt so every SV is touched once.
-                            trace.skipped_launches += 1
-                            rec.count("gpu.skipped_launches", 1)
-                            break
-                        with rec.span("kernel_batch", group=group_id, svs=len(batch)):
-                            if exec_backend is not None:
-                                # The batch is a snapshot-isolated wave; one rng
-                                # draw per batch keeps every backend's stream
-                                # consumption identical.
-                                batch_seed = int(rng.integers(0, 2**63 - 1))
-                                tasks = make_wave_tasks(
-                                    batch_seed,
-                                    batch,
-                                    zero_skip=zero_skip and iteration > 1,
+    while (reason := stop.reason(history, total_updates)) is None:
+        iteration += 1
+        x_before = x.copy() if stop_delta_hu is not None else None
+        selected = set(int(s) for s in selector.select(iteration, rng))
+        iter_updates = 0
+        iter_svs = 0
+        with rec.span("iteration", index=iteration):
+            for group_id in range(4):
+                group_svs = [sv for sv in checkerboard[group_id] if sv in selected]
+                rng.shuffle(group_svs)
+                for start in range(0, len(group_svs), params.batch_size):
+                    batch = group_svs[start : start + params.batch_size]
+                    if start > 0 and len(batch) < params.threshold and iteration > 1:
+                        # Under-filled *trailing* launch suppressed (§3.2) —
+                        # the deferred SVs are picked up by a later
+                        # selection.  The first launch of a group always
+                        # runs (a group smaller than the threshold would
+                        # otherwise starve forever), and iteration 1 is
+                        # exempt so every SV is touched once.
+                        trace.skipped_launches += 1
+                        rec.count("gpu.skipped_launches", 1)
+                        break
+                    with rec.span("kernel_batch", group=group_id, svs=len(batch)):
+                        # Kernel 1: create all SVBs of the batch from the
+                        # current e.
+                        svbs = []
+                        originals = []
+                        with rec.span("extract"):
+                            for sv_id in batch:
+                                svb = grid.svs[sv_id].extract(e)
+                                originals.append(svb.copy())
+                                svbs.append(svb)
+                        # Kernel 2: the MBIR kernel — all SVs update
+                        # concurrently, each with `threadblocks_per_sv`
+                        # voxels in flight.
+                        batch_stats = []
+                        with rec.span("update"):
+                            for sv_id, svb in zip(batch, svbs):
+                                sv = grid.svs[sv_id]
+                                stats = process_supervoxel(
+                                    sv,
+                                    updater,
+                                    x,
+                                    svb,
+                                    rng=rng,
+                                    zero_skip=zero_skip and iteration > 1,  # bootstrap exemption
                                     stale_width=params.threadblocks_per_sv,
                                     kernel=kernel,
+                                    metrics=rec,
                                 )
-                                batch_stats = exec_backend.run_wave(tasks, x, e, metrics=rec)
-                                for stats in batch_stats:
-                                    selector.record_update(stats.sv_index, stats.total_abs_delta)
-                                    iter_updates += stats.updates
-                                iter_svs += len(batch)
-                            else:
-                                # Kernel 1: create all SVBs of the batch from
-                                # the current e.
-                                svbs = []
-                                originals = []
-                                with rec.span("extract"):
-                                    for sv_id in batch:
-                                        svb = grid.svs[sv_id].extract(e)
-                                        originals.append(svb.copy())
-                                        svbs.append(svb)
-                                # Kernel 2: the MBIR kernel — all SVs update
-                                # concurrently, each with `threadblocks_per_sv`
-                                # voxels in flight.
-                                batch_stats = []
-                                with rec.span("update"):
-                                    for sv_id, svb in zip(batch, svbs):
-                                        sv = grid.svs[sv_id]
-                                        stats = process_supervoxel(
-                                            sv,
-                                            updater,
-                                            x,
-                                            svb,
-                                            rng=rng,
-                                            zero_skip=zero_skip and iteration > 1,  # bootstrap exemption
-                                            stale_width=params.threadblocks_per_sv,
-                                            kernel=kernel,
-                                            metrics=rec,
-                                        )
-                                        selector.record_update(sv.index, stats.total_abs_delta)
-                                        batch_stats.append(stats)
-                                        iter_updates += stats.updates
-                                iter_svs += len(batch)
-                                # Kernel 3: atomic error-sinogram merge for the
-                                # whole batch.
-                                with rec.span("merge"):
-                                    for sv_id, svb, orig in zip(batch, svbs, originals):
-                                        grid.svs[sv_id].accumulate_delta(svb, orig, e)
-                        if rec.enabled:
-                            rec.count("gpu.batches", 1)
-                            rec.count("gpu.svs", len(batch))
-                        trace.kernels.append(
-                            KernelTrace(
-                                iteration=iteration, group=group_id, sv_stats=tuple(batch_stats)
-                            )
+                                selector.record_update(sv.index, stats.total_abs_delta)
+                                batch_stats.append(stats)
+                                iter_updates += stats.updates
+                        iter_svs += len(batch)
+                        # Kernel 3: atomic error-sinogram merge for the whole
+                        # batch.
+                        with rec.span("merge"):
+                            for sv_id, svb, orig in zip(batch, svbs, originals):
+                                grid.svs[sv_id].accumulate_delta(svb, orig, e)
+                    if rec.enabled:
+                        rec.count("gpu.batches", 1)
+                        rec.count("gpu.svs", len(batch))
+                    trace.kernels.append(
+                        KernelTrace(
+                            iteration=iteration, group=group_id, sv_stats=tuple(batch_stats)
                         )
-
-                total_updates += iter_updates
-                img = x.reshape(geometry.n_pixels, geometry.n_pixels)
-                with rec.span("bookkeeping"):
-                    cost = (
-                        map_cost(img, scan, system, prior, neighborhood)
-                        if track_cost
-                        else float("nan")
                     )
-                    rmse = rmse_hu(img, golden) if golden is not None else None
-                    delta_hu = None if x_before is None else abs_change_hu(x, x_before)
-            history.append(
-                IterationRecord(
-                    iteration=iteration,
-                    equits=total_updates / n_voxels,
-                    cost=cost,
-                    rmse=rmse,
-                    updates=iter_updates,
-                    svs_updated=iter_svs,
-                    delta_hu=delta_hu,
+
+            total_updates += iter_updates
+            img = x.reshape(geometry.n_pixels, geometry.n_pixels)
+            with rec.span("bookkeeping"):
+                cost = (
+                    map_cost(img, scan, system, prior, neighborhood)
+                    if track_cost
+                    else float("nan")
                 )
+                rmse = rmse_hu(img, golden) if golden is not None else None
+                delta_hu = None if x_before is None else abs_change_hu(x, x_before)
+        history.append(
+            IterationRecord(
+                iteration=iteration,
+                equits=total_updates / n_voxels,
+                cost=cost,
+                rmse=rmse,
+                updates=iter_updates,
+                svs_updated=iter_svs,
+                delta_hu=delta_hu,
             )
-            if hooks is not None:
-                rolled = hooks.after_iteration(
-                    iteration=iteration,
-                    total_updates=total_updates,
-                    x=x,
-                    e=e,
-                    rng=rng,
-                    history=history,
-                    updater=updater,
-                    selector=selector,
-                )
-                if rolled is not None:  # corruption detected: replay from checkpoint
-                    iteration, total_updates = rolled
-    finally:
-        if exec_backend is not None:
-            exec_backend.close()
+        )
+        if hooks is not None:
+            rolled = hooks.after_iteration(
+                iteration=iteration,
+                total_updates=total_updates,
+                x=x,
+                e=e,
+                rng=rng,
+                history=history,
+                updater=updater,
+                selector=selector,
+            )
+            if rolled is not None:  # corruption detected: replay from checkpoint
+                iteration, total_updates = rolled
 
     history.stop_reason = reason
     history.mark_converged_if_below(stop_rmse if stop_rmse is not None else RMSE_CONVERGED_HU)

@@ -21,9 +21,8 @@ driver accepts ``kernel=``:
     straight-line scalar arithmetic.
 ``numba``
     A ``@njit(cache=True)`` kernel over the same flat CSC arrays (optional
-    dependency: ``pip install repro[fast]``), with a ``prange`` wave kernel
-    for snapshot-isolation backends.  Falls back cleanly when Numba is
-    absent.
+    dependency: ``pip install repro[fast]``).  Falls back cleanly when Numba
+    is absent.
 
 Bit-exactness contract
 ----------------------
@@ -64,7 +63,7 @@ from repro.core.supervoxel import member_entries
 from repro.observability import NULL_RECORDER
 
 try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit, prange
+    from numba import njit
 
     HAVE_NUMBA = True
 except ImportError:  # pragma: no cover
@@ -78,7 +77,6 @@ __all__ = [
     "numba_supports_prior",
     "run_sweep",
     "run_sv_visit",
-    "run_wave_fused",
 ]
 
 #: Selectable kernel names, in oracle-first order.
@@ -147,9 +145,9 @@ class _FastPack:
       pure float64 loops instead of cast-buffered mixed-dtype loops;
     * two scratch buffers sized to the widest footprint, pre-sliced per
       voxel so the hot loop never constructs views.  The scratch is
-      **per-thread** (see :meth:`scratch`): wave backends run this kernel
-      concurrently from pool threads, and a shared buffer would let one
-      thread's theta1 products overwrite another's mid-solve.
+      **per-thread** (see :meth:`scratch`): a caller that runs this kernel
+      from several threads over one context must not let one thread's
+      theta1 products overwrite another's mid-solve.
 
     None of this changes any computed bit — it is pure data-layout
     transformation, the NumPy analogue of the paper's §4 memory layouts.
@@ -284,9 +282,9 @@ class KernelContext:
         self._col_sizes = None
         self._fp_views = None
         self._fast = None
-        #: guards every lazy build below — wave backends call into one
-        #: shared context from concurrent pool threads (re-entrant: the
-        #: _FastPack build reads col_sizes and the list mirrors).
+        #: guards every lazy build below — one context may be shared by
+        #: concurrent threads (re-entrant: the _FastPack build reads
+        #: col_sizes and the list mirrors).
         self._lock = threading.RLock()
 
         self.positivity = bool(updater.positivity)
@@ -952,121 +950,3 @@ if HAVE_NUMBA:
                     for i in range(fhi - flo):
                         svb[svb_indices[flo + i]] -= a_data[lo + i] * delta
         return updates, skipped, tad
-
-    @njit(cache=True, parallel=True)
-    def _nb_wave(
-        x, e,
-        voxels_cat, voxels_off,
-        member_ptr_cat, member_ptr_off,
-        svbidx_cat, svbidx_off,
-        gather_cat, gather_off,
-        orders_cat, orders_off,
-        zero_skip_flags, stale_widths,
-        indptr, wa, a_data, theta2, nb_idx, nb_w,
-        kind, tsig, c0, hq, p, qc, positivity,
-        xvals_out, svbdelta_cat, upd_out, skp_out, tad_out,
-    ):
-        n_svs = voxels_off.shape[0] - 1
-        for s in prange(n_svs):
-            x_local = x.copy()
-            g0 = gather_off[s]
-            cells = gather_off[s + 1] - g0
-            svb = np.zeros(cells, dtype=np.float64)
-            for c in range(cells):
-                g = gather_cat[g0 + c]
-                if g >= 0:
-                    svb[c] = e[g]
-            upd, skp, td = _nb_visit(
-                orders_cat[orders_off[s] : orders_off[s + 1]],
-                voxels_cat[voxels_off[s] : voxels_off[s + 1]],
-                member_ptr_cat[member_ptr_off[s] : member_ptr_off[s + 1]],
-                svbidx_cat[svbidx_off[s] : svbidx_off[s + 1]],
-                x_local,
-                svb,
-                indptr, wa, a_data, theta2, nb_idx, nb_w,
-                kind, tsig, c0, hq, p, qc, positivity,
-                zero_skip_flags[s], stale_widths[s],
-            )
-            upd_out[s] = upd
-            skp_out[s] = skp
-            tad_out[s] = td
-            v0 = voxels_off[s]
-            for t_ in range(voxels_off[s + 1] - v0):
-                xvals_out[v0 + t_] = x_local[voxels_cat[v0 + t_]]
-            for c in range(cells):
-                g = gather_cat[g0 + c]
-                if g >= 0:
-                    svbdelta_cat[g0 + c] = svb[c] - e[g]
-                else:
-                    svbdelta_cat[g0 + c] = svb[c]
-
-
-def run_wave_fused(
-    ctx: KernelContext,
-    grid,
-    sv_indices,
-    orders,
-    x: np.ndarray,
-    e: np.ndarray,
-    *,
-    zero_skip_flags,
-    stale_widths,
-):
-    """Snapshot-isolation wave on the compiled kernel, ``prange`` across SVs.
-
-    ``x`` and ``e`` are the wave snapshots (read-only here); per-SV visit
-    orders are drawn by the caller so the RNG stream matches the per-task
-    Python path exactly.  Returns, per SV, ``(voxel_values, svb_delta,
-    updates, skipped, total_abs_delta)`` ready for the backend merge.
-    """
-    _require_numba(ctx)
-    svs = [grid.svs[int(s)] for s in sv_indices]
-
-    def _cat(arrays, dtype):
-        off = np.zeros(len(arrays) + 1, dtype=np.int64)
-        off[1:] = np.cumsum([a.size for a in arrays])
-        cat = (
-            np.concatenate(arrays).astype(dtype, copy=False)
-            if arrays
-            else np.empty(0, dtype=dtype)
-        )
-        return np.ascontiguousarray(cat), off
-
-    voxels_cat, voxels_off = _cat([sv.voxels for sv in svs], np.int64)
-    member_ptr_cat, member_ptr_off = _cat([sv.member_offsets for sv in svs], np.int64)
-    svbidx_cat, svbidx_off = _cat([sv.svb_indices for sv in svs], np.int64)
-    gather_cat, gather_off = _cat([sv.gather_idx for sv in svs], np.int64)
-    orders_cat, orders_off = _cat([np.asarray(o) for o in orders], np.int64)
-
-    n = len(svs)
-    xvals_out = np.empty(voxels_off[-1], dtype=np.float64)
-    svbdelta_cat = np.empty(gather_off[-1], dtype=np.float64)
-    upd_out = np.zeros(n, dtype=np.int64)
-    skp_out = np.zeros(n, dtype=np.int64)
-    tad_out = np.zeros(n, dtype=np.float64)
-    tsig, c0, hq, p, qc = _numba_prior_args(ctx)
-    _nb_wave(
-        x, e,
-        voxels_cat, voxels_off,
-        member_ptr_cat, member_ptr_off,
-        svbidx_cat, svbidx_off,
-        gather_cat, gather_off,
-        orders_cat, orders_off,
-        np.asarray(zero_skip_flags, dtype=np.bool_),
-        np.asarray(stale_widths, dtype=np.int64),
-        ctx.indptr, ctx.wa, ctx.a_data, ctx.theta2, ctx.nb_idx, ctx.nb_w,
-        ctx.prior_kind, tsig, c0, hq, p, qc, ctx.positivity,
-        xvals_out, svbdelta_cat, upd_out, skp_out, tad_out,
-    )
-    results = []
-    for s in range(n):
-        results.append(
-            (
-                xvals_out[voxels_off[s] : voxels_off[s + 1]],
-                svbdelta_cat[gather_off[s] : gather_off[s + 1]],
-                int(upd_out[s]),
-                int(skp_out[s]),
-                float(tad_out[s]),
-            )
-        )
-    return results

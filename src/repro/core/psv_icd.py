@@ -17,25 +17,17 @@ immediately, matching the fact that voxel arrays are not buffered in
 PSV-ICD.  This preserves the algorithmically relevant property — SVs
 processed concurrently do not see each other's error-sinogram updates — and
 makes runs reproducible, which a true racy execution is not.
-
-For wall-clock-parallel execution of the same semantics, pass
-``backend="serial" | "thread" | "process"`` (see :mod:`repro.core.backends`):
-each wave is then handed to an execution backend with full snapshot
-isolation — the image ``x`` is snapshotted alongside ``e``, so SVs of one
-wave cannot see each other's image updates either.  The three backends are
-bit-identical to one another (and serve as each other's oracles); they
-differ from the inline emulation only in image-snapshot visibility and in
-how per-SV visit orders are seeded.
+:class:`repro.gpusim.cpu_model.CPUTimingModel` turns the recorded wave
+trace into 16-core wall-clock estimates.  Real parallelism in this repo
+runs whole jobs: process workers and shard groups (:mod:`repro.service`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.backends import BACKENDS, make_backend, make_wave_tasks
 from repro.core.convergence import (
     RMSE_CONVERGED_HU,
     IterationRecord,
@@ -119,12 +111,6 @@ def psv_icd_reconstruct(
     kernel: str | None = "auto",
     neighborhood: Neighborhood | None = None,
     metrics: MetricsRecorder | None = None,
-    backend: str = "inline",
-    n_workers: int | None = None,
-    wave_timeout: float | None = None,
-    pipeline: bool = False,
-    wave_batch: int | None = None,
-    fault_injection: tuple | None = None,
     checkpoint=None,
     checkpoint_every: int = 1,
     resume_from=None,
@@ -158,31 +144,6 @@ def psv_icd_reconstruct(
         one span per outer iteration with per-wave ``extract`` / ``update``
         / ``merge`` phase children plus per-kernel-flavor counters, and is
         attached to the result.  Instrumentation never changes iterates.
-    backend:
-        ``"inline"`` (default) runs the deterministic in-process wave
-        emulation above; ``"serial"`` / ``"thread"`` / ``"process"`` route
-        each wave through the corresponding :mod:`repro.core.backends`
-        executor with snapshot-isolation semantics.  All three backends are
-        bit-identical to one another; their iterates differ (validly) from
-        inline, which lets later SVs of a wave see earlier image updates.
-    n_workers:
-        Pool size for the thread/process backends (default: ``n_cores``
-        capped at the machine's CPU count).
-    wave_timeout:
-        Optional per-wave wall-clock budget in seconds for the pool
-        backends; overrunning SVs are recomputed inline (same iterates).
-    pipeline:
-        With a non-inline backend, run each iteration's waves through the
-        backend's two-deep pipeline (:meth:`run_waves`): while workers
-        compute wave ``k``, the parent merges wave ``k-1`` into ``x``/``e``
-        against double-buffered snapshot arenas.  Bit-identical to
-        sequential waves on the same backend.
-    wave_batch:
-        Optional shard-size cap for the pool backends (default: one shard
-        per worker); ignored by ``inline``/``serial``.
-    fault_injection:
-        Test-only :meth:`repro.resilience.FaultInjector.worker_fault` spec
-        forwarded to the pool backends (crash/stall workers on chosen SVs).
     checkpoint, checkpoint_every, resume_from, sentinel:
         Resilience layer (disabled by default) — identical semantics to
         :func:`repro.core.icd.icd_reconstruct`; checkpoints additionally
@@ -209,30 +170,6 @@ def psv_icd_reconstruct(
         )
     selector = SVSelector(grid.n_svs, fraction)
 
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; use one of {BACKENDS}")
-    if pipeline and backend == "inline":
-        raise ValueError("pipeline=True requires backend='serial'/'thread'/'process'")
-    exec_backend = None
-    if backend != "inline":
-        if n_workers is None:
-            n_workers = max(1, min(n_cores, os.cpu_count() or 1))
-        exec_backend = make_backend(
-            backend,
-            updater=updater,
-            grid=grid,
-            scan=scan,
-            system=system,
-            prior=prior,
-            positivity=positivity,
-            n_workers=n_workers,
-            wave_timeout=wave_timeout,
-            wave_batch=wave_batch,
-            fault_injection=fault_injection,
-        )
-    elif fault_injection is not None:
-        raise ValueError("fault_injection requires a pool backend ('thread'/'process')")
-
     n_voxels = geometry.n_voxels
     hooks = resilience_hooks(
         "psv_icd", checkpoint, checkpoint_every, resume_from, sentinel, metrics
@@ -258,134 +195,81 @@ def psv_icd_reconstruct(
     )
 
     trace = PSVExecutionTrace(n_cores=n_cores, sv_side=grid.sv_side)
-    try:
-        while (reason := stop.reason(history, total_updates)) is None:
-            iteration += 1
-            x_before = x.copy() if stop_delta_hu is not None else None
-            selected = selector.select(iteration, rng)
-            iter_updates = 0
-            with rec.span("iteration", index=iteration):
-                if exec_backend is not None and pipeline:
-                    # Pipelined path: pre-draw every wave's seed (same rng
-                    # consumption order/count as the sequential path below,
-                    # so iterates match bit-for-bit), then hand the whole
-                    # iteration's wave list to the backend.  Selector
-                    # bookkeeping moves after run_waves — record_update is
-                    # only read at the next iteration's select().
-                    wave_list = []
-                    for wave_start in range(0, selected.size, n_cores):
-                        wave_svs = selected[wave_start : wave_start + n_cores]
-                        wave_seed = int(rng.integers(0, 2**63 - 1))
-                        wave_list.append(
-                            make_wave_tasks(
-                                wave_seed,
-                                wave_svs,
-                                zero_skip=zero_skip and iteration > 1,
+    while (reason := stop.reason(history, total_updates)) is None:
+        iteration += 1
+        x_before = x.copy() if stop_delta_hu is not None else None
+        selected = selector.select(iteration, rng)
+        iter_updates = 0
+        with rec.span("iteration", index=iteration):
+            for wave_start in range(0, selected.size, n_cores):
+                wave_svs = selected[wave_start : wave_start + n_cores]
+                with rec.span("wave", svs=len(wave_svs)):
+                    # Each concurrent core snapshots the error sinogram as of
+                    # the start of the wave.
+                    svbs = []
+                    originals = []
+                    with rec.span("extract"):
+                        for sv_id in wave_svs:
+                            sv = grid.svs[int(sv_id)]
+                            svb = sv.extract(e)
+                            originals.append(svb.copy())
+                            svbs.append(svb)
+                    wave_stats = []
+                    with rec.span("update"):
+                        for sv_id, svb in zip(wave_svs, svbs):
+                            sv = grid.svs[int(sv_id)]
+                            stats = process_supervoxel(
+                                sv, updater, x, svb, rng=rng,
+                                zero_skip=zero_skip and iteration > 1,  # bootstrap exemption
                                 stale_width=1,
                                 kernel=kernel,
+                                metrics=rec,
                             )
-                        )
-                    per_wave = exec_backend.run_waves(wave_list, x, e, metrics=rec)
-                    for wave_stats in per_wave:
-                        for stats in wave_stats:
-                            selector.record_update(stats.sv_index, stats.total_abs_delta)
+                            selector.record_update(sv.index, stats.total_abs_delta)
+                            wave_stats.append(stats)
                             iter_updates += stats.updates
-                        trace.waves.append(
-                            PSVWaveTrace(iteration=iteration, sv_stats=tuple(wave_stats))
-                        )
-                    wave_range = ()  # waves already executed
-                else:
-                    wave_range = range(0, selected.size, n_cores)
-                for wave_start in wave_range:
-                    wave_svs = selected[wave_start : wave_start + n_cores]
-                    with rec.span("wave", svs=len(wave_svs)):
-                        if exec_backend is not None:
-                            # One rng draw per wave (identical consumption in
-                            # every backend → cross-backend bit-identity);
-                            # per-SV streams derive from it collision-free.
-                            wave_seed = int(rng.integers(0, 2**63 - 1))
-                            tasks = make_wave_tasks(
-                                wave_seed,
-                                wave_svs,
-                                zero_skip=zero_skip and iteration > 1,
-                                stale_width=1,
-                                kernel=kernel,
-                            )
-                            wave_stats = exec_backend.run_wave(tasks, x, e, metrics=rec)
-                            for stats in wave_stats:
-                                selector.record_update(stats.sv_index, stats.total_abs_delta)
-                                iter_updates += stats.updates
-                        else:
-                            # Each concurrent core snapshots the error sinogram
-                            # as of the start of the wave.
-                            svbs = []
-                            originals = []
-                            with rec.span("extract"):
-                                for sv_id in wave_svs:
-                                    sv = grid.svs[int(sv_id)]
-                                    svb = sv.extract(e)
-                                    originals.append(svb.copy())
-                                    svbs.append(svb)
-                            wave_stats = []
-                            with rec.span("update"):
-                                for sv_id, svb in zip(wave_svs, svbs):
-                                    sv = grid.svs[int(sv_id)]
-                                    stats = process_supervoxel(
-                                        sv, updater, x, svb, rng=rng,
-                                        zero_skip=zero_skip and iteration > 1,  # bootstrap exemption
-                                        stale_width=1,
-                                        kernel=kernel,
-                                        metrics=rec,
-                                    )
-                                    selector.record_update(sv.index, stats.total_abs_delta)
-                                    wave_stats.append(stats)
-                                    iter_updates += stats.updates
-                            # Locked merge (Alg. 2 lines 16-19) at the end of
-                            # the wave.
-                            with rec.span("merge"):
-                                for sv_id, svb, orig in zip(wave_svs, svbs, originals):
-                                    grid.svs[int(sv_id)].accumulate_delta(svb, orig, e)
-                    trace.waves.append(
-                        PSVWaveTrace(iteration=iteration, sv_stats=tuple(wave_stats))
-                    )
+                    # Locked merge (Alg. 2 lines 16-19) at the end of the wave.
+                    with rec.span("merge"):
+                        for sv_id, svb, orig in zip(wave_svs, svbs, originals):
+                            grid.svs[int(sv_id)].accumulate_delta(svb, orig, e)
+                trace.waves.append(
+                    PSVWaveTrace(iteration=iteration, sv_stats=tuple(wave_stats))
+                )
 
-                total_updates += iter_updates
-                img = x.reshape(geometry.n_pixels, geometry.n_pixels)
-                with rec.span("bookkeeping"):
-                    cost = (
-                        map_cost(img, scan, system, prior, neighborhood)
-                        if track_cost
-                        else float("nan")
-                    )
-                    rmse = rmse_hu(img, golden) if golden is not None else None
-                    delta_hu = None if x_before is None else abs_change_hu(x, x_before)
-            history.append(
-                IterationRecord(
-                    iteration=iteration,
-                    equits=total_updates / n_voxels,
-                    cost=cost,
-                    rmse=rmse,
-                    updates=iter_updates,
-                    svs_updated=int(selected.size),
-                    delta_hu=delta_hu,
+            total_updates += iter_updates
+            img = x.reshape(geometry.n_pixels, geometry.n_pixels)
+            with rec.span("bookkeeping"):
+                cost = (
+                    map_cost(img, scan, system, prior, neighborhood)
+                    if track_cost
+                    else float("nan")
                 )
+                rmse = rmse_hu(img, golden) if golden is not None else None
+                delta_hu = None if x_before is None else abs_change_hu(x, x_before)
+        history.append(
+            IterationRecord(
+                iteration=iteration,
+                equits=total_updates / n_voxels,
+                cost=cost,
+                rmse=rmse,
+                updates=iter_updates,
+                svs_updated=int(selected.size),
+                delta_hu=delta_hu,
             )
-            if hooks is not None:
-                rolled = hooks.after_iteration(
-                    iteration=iteration,
-                    total_updates=total_updates,
-                    x=x,
-                    e=e,
-                    rng=rng,
-                    history=history,
-                    updater=updater,
-                    selector=selector,
-                )
-                if rolled is not None:  # corruption detected: replay from checkpoint
-                    iteration, total_updates = rolled
-    finally:
-        if exec_backend is not None:
-            exec_backend.close()
+        )
+        if hooks is not None:
+            rolled = hooks.after_iteration(
+                iteration=iteration,
+                total_updates=total_updates,
+                x=x,
+                e=e,
+                rng=rng,
+                history=history,
+                updater=updater,
+                selector=selector,
+            )
+            if rolled is not None:  # corruption detected: replay from checkpoint
+                iteration, total_updates = rolled
 
     history.stop_reason = reason
     history.mark_converged_if_below(stop_rmse if stop_rmse is not None else RMSE_CONVERGED_HU)

@@ -95,16 +95,6 @@ class SuperVoxel:
             raise AssertionError(f"SV {self.index}: valid gather indices must strictly increase")
 
     @property
-    def valid_mask(self) -> np.ndarray:
-        """Boolean mask of SVB cells that map to real sinogram entries."""
-        return self._valid
-
-    @property
-    def valid_gather(self) -> np.ndarray:
-        """Flat sinogram indices of the valid SVB cells (unique, cached)."""
-        return self._valid_gather
-
-    @property
     def n_voxels(self) -> int:
         """Number of member voxels."""
         return int(self.voxels.size)

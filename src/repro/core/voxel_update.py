@@ -281,8 +281,8 @@ class SliceUpdater:
         ``numba`` kernels execute over.  Imported lazily to keep this module
         free of the (optional) compiled-kernel machinery.
 
-        Thread-safe: concurrent wave workers (``ThreadBackend``) race to the
-        first call, and an unguarded lazy build would hand one of them a
+        Thread-safe: threads sharing one updater may race to the first
+        call, and an unguarded lazy build would hand one of them a
         half-initialised context.  Double-checked locking keeps the hot
         (already-built) path at one attribute read.
         """

@@ -7,7 +7,6 @@
     python -m repro all | suite
     python -m repro tune [--zero-skip 0.4]
     python -m repro profile [--driver all] [--equits 2] --metrics-json out.json
-    python -m repro profile --backend process [--workers N] [--pipeline] [--wave-batch N]
     python -m repro profile --checkpoint-dir ckpts [--checkpoint-every K] [--resume]
     python -m repro serve QUEUE_DIR [--workers 2] [--drain]
     python -m repro submit QUEUE_DIR --driver icd --scan scan.npz [--priority 5]
@@ -130,20 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="equits per instrumented run (default 2)")
     profile.add_argument("--metrics-json", metavar="PATH", default=None,
                          help="write the span/counter report as JSON")
-    profile.add_argument("--backend", choices=["inline", "serial", "thread", "process"],
-                         default="inline",
-                         help="wave execution backend for the PSV/GPU drivers "
-                         "(default inline; see repro.core.backends)")
-    profile.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="pool size for --backend thread/process "
-                         "(default: driver-chosen)")
-    profile.add_argument("--pipeline", action="store_true",
-                         help="overlap merge of wave k-1 with compute of "
-                         "wave k (requires a non-inline --backend; "
-                         "bit-identical iterates)")
-    profile.add_argument("--wave-batch", type=int, default=None, metavar="N",
-                         help="SVs per worker shard for pool backends "
-                         "(default: one shard per worker)")
     profile.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                          help="persist resumable run state under DIR/<driver> "
                          "(see repro.resilience)")
@@ -165,9 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "geometry divides evenly")
     profile.add_argument("--shards", type=int, default=None, metavar="N",
                          help="also run one slice as N halo-exchanged row "
-                         "stripes through an in-process reconstruction "
-                         "service and report makespan + RMSE vs the "
-                         "unsharded reference")
+                         "stripes through an in-process two-worker "
+                         "reconstruction service and report makespan + "
+                         "RMSE vs the unsharded reference")
     profile.add_argument("--halo", type=int, default=1, metavar="K",
                          help="halo rows per stripe boundary for --shards "
                          "(default 1)")
@@ -411,14 +396,6 @@ def _run_profile(args) -> None:
     system = build_system_matrix(geom)
     scan = simulate_scan(shepp_logan(n), system, seed=args.seed)
     common = dict(max_equits=args.equits, seed=args.seed, track_cost=False)
-    # The sequential ICD driver has no wave structure, so --backend only
-    # applies to the PSV/GPU drivers.
-    if args.pipeline and args.backend == "inline":
-        raise UsageError("--pipeline requires --backend serial/thread/process")
-    wave = dict(
-        backend=args.backend, n_workers=args.workers,
-        pipeline=args.pipeline, wave_batch=args.wave_batch,
-    )
 
     def resilience(driver_name: str) -> dict:
         """Per-driver checkpoint/resume kwargs (empty when not requested)."""
@@ -441,13 +418,13 @@ def _run_profile(args) -> None:
         )
     if args.driver in ("psv", "all"):
         drivers["psv_icd"] = lambda rec: psv_icd_reconstruct(
-            scan, system, sv_side=min(13, n), metrics=rec, **common, **wave,
+            scan, system, sv_side=min(13, n), metrics=rec, **common,
             **resilience("psv_icd")
         )
     gpu_params = GPUICDParams(sv_side=min(33, n))
     if args.driver in ("gpu", "all"):
         drivers["gpu_icd"] = lambda rec: gpu_icd_reconstruct(
-            scan, system, params=gpu_params, metrics=rec, **common, **wave,
+            scan, system, params=gpu_params, metrics=rec, **common,
             **resilience("gpu_icd")
         )
     if args.multires:
@@ -462,10 +439,6 @@ def _run_profile(args) -> None:
         "pixels": n,
         "max_equits": args.equits,
         "seed": args.seed,
-        "backend": args.backend,
-        "workers": args.workers,
-        "pipeline": args.pipeline,
-        "wave_batch": args.wave_batch,
         "drivers": {},
     }
     for name, run in drivers.items():
@@ -507,7 +480,7 @@ def _run_profile(args) -> None:
         from repro.multires.shards import ShardCoordinator
         from repro.service.service import ReconstructionService
 
-        service = ReconstructionService(n_workers=args.workers or 2)
+        service = ReconstructionService(n_workers=2)
         try:
             coord = ShardCoordinator(service)
             t0 = time.perf_counter()

@@ -4,8 +4,8 @@
 from a cold start, then each finer level seeded with the bilinear
 prolongation of the previous level's iterate.  The per-level work is done
 by the *existing* drivers (``icd`` / ``psv_icd`` / ``gpu_icd``), so every
-kernel flavor, execution backend, checkpoint format, and sentinel works
-unchanged at every level — this module only restricts the data down
+kernel flavor, checkpoint format, and sentinel works unchanged at every
+level — this module only restricts the data down
 (:mod:`repro.multires.resample`) and carries the iterate up.
 
 Checkpoint layout (all inside the one job checkpoint directory, so the
@@ -289,8 +289,8 @@ def multires_reconstruct(
         systems are otherwise built once per geometry through a
         process-wide cache.
     base_kwargs:
-        Forwarded to the base driver (e.g. ``backend=``/``n_workers=`` for
-        the wave drivers, ``kernel=`` for all).  Unknown names raise
+        Forwarded to the base driver (e.g. ``sv_side=``/``n_cores=`` for
+        ``psv_icd``, ``kernel=`` for all).  Unknown names raise
         ``TypeError`` up front rather than failing mid-pyramid.
     """
     try:

@@ -20,9 +20,8 @@ This module addresses both (DESIGN.md §11):
     a checksummed container written via temp-file + ``os.replace``, keeping
     the last ``keep`` checkpoints.  A run killed at any point and resumed
     via ``resume_from=`` is **bit-identical** to an uninterrupted run, for
-    every driver, kernel flavor, and execution backend, because everything
-    the iteration loop consumes (including the RNG stream position) is
-    restored exactly.
+    every driver and kernel flavor, because everything the iteration loop
+    consumes (including the RNG stream position) is restored exactly.
 
 :class:`IntegritySentinel`
     Per-iteration state guards threaded into all three drivers: NaN/Inf
@@ -35,9 +34,9 @@ This module addresses both (DESIGN.md §11):
 :class:`FaultInjector`
     A seeded test harness that schedules deterministic faults — poisoning
     single voxels or sinogram entries mid-run, SIGKILLing the process at a
-    chosen iteration, crashing/stalling backend workers, and truncating or
-    bit-flipping checkpoint files — so every recovery path above is
-    exercised by tests rather than trusted on faith.
+    chosen iteration, and truncating or bit-flipping checkpoint files — so
+    every recovery path above is exercised by tests rather than trusted on
+    faith.
 
 All of it is **disabled by default**: drivers constructed without
 ``checkpoint=`` / ``resume_from=`` / ``sentinel=`` run byte-for-byte the
@@ -389,14 +388,9 @@ class FaultInjector:
     """Seeded, deterministic fault scheduler for resilience tests.
 
     Faults are scheduled up front and fire exactly once when the run
-    reaches the given iteration.  The injector plugs into two places:
-
-    * :class:`IntegritySentinel` calls :meth:`on_iteration` at every
-      iteration boundary — this is where voxel/sinogram poisoning and
-      process kills fire;
-    * the execution backends accept :meth:`worker_fault` specs (crash or
-      stall selected SVs inside pool workers) via their
-      ``fault_injection`` argument.
+    reaches the given iteration: :class:`IntegritySentinel` calls
+    :meth:`on_iteration` at every iteration boundary, which is where
+    voxel/sinogram poisoning and process kills fire.
 
     File-corruption helpers (:meth:`truncate_file`, :meth:`corrupt_file`)
     mangle checkpoint/scan files on disk to exercise the
@@ -472,22 +466,6 @@ class FaultInjector:
                 self.log.append(f"iteration {iteration}: kill signal {fault.sig}")
                 os.kill(os.getpid(), fault.sig)
         return poisoned
-
-    # -- backend worker faults ------------------------------------------
-    @staticmethod
-    def worker_fault(
-        mode: str, sv_indices, *, stall_seconds: float = 5.0
-    ) -> tuple[str, tuple[int, ...], float]:
-        """A worker-fault spec for the execution backends.
-
-        ``mode`` is ``"crash"`` (the worker dies/raises while processing a
-        listed SV) or ``"stall"`` (it sleeps ``stall_seconds``, tripping
-        the wave timeout).  Pass the returned tuple as the backends'
-        ``fault_injection`` argument.
-        """
-        if mode not in ("crash", "stall"):
-            raise ValueError(f"mode must be 'crash' or 'stall', got {mode!r}")
-        return (mode, tuple(int(s) for s in sv_indices), float(stall_seconds))
 
     # -- on-disk corruption ---------------------------------------------
     @staticmethod

@@ -172,9 +172,9 @@ class JobSpec:
         The measurements to reconstruct.
     params:
         Keyword arguments forwarded to the driver (``max_equits``, ``seed``,
-        ``sv_side``, ``kernel``, ``backend`` ...).  For ``gpu_icd``, keys
-        naming :class:`~repro.core.gpu_icd.GPUICDParams` fields are folded
-        into a ``params=`` object automatically.  Values must be
+        ``sv_side``, ``kernel`` ...).  For ``gpu_icd``, keys naming
+        :class:`~repro.core.gpu_icd.GPUICDParams` fields are folded into a
+        ``params=`` object automatically.  Values must be
         JSON-serialisable — they are part of the result-cache key.
     priority:
         Scheduling priority; **higher runs earlier**.  Jobs of equal
@@ -184,10 +184,11 @@ class JobSpec:
         Stability matters for crash recovery: a resubmitted job with the
         same id finds its previous checkpoint directory and resumes.
     fault:
-        Test-only fault-injection hook (mirrors the drivers' public
-        ``fault_injection=``): ``{"kill_at_iteration": N}`` SIGKILLs the
-        worker process after iteration ``N``; an optional ``"signal"`` key
-        (an int or a name like ``"SIGSTOP"``) sends that signal instead —
+        Test-only fault-injection hook (a
+        :class:`~repro.resilience.FaultInjector` kill drill):
+        ``{"kill_at_iteration": N}`` SIGKILLs the worker process after
+        iteration ``N``; an optional ``"signal"`` key (an int or a name
+        like ``"SIGSTOP"``) sends that signal instead —
         ``SIGSTOP`` produces an alive-but-hung worker for heartbeat
         drills.  The fault arms only on a job's *first* life (a job
         resuming from checkpoints never re-arms it), so kill-and-resume

@@ -47,8 +47,7 @@ class ProgressRecorder(MetricsRecorder):
     rec.span("iteration")`` block exits — so the iterate, history record,
     and checkpoint for that iteration are already complete when the
     subscriber sees the event.  Cancellation raised here propagates out of
-    the driver's iteration loop; the drivers release backend resources via
-    their ``finally`` blocks, and the worker marks the job CANCELLED.
+    the driver's iteration loop, and the worker marks the job CANCELLED.
     """
 
     def __init__(

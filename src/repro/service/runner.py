@@ -26,7 +26,6 @@ One function — :func:`run_job` — turns a spec into a driver call:
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import signal as signal_mod
 import threading
 from pathlib import Path
@@ -101,53 +100,30 @@ def clear_system_cache() -> None:
 
 
 # -- dispatch -----------------------------------------------------------
-def cache_key_defaults(
-    driver: str, params: dict[str, Any], driver_defaults: dict[str, Any] | None
-) -> dict[str, Any]:
-    """The ``driver_defaults`` contribution to a job's result-cache key.
+def cache_key_defaults(driver: str, params: dict[str, Any], _unused=None) -> dict[str, Any]:
+    """The defaults :func:`run_job` resolves for a job, as cache-key entries.
 
-    Pool/pipeline/batching defaults are iterate-neutral (the cross-backend
-    contract), but ``backend`` picks between two execution *models* whose
-    iterates validly differ: the drivers' built-in inline emulation versus
-    the snapshot-isolated backends (serial/thread/process — bit-identical
-    to each other).  When the defaults flip a job to the snapshot model,
-    the key must record it, or a fleet that changes
-    ``driver_defaults["backend"]`` against a persistent ``cache_dir``
-    would silently be served results computed under the other model.
-
-    Defaults the driver doesn't accept (``icd`` has no wave structure) or
-    that the spec overrides (spec params win and are keyed already) cannot
-    affect the job, and ``"inline"`` is the drivers' own default — all
-    three map to ``{}`` so keys of fleets that never set a backend default
-    are unchanged.
-
-    ``multires`` additionally folds its resolved ``base_driver`` default
-    into the key (same bug class as the backend fix above): an explicit
-    ``base_driver="icd"`` and an omitted one run the identical pyramid,
-    so they must share a cache entry — while ``base_driver="psv_icd"``,
-    whose iterates validly differ, must not.  Pyramid/shard params that
-    arrive explicitly (``levels``, ``coarse_equits``, ``voxel_subset``,
-    ndarray ``init`` seeds, ...) are spec params and therefore keyed
-    already — :func:`repro.service.cache.cache_key` hashes ndarray values
-    by content.
+    ``multires`` folds its resolved ``base_driver`` default into the key:
+    an explicit ``base_driver="icd"`` and an omitted one run the identical
+    pyramid, so they must share a cache entry — while
+    ``base_driver="psv_icd"``, whose iterates validly differ, must not.
+    Pyramid/shard params that arrive explicitly (``levels``,
+    ``coarse_equits``, ``voxel_subset``, ndarray ``init`` seeds, ...) are
+    spec params and therefore keyed already —
+    :func:`repro.service.cache.cache_key` hashes ndarray values by content.
 
     The resolved ``stop_delta_hu`` is folded in the same way: an omitted
     one and an explicit :data:`DEFAULT_STOP_DELTA_HU` run the same job and
     share a key, while ``None`` (rule off) runs to the budget and does not.
+
+    A third positional argument is accepted and ignored, so callers of the
+    earlier ``(driver, params, defaults)`` form keep working.
     """
     defaults: dict[str, Any] = {}
     if "stop_delta_hu" not in params:
         defaults["stop_delta_hu"] = DEFAULT_STOP_DELTA_HU
     if driver == "multires" and "base_driver" not in params:
         defaults["base_driver"] = "icd"
-    if (
-        driver_defaults
-        and "backend" in driver_defaults
-        and "backend" not in params
-        and "backend" in inspect.signature(_DRIVER_FNS[driver]).parameters
-        and driver_defaults["backend"] != "inline"
-    ):
-        defaults["execution_model"] = "snapshot"
     return defaults
 
 
@@ -190,7 +166,6 @@ def run_job(
     checkpoint_dir: str | Path,
     checkpoint_every: int = 1,
     metrics=None,
-    driver_defaults: dict[str, Any] | None = None,
 ):
     """Execute ``spec``'s reconstruction, checkpointed and resumable.
 
@@ -200,29 +175,11 @@ def run_job(
 
     A spec without a ``stop_delta_hu`` param runs with
     :data:`DEFAULT_STOP_DELTA_HU`; the spec's own value, ``None`` included,
-    always wins, and ``driver_defaults`` cannot set it.
-
-    ``driver_defaults`` supplies service-level execution defaults (e.g.
-    ``{"backend": "process", "n_workers": 4, "pipeline": True}``).  Spec
-    params always win, and keys the target driver doesn't accept are
-    dropped (``icd`` has no wave structure, so backend knobs only reach
-    the PSV/GPU drivers).  Iterate-neutral defaults
-    (pool-backend/pipeline/batching choices, per the cross-backend
-    contract) don't enter the result-cache key; the one default that does
-    change iterates — ``backend`` flipping a job from the inline to the
-    snapshot-isolated execution model — is folded into the key by the
-    service (see :func:`cache_key_defaults`), so fleets on different
-    models never share cache entries.
+    always wins.
     """
     driver_fn = _DRIVER_FNS[spec.driver]
     system = system_for(spec.scan.geometry)
     kwargs = {"stop_delta_hu": DEFAULT_STOP_DELTA_HU, **spec.params}
-    if driver_defaults:
-        accepted = set(inspect.signature(driver_fn).parameters)
-        kwargs = {
-            **{k: v for k, v in driver_defaults.items() if k in accepted},
-            **kwargs,
-        }
     if spec.driver == "gpu_icd":
         kwargs = _split_gpu_params(kwargs)
 

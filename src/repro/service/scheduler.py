@@ -121,14 +121,6 @@ class Scheduler:
         (default) disables deadlines.
     checkpoint_every:
         Snapshot cadence (iterations) for every job.
-    driver_defaults:
-        Optional execution defaults merged *under* every job's spec params
-        (spec wins; keys a driver doesn't accept are dropped) — e.g.
-        ``{"backend": "process", "n_workers": 4, "pipeline": True}`` runs
-        the whole fleet on pipelined process pools.  A ``backend`` default
-        that flips jobs to the snapshot-isolated execution model is folded
-        into the result-cache key by the service (see
-        :func:`~repro.service.runner.cache_key_defaults`).
     metrics:
         Optional service-level recorder receiving ``service.*`` counters.
     on_progress:
@@ -149,7 +141,6 @@ class Scheduler:
         heartbeat_timeout_s: float | None = None,
         job_deadline_s: float | None = None,
         checkpoint_every: int = 1,
-        driver_defaults: dict | None = None,
         metrics: MetricsRecorder | None = None,
         on_progress: Callable[[ProgressEvent], None] | None = None,
         clock: Callable[[], float] = time.time,
@@ -181,7 +172,6 @@ class Scheduler:
         )
         self.job_deadline_s = None if job_deadline_s is None else float(job_deadline_s)
         self.checkpoint_every = int(checkpoint_every)
-        self.driver_defaults = dict(driver_defaults) if driver_defaults else None
         self.rec = as_recorder(metrics)
         self.on_progress = on_progress
         self._clock = clock
@@ -364,7 +354,6 @@ class Scheduler:
                     checkpoint_dir=ckpt_dir,
                     checkpoint_every=self.checkpoint_every,
                     metrics=recorder,
-                    driver_defaults=self.driver_defaults,
                 )
         except JobCancelledError:
             if self._file_terminal(job, JobState.CANCELLED, iteration=job.iteration):
@@ -486,7 +475,6 @@ class Scheduler:
                         job.spec,
                         str(ckpt_dir),
                         self.checkpoint_every,
-                        self.driver_defaults,
                         hb_interval,
                     ),
                     name=f"recon-job-{job.job_id}",

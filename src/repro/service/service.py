@@ -99,9 +99,6 @@ class ReconstructionService:
         Optional persistence directory for the result cache.
     checkpoint_every:
         Snapshot cadence (iterations) for every job.
-    driver_defaults:
-        Execution defaults merged under every job's spec params (spec
-        wins) — see :class:`~repro.service.scheduler.Scheduler`.
     start:
         When False, workers stay parked until :meth:`start` — submissions
         queue up and then execute strictly in priority order.
@@ -122,7 +119,6 @@ class ReconstructionService:
         cache_dir: str | Path | None = None,
         cache_memory_entries: int | None = None,
         checkpoint_every: int = 1,
-        driver_defaults: dict | None = None,
         metrics: MetricsRecorder | None = None,
         on_progress: Callable[[ProgressEvent], None] | None = None,
         start: bool = True,
@@ -155,7 +151,6 @@ class ReconstructionService:
             heartbeat_timeout_s=heartbeat_timeout_s,
             job_deadline_s=job_deadline_s,
             checkpoint_every=checkpoint_every,
-            driver_defaults=driver_defaults,
             metrics=self.rec,
             on_progress=self._dispatch_progress,
             clock=clock,
@@ -220,14 +215,8 @@ class ReconstructionService:
             if job_id in self._jobs and not self._jobs[job_id].terminal:
                 raise JobStateError(f"job id {job_id!r} is already active")
         # The key covers everything that determines iterates: the spec,
-        # plus the execution model a backend default would impose on it
-        # (fleets on different models must not share cache entries).
-        key_params = {
-            **cache_key_defaults(
-                spec.driver, spec.params, self.scheduler.driver_defaults
-            ),
-            **spec.params,
-        }
+        # plus the defaults run_job resolves for what it omits.
+        key_params = {**cache_key_defaults(spec.driver, spec.params), **spec.params}
         job = Job(
             job_id,
             spec,

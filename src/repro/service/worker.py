@@ -258,7 +258,6 @@ def process_worker_main(
     spec: JobSpec,
     checkpoint_dir: str,
     checkpoint_every: int,
-    driver_defaults: dict | None,
     heartbeat_interval_s: float | None = None,
 ) -> None:
     """Run one job in this worker process and report a verdict.
@@ -290,7 +289,6 @@ def process_worker_main(
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
                 metrics=recorder,
-                driver_defaults=driver_defaults,
             )
         except JobCancelledError as exc:
             _deliver_verdict(recorder, checkpoint_dir, "cancelled", str(exc))

@@ -23,8 +23,7 @@ def resolve_rng(
     ----------
     seed:
         ``None`` for a fresh nondeterministic generator, an ``int`` or a
-        :class:`numpy.random.SeedSequence` (how the wave backends derive
-        collision-free per-SV streams) for a deterministic one, or an
+        :class:`numpy.random.SeedSequence` for a deterministic one, or an
         existing ``Generator`` which is returned unchanged (so callers can
         thread one generator through a pipeline).
     """
@@ -36,9 +35,8 @@ def resolve_rng(
 def spawn_rngs(seed: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
     """Derive ``n`` independent child generators from ``seed``.
 
-    Used by parallel drivers (PSV-ICD worker pools, test-case ensembles) so
-    that per-worker streams are independent yet reproducible regardless of
-    scheduling order.
+    The child streams are independent yet reproducible regardless of the
+    order they are consumed in.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")

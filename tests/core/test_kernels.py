@@ -143,37 +143,6 @@ class TestKernelEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Backend waves: tasks carry the kernel; results stay bit-equal.
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
-def test_serial_backend_wave_equivalence(scan32, system32, kernel):
-    from repro.core.backends import SerialBackend, run_wave
-    from repro.core.icd import default_prior
-
-    updater = SliceUpdater(
-        system32, scan32, default_prior(), shared_neighborhood(32)
-    )
-    grid = SuperVoxelGrid(system32, 8)
-    backend = SerialBackend(updater, grid)
-    x0 = np.asarray(scan32.ground_truth, dtype=np.float64).ravel().copy()
-    e0 = updater.initial_error(x0)
-    sv_indices = list(range(min(6, grid.n_svs)))
-
-    states = {}
-    for k in ["python", kernel]:
-        x = x0.copy()
-        e = e0.copy()
-        stats = run_wave(
-            backend, sv_indices, x, e,
-            base_seed=5, zero_skip=True, stale_width=4, kernel=k,
-        )
-        states[k] = (x, e, [(s.updates, s.skipped, s.total_abs_delta) for s in stats])
-    assert np.array_equal(states[kernel][0], states["python"][0])
-    assert np.array_equal(states[kernel][1], states["python"][1])
-    assert states[kernel][2] == states["python"][2]
-
-
-# ----------------------------------------------------------------------
 # Property-based equivalence on small random scans.
 # ----------------------------------------------------------------------
 @given(

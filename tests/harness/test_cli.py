@@ -93,43 +93,6 @@ class TestProfile:
         assert "icd:" in out
         assert "psv_icd" not in out
 
-    def test_parser_accepts_pipeline_flags(self):
-        args = build_parser().parse_args([
-            "profile", "--backend", "process", "--pipeline", "--wave-batch", "4",
-        ])
-        assert args.pipeline is True
-        assert args.wave_batch == 4
-        defaults = build_parser().parse_args(["profile"])
-        assert defaults.pipeline is False
-        assert defaults.wave_batch is None
-
-    def test_pipeline_requires_pool_backend(self, capsys):
-        assert main(["profile", "--pixels", "16", "--equits", "1",
-                     "--driver", "psv", "--pipeline"]) == EXIT_USAGE
-        assert "--backend" in capsys.readouterr().err
-
-    def test_profile_pipelined_run(self, tmp_path, capsys):
-        """End-to-end: a pipelined pool-backend profile runs and reports."""
-        import json
-
-        path = tmp_path / "metrics.json"
-        assert main([
-            "profile", "--pixels", "32", "--equits", "1", "--driver", "psv",
-            "--backend", "thread", "--workers", "2", "--pipeline",
-            "--wave-batch", "4", "--metrics-json", str(path),
-        ]) == 0
-        with open(path) as f:
-            report = json.load(f)
-        assert report["pipeline"] is True
-        assert report["wave_batch"] == 4
-        run = report["drivers"]["psv_icd"]["spans"][0]
-        iters = [s for s in run["children"] if s["name"] == "iteration"]
-        assert iters
-        # The backend emits the wave spans in pipelined mode.
-        assert any(
-            c["name"] == "wave" for s in iters for c in s["children"]
-        )
-
 
 class TestProfileResilienceFlags:
     def test_parser_accepts_checkpoint_flags(self):

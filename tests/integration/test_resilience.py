@@ -2,10 +2,10 @@
 
 The load-bearing property is *bit-identity*: a run checkpointed, killed and
 resumed must produce exactly the same image, error sinogram and RunHistory
-as an uninterrupted run — for every driver, kernel flavor and execution
-backend.  These tests enforce it with ``np.array_equal`` (no tolerances);
-``same_history`` compares records NaN-aware because untracked costs are NaN
-and ``nan != nan`` would fail dataclass equality on identical records.
+as an uninterrupted run — for every driver and kernel flavor.  These tests
+enforce it with ``np.array_equal`` (no tolerances); ``same_history``
+compares records NaN-aware because untracked costs are NaN and
+``nan != nan`` would fail dataclass equality on identical records.
 """
 
 from __future__ import annotations
@@ -240,38 +240,6 @@ class TestResumeBitIdentity:
             )
             assert_same_result(ref, res)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("driver", ["psv_icd", "gpu_icd"])
-    def test_backend_matrix(self, driver, backend, scan16m, system16m, tmp_path):
-        """Pool backends resume bit-identically too (state is backend-free)."""
-        ref = run_driver(driver, scan16m, system16m, backend=backend, n_workers=2)
-        mgr = CheckpointManager(tmp_path / driver, keep=50)
-        run_driver(
-            driver, scan16m, system16m, backend=backend, n_workers=2, checkpoint=mgr
-        )
-        res = run_driver(
-            driver, scan16m, system16m, backend=backend, n_workers=2,
-            resume_from=mgr.paths()[0],
-        )
-        assert_same_result(ref, res)
-
-    def test_cross_backend_resume(self, scan16m, system16m, tmp_path):
-        """A serial-backend checkpoint resumes under a thread pool.
-
-        Pool backends (serial/thread/process) consume the RNG identically
-        (one wave-seed draw per wave), so checkpoints are interchangeable
-        between them.  The inline path uses a different draw pattern and is
-        deliberately not part of this equivalence class.
-        """
-        ref = run_driver("psv_icd", scan16m, system16m, backend="serial")
-        mgr = CheckpointManager(tmp_path / "x", keep=50)
-        run_driver("psv_icd", scan16m, system16m, backend="serial", checkpoint=mgr)
-        res = run_driver(
-            "psv_icd", scan16m, system16m, backend="thread", n_workers=2,
-            resume_from=mgr.paths()[0],
-        )
-        assert_same_result(ref, res)
-
     def test_resume_latest_from_manager(self, scan16m, system16m, tmp_path):
         mgr = CheckpointManager(tmp_path / "icd", keep=1)
         ref = run_driver("icd", scan16m, system16m, checkpoint=mgr)
@@ -423,34 +391,6 @@ class TestIntegritySentinel:
             IntegritySentinel(drift_every=-1)
         with pytest.raises(ValueError):
             IntegritySentinel(drift_tol=0.0)
-
-
-# ----------------------------------------------------------------------
-# Worker faults through the drivers
-# ----------------------------------------------------------------------
-class TestWorkerFaults:
-    def test_thread_worker_crash_recovers_bit_identically(self, scan16m, system16m):
-        ref = psv_icd_reconstruct(
-            scan16m, system16m, sv_side=6, backend="serial", **COMMON
-        )
-        res = psv_icd_reconstruct(
-            scan16m, system16m, sv_side=6, backend="thread", n_workers=2,
-            fault_injection=FaultInjector.worker_fault("crash", [0, 3]),
-            **COMMON,
-        )
-        assert_same_result(ref, res)
-
-    def test_inline_rejects_fault_injection(self, scan16m, system16m):
-        with pytest.raises(ValueError, match="pool backend"):
-            psv_icd_reconstruct(
-                scan16m, system16m, sv_side=6,
-                fault_injection=FaultInjector.worker_fault("crash", [0]),
-                **COMMON,
-            )
-
-    def test_worker_fault_spec_validated(self):
-        with pytest.raises(ValueError, match="crash.*stall|'crash' or 'stall'"):
-            FaultInjector.worker_fault("explode", [1])
 
 
 # ----------------------------------------------------------------------

@@ -53,9 +53,6 @@ if driver == "icd":
 elif driver == "psv_icd":
     psv_icd_reconstruct(scan, system, sv_side=6, checkpoint=manager,
                         sentinel=sentinel, **common)
-elif driver == "psv_pipe":
-    psv_icd_reconstruct(scan, system, sv_side=6, backend="process", n_workers=2,
-                        pipeline=True, checkpoint=manager, sentinel=sentinel, **common)
 else:
     gpu_icd_reconstruct(scan, system, params=GPUICDParams(sv_side=8, batch_size=4),
                         checkpoint=manager, sentinel=sentinel, **common)
@@ -79,31 +76,14 @@ def run_driver(driver, scan, system, **kwargs):
         return icd_reconstruct(scan, system, **COMMON, **kwargs)
     if driver == "psv_icd":
         return psv_icd_reconstruct(scan, system, sv_side=6, **COMMON, **kwargs)
-    if driver == "psv_pipe":
-        # SIGKILL-mid-pipeline drill: the kill lands while the process pool
-        # and its shared-memory arenas are live; the resumed run must still
-        # replay the uninterrupted pipelined run bit-for-bit.
-        return psv_icd_reconstruct(
-            scan, system, sv_side=6, backend="process", n_workers=2,
-            pipeline=True, **COMMON, **kwargs,
-        )
     params = GPUICDParams(sv_side=8, batch_size=4)
     return gpu_icd_reconstruct(scan, system, params=params, **COMMON, **kwargs)
 
 
-def _shm_segments() -> set[str]:
-    """Names of POSIX shared-memory segments currently in /dev/shm."""
-    try:
-        return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
-    except OSError:
-        return set()
-
-
-@pytest.mark.parametrize("driver", ["icd", "psv_icd", "psv_pipe", "gpu_icd"])
+@pytest.mark.parametrize("driver", ["icd", "psv_icd", "gpu_icd"])
 def test_sigkill_then_resume_bit_identical(driver, scan16m, system16m, tmp_path):
     ckpt_dir = tmp_path / driver
     src_dir = str(Path(__file__).resolve().parents[2] / "src")
-    shm_before = _shm_segments()
     proc = subprocess.Popen(
         [sys.executable, "-c", _CHILD, driver, str(ckpt_dir), str(KILL_AFTER)],
         env={"PYTHONPATH": src_dir, "PATH": "/usr/bin:/bin"},
@@ -115,21 +95,12 @@ def test_sigkill_then_resume_bit_identical(driver, scan16m, system16m, tmp_path)
     try:
         returncode = proc.wait(timeout=300)
     finally:
-        # The SIGKILL is uncatchable, so a pool-backend child leaves its
-        # worker processes orphaned — and they hold the stdout/stderr pipes
-        # open, which would hang the drain below.  The child is a session
-        # leader (start_new_session), so killing its process group reaps
-        # every straggler before we read the pipes.
+        # Reap anything the child left in its session (start_new_session
+        # makes it the group leader) before draining its pipes: a
+        # straggler holding stdout/stderr open would hang the drain.
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
     stdout, stderr = proc.communicate(timeout=60)
-    # A SIGKILL'd pool backend can never unlink its shared-memory arenas
-    # (the resource tracker dies with the process group), so the drill
-    # tidies /dev/shm itself — only segments that appeared during the
-    # child's lifetime, so concurrent tests are untouched.
-    for name in _shm_segments() - shm_before:
-        with contextlib.suppress(OSError):
-            os.unlink(os.path.join("/dev/shm", name))
     # died by SIGKILL, not by finishing or erroring out
     assert returncode == -signal.SIGKILL, (
         f"child exited {returncode}; stdout={stdout!r} stderr={stderr!r}"

@@ -179,70 +179,3 @@ class TestProgressStream:
         totals = job.metrics.span_totals()
         assert "iteration" in totals
         assert job.metrics.counters["checkpoint.saves"] >= 1
-
-
-class TestDriverDefaults:
-    """Service-level execution defaults flow into the drivers correctly."""
-
-    PSV_PARAMS = {"max_equits": 1.0, "sv_side": 6, "track_cost": False}
-    DEFAULTS = {"backend": "thread", "n_workers": 2, "pipeline": True}
-
-    def test_defaults_reach_psv_driver(self, scan16, system16):
-        from repro.core.psv_icd import psv_icd_reconstruct
-
-        with ReconstructionService(n_workers=1, driver_defaults=self.DEFAULTS) as svc:
-            job_id = svc.submit(JobSpec(driver="psv_icd", scan=scan16,
-                                        params=self.PSV_PARAMS))
-            via_service = svc.result(job_id, timeout=300)
-        direct = psv_icd_reconstruct(scan16, system16,
-                                     **self.PSV_PARAMS, **self.DEFAULTS)
-        np.testing.assert_array_equal(via_service.image, direct.image)
-
-    def test_unaccepted_keys_dropped_for_icd(self, scan16):
-        # icd has no wave structure; the backend knobs must be filtered
-        # out rather than crash the job.
-        with ReconstructionService(n_workers=1, driver_defaults=self.DEFAULTS) as svc:
-            job_id = svc.submit(icd_spec(scan16))
-            assert svc.result(job_id, timeout=120).image.shape == (16, 16)
-            assert svc.status(job_id)["state"] == "DONE"
-
-    def test_spec_params_override_defaults(self, scan16, system16):
-        from repro.core.psv_icd import psv_icd_reconstruct
-
-        params = {**self.PSV_PARAMS, "backend": "inline"}
-        with ReconstructionService(n_workers=1, driver_defaults=self.DEFAULTS) as svc:
-            # pipeline=True from the defaults would reject backend="inline";
-            # override it in the spec too, proving spec params win key-by-key.
-            job_id = svc.submit(JobSpec(driver="psv_icd", scan=scan16,
-                                        params={**params, "pipeline": False}))
-            via_service = svc.result(job_id, timeout=300)
-        direct = psv_icd_reconstruct(scan16, system16, **params)
-        np.testing.assert_array_equal(via_service.image, direct.image)
-
-    def test_backend_default_partitions_persistent_cache(self, scan16, tmp_path):
-        """A backend default flips the execution model — and the cache key.
-
-        Inline and snapshot-isolated iterates validly differ, so a fleet
-        run without backend defaults and one run with them must not share
-        persistent cache entries; within one model, dedup still works.
-        ``icd`` ignores the backend default entirely, so its key (and its
-        dedup against the inline-fleet entry) must be unaffected.
-        """
-        cache_dir = tmp_path / "cache"
-        psv = lambda: JobSpec(driver="psv_icd", scan=scan16, params=self.PSV_PARAMS)
-        with ReconstructionService(n_workers=1, cache_dir=cache_dir) as svc:
-            svc.result(svc.submit(psv()), timeout=300)
-            svc.result(svc.submit(icd_spec(scan16)), timeout=120)
-        with ReconstructionService(n_workers=1, cache_dir=cache_dir,
-                                   driver_defaults=self.DEFAULTS) as svc:
-            psv_id = svc.submit(psv())
-            icd_id = svc.submit(icd_spec(scan16))
-            svc.result(psv_id, timeout=300)
-            svc.result(icd_id, timeout=120)
-            assert not svc.job(psv_id).from_cache  # other model: recomputed
-            assert svc.job(icd_id).from_cache  # backend knob never reached icd
-        with ReconstructionService(n_workers=1, cache_dir=cache_dir,
-                                   driver_defaults=self.DEFAULTS) as svc:
-            psv_id = svc.submit(psv())
-            svc.result(psv_id, timeout=300)
-            assert svc.job(psv_id).from_cache  # same model: deduped

@@ -1,8 +1,7 @@
 """The service's default stopping rule: one default, keyed, replayed on resume.
 
 * ``run_job`` runs a spec without ``stop_delta_hu`` under
-  :data:`DEFAULT_STOP_DELTA_HU`; ``None`` turns the rule off, and
-  ``driver_defaults`` cannot set it.
+  :data:`DEFAULT_STOP_DELTA_HU`; ``None`` turns the rule off.
 * The resolved value is part of the result-cache key: an omitted
   ``stop_delta_hu`` and an explicit default share a key, ``None`` does not.
 * With the default on, a SIGKILLed process worker resumes bit-identically
@@ -50,15 +49,6 @@ class TestDefault:
         assert result.history.stop_reason == "budget"
         assert result.history.equits >= 12.0
         assert {r.delta_hu for r in result.history.records} == {None}
-
-    def test_driver_defaults_cannot_set_it(self, scan32, tmp_path):
-        fleet = run_job(
-            icd_spec(scan32),
-            checkpoint_dir=tmp_path / "a",
-            driver_defaults={"stop_delta_hu": 100.0},
-        )
-        plain = run_job(icd_spec(scan32), checkpoint_dir=tmp_path / "b")
-        assert fleet.history.records == plain.history.records
 
 
 class TestCacheKey:
