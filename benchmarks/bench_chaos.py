@@ -1,17 +1,16 @@
 """Chaos-campaign benchmark — fault-domain hardening as a measured artifact.
 
 Runs ``N_CAMPAIGNS`` seeded campaigns from :mod:`repro.service.chaos`
-(alternating thread/process worker models) through a real
-:class:`ReconstructionService` + :class:`HttpGateway`, then reports:
+through a real :class:`ReconstructionService` + :class:`HttpGateway`, then
+reports:
 
 * **correctness** — total invariant violations (always asserted zero:
   this benchmark *is* the PR-9 acceptance gate, CI's ``chaos`` job runs
   it with more campaigns);
-* **cost of chaos** — wall-clock per campaign split by worker model.
-  Fault recovery is not free (a SIGSTOPped worker costs one heartbeat
-  timeout, a kill costs a respawn + checkpoint resume), so the per-model
-  mean is the number to watch drift: a jump means recovery got slower,
-  not that reconstruction did;
+* **cost of chaos** — mean wall-clock per campaign.  Fault recovery is
+  not free (a SIGSTOPped worker costs one heartbeat timeout, a kill costs
+  a respawn + checkpoint resume), so the mean is the number to watch
+  drift: a jump means recovery got slower, not that reconstruction did;
 * **fault coverage** — how many jobs of each fault kind the seed range
   actually exercised, so a report with zero ``hang`` jobs is visibly
   weaker than one with five.
@@ -43,18 +42,12 @@ def bench_chaos():
     results = run_campaigns(N_CAMPAIGNS, seed=SEED, n_jobs=N_JOBS)
     summary = summarize(results)
 
-    by_model: dict[str, list[float]] = {}
-    for r in results:
-        by_model.setdefault(r.worker_model, []).append(r.duration_s)
-    model_means = {
-        model: round(sum(ds) / len(ds), 3) for model, ds in by_model.items()
-    }
+    mean_campaign_s = round(summary["total_duration_s"] / len(results), 3)
 
     lines = [
         f"{summary['campaigns']} campaigns, {summary['total_jobs']} jobs, "
         f"{summary['total_duration_s']:.1f}s total",
-        "mean campaign wall-clock: "
-        + "  ".join(f"{m} {s:.2f}s" for m, s in sorted(model_means.items())),
+        f"mean campaign wall-clock: {mean_campaign_s:.2f}s",
         "fault coverage: "
         + "  ".join(f"{k}={n}" for k, n in sorted(summary["kind_counts"].items())),
         f"violations: {len(summary['violations'])}",
@@ -74,7 +67,7 @@ def bench_chaos():
             "campaigns": N_CAMPAIGNS,
             "jobs_per_campaign": N_JOBS,
             "base_seed": SEED,
-            "mean_campaign_s": model_means,
+            "mean_campaign_s": mean_campaign_s,
             "summary": summary,
         }
         with open(emit_path, "w") as f:

@@ -14,7 +14,7 @@
     python -m repro cancel QUEUE_DIR JOB_ID
     python -m repro serve-http --scan-root DIR [--port 8080] [--workers 2]
     python -m repro loadtest URL [--mode open --rate 20] [--jobs 200]
-    python -m repro chaos [--campaigns 20] [--seed 0] [--worker-model both]
+    python -m repro chaos [--campaigns 20] [--seed 0]
 
 Each experiment prints the same rows/series the paper reports (see
 EXPERIMENTS.md for the paper-vs-measured record); ``profile`` runs
@@ -165,16 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("queue_dir", help="the queue directory (created if missing)")
     serve.add_argument("--workers", type=int, default=2, metavar="N",
                        help="concurrently running jobs (default 2)")
-    serve.add_argument("--worker-model", choices=["thread", "process"],
-                       default="thread",
-                       help="run jobs on worker threads (default) or in "
-                       "worker subprocesses (CPU-bound jobs scale with "
-                       "cores; a killed worker resumes from checkpoints)")
     serve.add_argument("--heartbeat-timeout", type=float, default=None,
                        metavar="S",
-                       help="kill a process worker silent for S seconds and "
-                       "resume its job from the newest checkpoint "
-                       "(process model only; default: no supervision)")
+                       help="kill a worker silent for S seconds and resume "
+                       "its job from the newest checkpoint "
+                       "(default: no supervision)")
     serve.add_argument("--job-deadline", type=float, default=None, metavar="S",
                        help="fail any job still running after S seconds of "
                        "wall clock (default: no deadline)")
@@ -223,16 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "scan paths resolve")
     serve_http.add_argument("--workers", type=int, default=2, metavar="N",
                             help="concurrently running jobs (default 2)")
-    serve_http.add_argument("--worker-model", choices=["thread", "process"],
-                            default="thread",
-                            help="run jobs on worker threads (default) or in "
-                            "worker subprocesses (CPU-bound jobs scale with "
-                            "cores; a killed worker resumes from checkpoints)")
+    # Accepted for compatibility only: every job runs in a worker
+    # subprocess, and perfbench/server.py still passes this flag.
+    serve_http.add_argument("--worker-model", choices=("process",),
+                            default="process", help=argparse.SUPPRESS)
     serve_http.add_argument("--heartbeat-timeout", type=float, default=None,
                             metavar="S",
-                            help="kill a process worker silent for S seconds "
-                            "and resume its job from the newest checkpoint "
-                            "(process model only; default: no supervision)")
+                            help="kill a worker silent for S seconds and "
+                            "resume its job from the newest checkpoint "
+                            "(default: no supervision)")
     serve_http.add_argument("--job-deadline", type=float, default=None,
                             metavar="S",
                             help="fail any job still running after S seconds "
@@ -299,10 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="base seed; campaign i uses seed+i (default 0)")
     chaos.add_argument("--jobs", type=int, default=6, metavar="N",
                        help="jobs per campaign (default 6)")
-    chaos.add_argument("--worker-model", choices=["thread", "process", "both"],
-                       default="both",
-                       help="execution model(s) to campaign against; 'both' "
-                       "alternates per campaign (default both)")
     chaos.add_argument("--report-json", default=None, metavar="PATH",
                        help="write the campaign summary as JSON")
 
@@ -533,7 +523,6 @@ def _run_serve(args) -> None:
     service = DirectoryService(
         args.queue_dir,
         n_workers=args.workers,
-        worker_model=args.worker_model,
         heartbeat_timeout_s=args.heartbeat_timeout,
         job_deadline_s=args.job_deadline,
         job_ttl_s=args.job_ttl,
@@ -542,8 +531,7 @@ def _run_serve(args) -> None:
         metrics=metrics,
         poll_s=args.poll,
     )
-    print(f"serving {args.queue_dir} with {args.workers} "
-          f"{args.worker_model} worker(s)"
+    print(f"serving {args.queue_dir} with {args.workers} worker(s)"
           + (" until drained" if args.drain else ""))
     try:
         drained = service.run(drain=args.drain, max_seconds=args.max_seconds)
@@ -604,7 +592,6 @@ def _run_serve_http(args) -> None:
 
     service = ReconstructionService(
         n_workers=args.workers,
-        worker_model=args.worker_model,
         heartbeat_timeout_s=args.heartbeat_timeout,
         job_deadline_s=args.job_deadline,
         job_ttl_s=args.job_ttl,
@@ -622,8 +609,7 @@ def _run_serve_http(args) -> None:
         own_service=True,
     )
     print(f"gateway listening on {gateway.url} "
-          f"(scan root {args.scan_root}, {args.workers} "
-          f"{args.worker_model} worker(s))")
+          f"(scan root {args.scan_root}, {args.workers} worker(s))")
     try:
         gateway.serve_forever()
     except KeyboardInterrupt:
@@ -677,13 +663,9 @@ def _run_chaos(args) -> None:
         raise UsageError(f"--campaigns must be >= 1, got {args.campaigns}")
     if args.jobs < 2:
         raise UsageError(f"--jobs must be >= 2, got {args.jobs}")
-    models = (
-        ("thread", "process") if args.worker_model == "both" else (args.worker_model,)
-    )
     results = run_campaigns(
         args.campaigns,
         seed=args.seed,
-        worker_models=models,
         n_jobs=args.jobs,
         progress=print,
     )

@@ -2,10 +2,10 @@
 
 The paper's pipeline reconstructs one scan per process; this package turns
 the three drivers into a *service* (DESIGN.md §12): jobs are submitted with
-priorities, admitted against a bounded queue, executed concurrently on a
-worker pool with per-job checkpoint/resume, deduplicated through a
-content-addressed result cache, and observable through status snapshots,
-progress streams, and ``service.*`` counters.
+priorities, admitted against a bounded queue, executed concurrently in
+supervised worker subprocesses with per-job checkpoint/resume,
+deduplicated through a content-addressed result cache, and observable
+through status snapshots, progress streams, and ``service.*`` counters.
 
 Entry points: :class:`ReconstructionService` (in-process),
 :class:`DirectoryService` / ``python -m repro serve`` (file-based intake),
@@ -55,11 +55,11 @@ from repro.service.jobs import (
     UnknownJobError,
 )
 from repro.service.loadgen import JobRecord, LoadReport, run_load
-from repro.service.progress import ProgressEvent, ProgressRecorder
+from repro.service.progress import ProgressEvent
 from repro.service.queue import AdmissionError, JobQueue, QueueClosedError
 from repro.service.reaper import JobReaper
 from repro.service.runner import clear_system_cache, run_job, system_for
-from repro.service.scheduler import WORKER_MODELS, Scheduler
+from repro.service.scheduler import Scheduler
 from repro.service.service import ReconstructionService
 
 __all__ = [
@@ -84,12 +84,10 @@ __all__ = [
     "CachedResult",
     "ResultCache",
     "ProgressEvent",
-    "ProgressRecorder",
     "system_for",
     "clear_system_cache",
     "run_job",
     "Scheduler",
-    "WORKER_MODELS",
     "JobReaper",
     "ReconstructionService",
     "HttpGateway",

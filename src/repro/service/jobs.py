@@ -81,9 +81,9 @@ class JobCancelledError(ServiceError):
 class JobDeadlineError(ServiceError):
     """The job exceeded its wall-clock budget (``job_deadline_s``).
 
-    Process workers are SIGKILLed at the deadline; thread workers stop
-    cooperatively at the next iteration boundary.  Either way the job
-    files FAILED with this error's message in the detail.
+    Raised by the scheduler's supervisor, which SIGKILLs the job's worker
+    at the deadline and does not respawn it.  The job files FAILED with
+    this error's message in the detail.
     """
 
 
@@ -243,7 +243,7 @@ class Job:
         self.events: list[JobEvent] = []
         self.error: str | None = None
         self.result = None  # ICDResult-shaped object once DONE
-        self.metrics = None  # the job's ProgressRecorder, attached at run time
+        self.metrics = None  # the worker's counters, attached once DONE
         self.from_cache = False
         self.submitted_at: float = clock()
         self.started_at: float | None = None
@@ -281,7 +281,7 @@ class Job:
         with self._lock:
             self.events.append(JobEvent(kind=kind, at=self._clock(), detail=detail))
 
-    # -- progress (called from the worker's ProgressRecorder) -----------
+    # -- progress (relayed from the worker subprocess) ------------------
     def note_iteration(self, iteration: int, duration_s: float | None) -> None:
         """Record that outer iteration ``iteration`` just completed."""
         with self._lock:

@@ -100,7 +100,7 @@ def clear_system_cache() -> None:
 
 
 # -- dispatch -----------------------------------------------------------
-def cache_key_defaults(driver: str, params: dict[str, Any], _unused=None) -> dict[str, Any]:
+def cache_key_defaults(driver: str, params: dict[str, Any]) -> dict[str, Any]:
     """The defaults :func:`run_job` resolves for a job, as cache-key entries.
 
     ``multires`` folds its resolved ``base_driver`` default into the key:
@@ -115,9 +115,6 @@ def cache_key_defaults(driver: str, params: dict[str, Any], _unused=None) -> dic
     The resolved ``stop_delta_hu`` is folded in the same way: an omitted
     one and an explicit :data:`DEFAULT_STOP_DELTA_HU` run the same job and
     share a key, while ``None`` (rule off) runs to the budget and does not.
-
-    A third positional argument is accepted and ignored, so callers of the
-    earlier ``(driver, params, defaults)`` form keep working.
     """
     defaults: dict[str, Any] = {}
     if "stop_delta_hu" not in params:

@@ -1,6 +1,6 @@
-"""The scheduler: a worker pool draining the job queue through the drivers.
+"""The scheduler: supervisor threads draining the job queue into worker processes.
 
-Each worker thread loops: take the highest-priority pending job, then
+Each supervisor thread loops: take the highest-priority pending job, then
 
 1. honour a cancel that arrived while the job was queued (PENDING →
    CANCELLED without running anything);
@@ -10,24 +10,18 @@ Each worker thread loops: take the highest-priority pending job, then
    *skipped* when the job already has checkpoints on disk: a mid-flight
    job whose worker died must resume, not be short-circuited by a result
    some other submission produced;
-3. run the job with a per-job checkpoint directory
-   (``<root>/<job_id>/checkpoints``) and ``resume_from="latest"``,
-   streaming progress through a per-job
-   :class:`~repro.service.progress.ProgressRecorder`.  Under
-   ``worker_model="thread"`` (the default) the driver runs on the worker
-   thread itself via :func:`~repro.service.runner.run_job`; under
-   ``worker_model="process"`` the worker thread instead supervises a
-   worker *subprocess* (:mod:`repro.service.worker`) so concurrent
-   NumPy-light jobs stop serialising on the GIL — progress and cancel are
-   relayed over a pipe / shared flag, the result comes back as the repo's
-   npz container, and a crashed (SIGKILL'd) subprocess is respawned to
-   resume bit-identically from the job's newest checkpoint;
+3. run the job in a worker *subprocess* (:mod:`repro.service.worker`)
+   with a per-job checkpoint directory (``<root>/<job_id>/checkpoints``)
+   and ``resume_from="latest"``.  Progress and cancel are relayed over a
+   pipe / shared flag, the result comes back as the repo's npz container,
+   and a crashed (SIGKILL'd) subprocess is respawned to resume
+   bit-identically from the job's newest checkpoint;
 4. file the outcome: DONE (result stored in the cache), CANCELLED (the
    cooperative :class:`JobCancelledError` surfaced at an iteration
    boundary), or FAILED (the exception message lands in ``job.error``).
    Terminal filing is race-tolerant: if the job went terminal concurrently
    (a cancel filed elsewhere racing an induced failure), the losing
-   transition is dropped instead of killing the worker thread with a
+   transition is dropped instead of killing the supervisor thread with a
    :class:`JobStateError`.
 
 Service-level ``service.*`` counters (queue wait, run time, completion /
@@ -55,31 +49,29 @@ from repro.service.jobs import (
     JobStateError,
     ResultPersistError,
 )
-from repro.service.progress import ProgressEvent, ProgressRecorder
+from repro.service.progress import ProgressEvent
 from repro.service.queue import JobQueue
-from repro.service.runner import run_job, system_for
+from repro.service.runner import system_for
 from repro.service.worker import (
     load_worker_result,
     mp_context,
     process_worker_main,
+    worker_result_path,
     worker_verdict_path,
 )
 
-__all__ = ["WORKER_MODELS", "Scheduler"]
+__all__ = ["Scheduler"]
 
-#: Worker execution models: jobs on pool threads vs. on worker subprocesses.
-WORKER_MODELS = ("thread", "process")
-
-#: how long an idle worker blocks on the queue before re-checking shutdown.
+#: how long an idle supervisor blocks on the queue before re-checking shutdown.
 _POLL_S = 0.1
 
-#: how long the process-model supervisor blocks on the progress pipe before
-#: re-checking the cancel flag and the child's liveness.
+#: how long a supervisor blocks on the progress pipe before re-checking the
+#: cancel flag and the child's liveness.
 _RELAY_POLL_S = 0.05
 
 
 class Scheduler:
-    """Runs queued jobs on ``n_workers`` concurrent workers.
+    """Runs queued jobs in worker subprocesses, ``n_workers`` at a time.
 
     Parameters
     ----------
@@ -89,36 +81,29 @@ class Scheduler:
         Directory under which each job gets its own
         ``<job_id>/checkpoints`` snapshot store.
     n_workers:
-        Number of concurrently running jobs.
-    worker_model:
-        ``"thread"`` (default) runs each job's driver on the worker thread;
-        ``"process"`` runs it in a worker subprocess supervised by the
-        thread, so CPU-bound jobs scale with cores instead of serialising
-        on the GIL.  Results are bit-identical across models (same
-        ``run_job`` path either way), so they share cache entries.
+        Number of concurrently running jobs: one supervisor thread, and
+        one worker subprocess at a time, per slot.
     max_restarts:
-        Process model only: how many times one job's crashed (no-verdict)
-        or killed-for-hanging worker subprocess is respawned to resume
-        from checkpoints before the job is filed FAILED.  Guards against a
-        job that is itself the crash trigger (e.g. the OOM killer) looping
-        forever.
+        How many times one job's crashed (no-verdict) or killed-for-hanging
+        worker subprocess is respawned to resume from checkpoints before
+        the job is filed FAILED.  Guards against a job that is itself the
+        crash trigger (e.g. the OOM killer) looping forever.
     heartbeat_timeout_s:
-        Process model only: a worker subprocess whose pipe stays silent —
-        no progress, fault, or heartbeat message of any kind — for this
-        long while still alive is presumed hung (deadlocked, SIGSTOPped,
-        wedged in native code) and SIGKILLed; the job resumes from its
-        newest checkpoint, counted against ``max_restarts`` with a
-        ``WORKER_HUNG`` event and the ``service.workers_hung`` counter.
-        ``None`` (default) disables the watchdog.  Children are told to
-        heartbeat at a quarter of this interval.
+        A worker subprocess whose pipe stays silent — no progress, fault,
+        or heartbeat message of any kind — for this long while still alive
+        is presumed hung (deadlocked, SIGSTOPped, wedged in native code)
+        and SIGKILLed; the job resumes from its newest checkpoint, counted
+        against ``max_restarts`` with a ``WORKER_HUNG`` event and the
+        ``service.workers_hung`` counter.  ``None`` (default) disables the
+        watchdog.  Children are told to heartbeat at a quarter of this
+        interval.
     job_deadline_s:
-        Wall-clock budget for one job across all of its worker lives.
-        Process workers are SIGKILLed at the deadline (same WORKER_HUNG
-        accounting; respawns past the deadline die immediately, so the
-        job fails after ``max_restarts``); thread workers stop
-        cooperatively at the next iteration boundary with
-        :class:`~repro.service.jobs.JobDeadlineError`.  ``None``
-        (default) disables deadlines.
+        Wall-clock budget for one job across all of its worker lives.  At
+        the deadline the worker is SIGKILLed and the job fails at once with
+        :class:`~repro.service.jobs.JobDeadlineError` — one ``WORKER_HUNG``
+        event (``reason: "deadline"``), no respawn, and no
+        ``service.workers_hung`` count (nothing hung).  ``None`` (default)
+        disables deadlines.
     checkpoint_every:
         Snapshot cadence (iterations) for every job.
     metrics:
@@ -136,7 +121,6 @@ class Scheduler:
         *,
         checkpoint_root: str | Path,
         n_workers: int = 2,
-        worker_model: str = "thread",
         max_restarts: int = 2,
         heartbeat_timeout_s: float | None = None,
         job_deadline_s: float | None = None,
@@ -147,10 +131,6 @@ class Scheduler:
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if worker_model not in WORKER_MODELS:
-            raise ValueError(
-                f"unknown worker_model {worker_model!r}; use one of {WORKER_MODELS}"
-            )
         if max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         if heartbeat_timeout_s is not None and heartbeat_timeout_s <= 0:
@@ -165,7 +145,6 @@ class Scheduler:
         self.cache = cache
         self.checkpoint_root = Path(checkpoint_root)
         self.n_workers = int(n_workers)
-        self.worker_model = worker_model
         self.max_restarts = int(max_restarts)
         self.heartbeat_timeout_s = (
             None if heartbeat_timeout_s is None else float(heartbeat_timeout_s)
@@ -188,11 +167,9 @@ class Scheduler:
 
     # -- fault bookkeeping ----------------------------------------------
     def _note_job_fault(self, job: Job, kind: str, detail: dict) -> None:
-        """File a fault event on the job and keep the degraded-set current.
+        """File a relayed ``("fault", kind, detail)`` message on the job.
 
-        Reached from both worker models: the thread model's
-        ProgressRecorder calls it directly (``on_fault``), the process
-        model relays ``("fault", kind, detail)`` pipe messages here.
+        Also keeps the degraded-set behind ``/healthz`` current.
         """
         job.record_event(kind, **detail)
         if kind == "CHECKPOINT_DEGRADED":
@@ -216,7 +193,7 @@ class Scheduler:
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
-        """Spawn the worker threads (idempotent while running).
+        """Spawn the supervisor threads (idempotent while running).
 
         After a :meth:`stop` the pool restarts cleanly: the previous
         worker generation is joined first (so two generations never serve
@@ -248,7 +225,7 @@ class Scheduler:
         The queue stays **open** unless ``close=True`` (final shutdown):
         submissions keep queueing while the pool is parked, and a later
         :meth:`start` serves them — ``stop``/``start`` is pause/resume,
-        not teardown.  With ``wait=False`` the worker threads keep
+        not teardown.  With ``wait=False`` the supervisor threads keep
         winding down in the background; :attr:`running` stays True until
         they actually exit (the thread list is only pruned once joined),
         and a premature :meth:`start` joins them before spawning the next
@@ -264,7 +241,7 @@ class Scheduler:
 
     @property
     def running(self) -> bool:
-        """Whether worker threads are active."""
+        """Whether supervisor threads are active."""
         return any(t.is_alive() for t in self._threads)
 
     # -- worker loop ----------------------------------------------------
@@ -302,7 +279,7 @@ class Scheduler:
                 continue
             try:
                 self._execute(job)
-            except Exception as exc:  # never let a worker thread die silently
+            except Exception as exc:  # never let a supervisor thread die silently
                 if self._file_terminal(job, JobState.FAILED, error=f"worker error: {exc}"):
                     self._count("service.jobs_failed")
 
@@ -335,26 +312,7 @@ class Scheduler:
         job.transition(JobState.RUNNING, resumed=has_checkpoints)
         started = self._clock()
         try:
-            if self.worker_model == "process":
-                result = self._run_in_process(job, ckpt_dir)
-            else:
-                recorder = ProgressRecorder(
-                    job,
-                    self.on_progress,
-                    on_fault=self._note_job_fault,
-                    deadline=(
-                        None
-                        if self.job_deadline_s is None
-                        else time.monotonic() + self.job_deadline_s
-                    ),
-                )
-                job.metrics = recorder
-                result = run_job(
-                    job.spec,
-                    checkpoint_dir=ckpt_dir,
-                    checkpoint_every=self.checkpoint_every,
-                    metrics=recorder,
-                )
+            result = self._supervise(job, ckpt_dir)
         except JobCancelledError:
             if self._file_terminal(job, JobState.CANCELLED, iteration=job.iteration):
                 self._count("service.jobs_cancelled")
@@ -381,11 +339,7 @@ class Scheduler:
         if self._file_terminal(job, JobState.DONE):
             self._count("service.jobs_completed")
 
-    # -- process worker model -------------------------------------------
-    def _emit_progress(self, event: ProgressEvent) -> None:
-        if self.on_progress is not None:
-            self.on_progress(event)
-
+    # -- worker supervision ---------------------------------------------
     def _relay(self, job: Job, message: tuple) -> None:
         """Mirror one child progress message onto the parent-side job."""
         kind, iteration, duration = message[0], int(message[1]), message[2]
@@ -393,11 +347,12 @@ class Scheduler:
             job.note_iteration(iteration, duration)
         else:
             job.note_checkpoint(iteration)
-        self._emit_progress(
-            ProgressEvent(
-                job_id=job.job_id, kind=kind, iteration=iteration, duration_s=duration
+        if self.on_progress is not None:
+            self.on_progress(
+                ProgressEvent(
+                    job_id=job.job_id, kind=kind, iteration=iteration, duration_s=duration
+                )
             )
-        )
 
     def _consume_verdict(self, ckpt_dir: Path) -> tuple | None:
         """Read and clear a child-persisted fallback verdict, if any.
@@ -421,24 +376,26 @@ class Scheduler:
             return (doc["kind"], doc.get("payload"))
         return None
 
-    def _run_in_process(self, job: Job, ckpt_dir: Path):
-        """Supervise ``job`` through worker subprocess lives.
+    def _supervise(self, job: Job, ckpt_dir: Path):
+        """Run ``job`` through worker subprocess lives; return its result.
 
         Spawns a worker subprocess per life, relays its progress stream
         onto the job, mirrors ``request_cancel`` into the shared cancel
-        flag, and turns its verdict into the same outcomes the thread
-        model produces (``JobCancelledError`` for a cooperative cancel, an
-        exception for FAILED, the loaded result container for DONE).  A
-        life that dies with no verdict — SIGKILL, segfault, OOM — is
-        respawned up to ``max_restarts`` times; ``run_job`` in the fresh
-        child resumes from the job's newest checkpoint bit-identically.
+        flag, and turns its verdict into an outcome: ``JobCancelledError``
+        for a cooperative cancel, an exception for FAILED, the loaded
+        result container for DONE.  A life that dies with no verdict —
+        SIGKILL, segfault, OOM — is respawned up to ``max_restarts``
+        times; ``run_job`` in the fresh child resumes from the job's
+        newest checkpoint bit-identically.
 
         The same restart budget covers the liveness watchdog: a child
         whose pipe stays silent past ``heartbeat_timeout_s`` while alive
-        (hung, SIGSTOPped, wedged in native code) or that outlives
-        ``job_deadline_s`` is SIGKILLed here — SIGKILL terminates even a
-        stopped process — and handled exactly like a crash, except the
-        event says ``WORKER_HUNG`` and the counter ``workers_hung``.
+        (hung, SIGSTOPped, wedged in native code) is SIGKILLed here —
+        SIGKILL terminates even a stopped process — and handled exactly
+        like a crash, except the event says ``WORKER_HUNG`` and the
+        counter ``workers_hung``.  A child that outlives
+        ``job_deadline_s`` is SIGKILLed too, but never respawned: a new
+        life would start past the deadline.
         """
         # Build the (process-wide, read-only) system matrix in the parent
         # first: forked children inherit it copy-on-write instead of each
@@ -476,6 +433,7 @@ class Scheduler:
                         str(ckpt_dir),
                         self.checkpoint_every,
                         hb_interval,
+                        parent_conn,
                     ),
                     name=f"recon-job-{job.job_id}",
                     daemon=True,
@@ -537,14 +495,17 @@ class Scheduler:
                 kind, payload = verdict
                 if kind == "done":
                     if isinstance(payload, dict):
-                        # The child's counter snapshot stands in for the
-                        # thread model's per-job recorder (span trees stay
-                        # in the child; counters are what report consumers
-                        # read).
+                        # The child's counter snapshot is the job's metrics
+                        # (span trees stay in the child; counters are what
+                        # report consumers read).
                         job_rec = MetricsRecorder()
                         job_rec.merge_counters(payload)
                         job.metrics = job_rec
-                    return load_worker_result(ckpt_dir)
+                    result = load_worker_result(ckpt_dir)
+                    # The caller stores the result (cache or queue dir); the
+                    # worker's copy would only duplicate it on disk.
+                    worker_result_path(ckpt_dir).unlink(missing_ok=True)
+                    return result
                 if kind == "cancelled":
                     raise JobCancelledError(payload)
                 # kind == "failed"
@@ -553,6 +514,15 @@ class Scheduler:
                 ):
                     raise ResultPersistError(payload)
                 raise RuntimeError(payload)
+
+            if hung_reason == "deadline":
+                # Our kill, but not a hang: no respawn (it would start past
+                # the deadline) and no workers_hung count.
+                job.record_event("WORKER_HUNG", reason=hung_reason, exitcode=exitcode)
+                raise JobDeadlineError(
+                    f"job exceeded its {self.job_deadline_s:g}s deadline; "
+                    f"worker killed"
+                )
 
             # No verdict: the worker process died (or was killed) under the
             # job.  Hangs and crashes share the restart budget but are
@@ -573,12 +543,6 @@ class Scheduler:
                     "WORKER_CRASHED", exitcode=exitcode, restarts=restarts
                 )
             if restarts > self.max_restarts:
-                if hung_reason == "deadline":
-                    raise JobDeadlineError(
-                        f"job exceeded its {self.job_deadline_s:g}s deadline; "
-                        f"worker killed {restarts} times; giving up after "
-                        f"max_restarts={self.max_restarts}"
-                    )
                 raise RuntimeError(
                     f"worker process died {restarts} times without a verdict "
                     f"(last exitcode {exitcode}"

@@ -59,24 +59,21 @@ class ReconstructionService:
     Parameters
     ----------
     n_workers:
-        Concurrently running jobs.
-    worker_model:
-        ``"thread"`` (default) or ``"process"`` — see
-        :class:`~repro.service.scheduler.Scheduler`.  Process workers let
+        Concurrently running jobs.  Each runs in its own worker
+        subprocess (see :class:`~repro.service.scheduler.Scheduler`), so
         CPU-bound jobs scale with cores instead of serialising on the
-        GIL, and a SIGKILL'd worker subprocess resumes its job from
-        checkpoints without the service going down.
+        GIL, and a SIGKILL'd worker resumes its job from checkpoints
+        without the service going down.
     max_restarts:
-        Process model only: crashed-worker respawns per job before FAILED.
+        Crashed-worker respawns per job before FAILED.
     heartbeat_timeout_s:
-        Process model only: SIGKILL a worker subprocess whose pipe stays
-        silent this long while alive (hung, SIGSTOPped) and resume its
-        job from checkpoints — see
-        :class:`~repro.service.scheduler.Scheduler`.  ``None`` disables.
+        SIGKILL a worker subprocess whose pipe stays silent this long
+        while alive (hung, SIGSTOPped) and resume its job from
+        checkpoints.  ``None`` disables.
     job_deadline_s:
-        Wall-clock budget per job across worker lives; over-deadline
-        process workers are killed, thread workers stop cooperatively
-        with :class:`~repro.service.jobs.JobDeadlineError`.  ``None``
+        Wall-clock budget per job across worker lives; an over-deadline
+        worker is killed and the job fails with
+        :class:`~repro.service.jobs.JobDeadlineError`.  ``None``
         disables.
     job_ttl_s:
         TTL for *terminal* jobs in the registry: once a job has been DONE
@@ -108,7 +105,6 @@ class ReconstructionService:
         self,
         *,
         n_workers: int = 2,
-        worker_model: str = "thread",
         max_restarts: int = 2,
         heartbeat_timeout_s: float | None = None,
         job_deadline_s: float | None = None,
@@ -146,7 +142,6 @@ class ReconstructionService:
             self.cache,
             checkpoint_root=self.checkpoint_root,
             n_workers=n_workers,
-            worker_model=worker_model,
             max_restarts=max_restarts,
             heartbeat_timeout_s=heartbeat_timeout_s,
             job_deadline_s=job_deadline_s,
@@ -367,7 +362,7 @@ class ReconstructionService:
         """The service-level metrics report (``service.*`` counters).
 
         Counter snapshot plus the live queue depth, registry size, and
-        tombstone count; per-job span trees stay with the jobs
+        tombstone count; per-job counters stay with the jobs
         (``job.metrics``).
         """
         doc = self.rec.to_dict()

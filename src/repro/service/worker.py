@@ -1,17 +1,15 @@
-"""Process-backed job execution: the child side of ``worker_model="process"``.
+"""The worker subprocess every service job runs in.
 
-Thread workers (the default) serialise on the GIL whenever a job's hot loop
-is NumPy-light — which is exactly what the per-voxel ICD sweep is — so a
-scheduler configured with ``worker_model="process"`` runs each
-:func:`~repro.service.runner.run_job` in a worker *subprocess* instead.
-This module is that subprocess: :func:`process_worker_main` is the
+Jobs run in worker *subprocesses* rather than on scheduler threads: the
+per-voxel ICD sweep is NumPy-light, so threads serialise on the GIL, and a
+separate process can be killed, respawned, and resumed without taking the
+service down.  :func:`process_worker_main` is the
 ``multiprocessing.Process`` target, and the protocol back to the scheduler
 is deliberately tiny:
 
 * **progress** flows child → parent over a one-way pipe as small tuples
   (``("iteration", i, dur)`` / ``("checkpoint", i, dur)``), re-emitted by
-  the parent as the same :class:`~repro.service.progress.ProgressEvent`
-  stream thread workers produce;
+  the parent as :class:`~repro.service.progress.ProgressEvent` objects;
 * **liveness** is a periodic ``("heartbeat", ts)`` tuple from a daemon
   thread, sent even while an iteration grinds — the parent's supervisor
   treats a quiet pipe (no message of *any* kind within
@@ -22,16 +20,15 @@ is deliberately tiny:
   degradation transitions (``CHECKPOINT_DEGRADED`` / ``_RECOVERED``) the
   parent mirrors onto the job's event log;
 * **cancel** flows parent → child through a shared
-  ``multiprocessing.Event`` checked at every iteration boundary (the same
-  cooperative point the thread model uses), raising
+  ``multiprocessing.Event`` checked at every iteration boundary, raising
   :class:`~repro.service.jobs.JobCancelledError` out of the driver loop;
 * **the result** never crosses the pipe: the child persists it with the
   repo's npz reconstruction container (``result-worker.npz`` next to the
   job's ``checkpoints/`` dir, atomic write) and sends a one-line verdict;
-  the parent loads the container back.  Volumes can be large; verdicts
-  are not.  A result write that keeps failing after retries is the one
-  disk fault that is terminal: the verdict is a ``ResultPersistError``
-  failure with the errno;
+  the parent loads the container back and deletes it.  Volumes can be
+  large; verdicts are not.  A result write that keeps failing after
+  retries is the one disk fault that is terminal: the verdict is a
+  ``ResultPersistError`` failure with the errno;
 * **crashes need no protocol at all**: a SIGKILL'd child simply never
   sends a verdict.  The parent notices the dead process and respawns it —
   ``run_job`` resumes from the job's newest checkpoint bit-identically,
@@ -40,10 +37,12 @@ is deliberately tiny:
 * **a lost pipe is not a lost verdict**: if the verdict send fails after
   one retry, the child persists it as ``verdict.json`` next to the result
   container.  The parent consumes the file before (re)spawning, so a
-  finished job is never re-run just because its pipe tore at the end.
-  Only when the parent is *gone* (no file reader will ever come) does the
-  orphaned child exit quietly — its checkpoints make the work durable for
-  the next service life either way.
+  finished job is never re-run just because its pipe tore at the end;
+* **an orphan stops**: a child whose parent died (``os.getppid()``
+  changed) stops sending, leaves the driver loop at the next iteration
+  boundary, and returns with no verdict and no verdict file.  Its
+  checkpoints make the work durable; the next service life resumes from
+  them and decides the job's outcome itself.
 
 Children are forked where the platform allows it, so the parent's
 process-wide system-matrix cache (and any warmed-up JIT state) is
@@ -123,21 +122,25 @@ def load_worker_result(checkpoint_dir: str | Path) -> CachedResult:
     return CachedResult(image=image, history=history, metadata=metadata)
 
 
+class _Orphaned(Exception):
+    """The worker's parent died; raised out of the driver loop."""
+
+
 class _RelayRecorder(MetricsRecorder):
     """Child-side recorder: pipes progress out, honours the cancel flag.
 
-    The process-model twin of :class:`~repro.service.progress.ProgressRecorder`:
-    the drivers' ``iteration`` / ``checkpoint_save`` span closes become pipe
-    messages instead of direct ``Job`` mutations (the ``Job`` object lives in
-    the parent), and the cancel check reads the shared event the parent sets
-    when ``request_cancel`` arrives.
+    The drivers' ``iteration`` / ``checkpoint_save`` span closes become
+    pipe messages (the ``Job`` object lives in the parent), and the cancel
+    check reads the shared event the parent sets when ``request_cancel``
+    arrives.
 
     Sends are serialised through a lock — the heartbeat thread and the
     driver loop share the pipe, and ``Connection.send`` is not thread-safe.
     A send that fails is retried once after a short pause; a second failure
-    marks the pipe dead so every later send is a cheap no-op (an orphaned
-    child keeps computing: checkpoints make the work durable, and the next
-    service life resumes from them).
+    marks the pipe dead so every later send is a cheap no-op.  No send is
+    attempted once the parent is gone: a sibling worker forked later may
+    still hold this pipe's read end, so writes would not fail — they would
+    fill the pipe and block.
     """
 
     def __init__(self, conn, cancel_event) -> None:
@@ -146,15 +149,24 @@ class _RelayRecorder(MetricsRecorder):
         self._cancel = cancel_event
         self._send_lock = threading.Lock()
         self._pipe_dead = False
+        # The pid recorded at spawn time, not a getppid() here: the parent
+        # may already be gone by the time the child gets this far.
+        parent = multiprocessing.parent_process()
+        self._parent_pid = os.getppid() if parent is None else parent.pid
 
     @property
     def pipe_dead(self) -> bool:
         """Whether the relay gave up on the pipe (parent gone or torn)."""
         return self._pipe_dead
 
+    @property
+    def orphaned(self) -> bool:
+        """Whether the parent that spawned this worker has died."""
+        return os.getppid() != self._parent_pid
+
     def send(self, message: tuple, *, retries: int = 1) -> bool:
         """Send ``message``; False if the pipe is (now) dead."""
-        if self._pipe_dead:
+        if self._pipe_dead or self.orphaned:
             return False
         with self._send_lock:
             if self._pipe_dead:
@@ -178,6 +190,8 @@ class _RelayRecorder(MetricsRecorder):
         meta = span.meta or {}
         if span.name == "iteration":
             iteration = int(meta.get("index", 0))
+            if self.orphaned:
+                raise _Orphaned(f"parent gone at iteration {iteration}")
             self.send(("iteration", iteration, span.duration))
             if self._cancel.is_set():
                 raise JobCancelledError(f"cancelled at iteration {iteration}")
@@ -186,7 +200,7 @@ class _RelayRecorder(MetricsRecorder):
 
 
 def _heartbeat_loop(recorder: _RelayRecorder, stop: threading.Event, interval_s: float) -> None:
-    """Send liveness beats until told to stop or the pipe dies.
+    """Send liveness beats until told to stop, the pipe dies or the parent does.
 
     No retry on a beat: the next one is due in ``interval_s`` anyway, and
     retrying here would serialise behind a driver-loop send holding the
@@ -218,8 +232,12 @@ def _persist_verdict(checkpoint_dir: str, kind: str, payload) -> None:
 def _deliver_verdict(
     recorder: _RelayRecorder, checkpoint_dir: str, kind: str, payload
 ) -> None:
-    """Send the verdict over the pipe, falling back to the verdict file."""
-    if not recorder.send((kind, payload), retries=1):
+    """Send the verdict over the pipe, falling back to the verdict file.
+
+    An orphan delivers nothing: a persisted cancelled or failed verdict
+    would end the job in the next service life, which should resume it.
+    """
+    if not recorder.send((kind, payload), retries=1) and not recorder.orphaned:
         _persist_verdict(checkpoint_dir, kind, payload)
 
 
@@ -259,6 +277,7 @@ def process_worker_main(
     checkpoint_dir: str,
     checkpoint_every: int,
     heartbeat_interval_s: float | None = None,
+    parent_end=None,
 ) -> None:
     """Run one job in this worker process and report a verdict.
 
@@ -267,10 +286,17 @@ def process_worker_main(
     ``("failed", error)`` — after any number of progress/heartbeat/fault
     tuples.  A crash (SIGKILL, segfault, OOM kill) sends nothing; the
     parent treats pipe EOF without a verdict (and without a persisted
-    ``verdict.json``) as "respawn and resume from checkpoints".
+    ``verdict.json``) as "respawn and resume from checkpoints".  An
+    orphaned worker returns with no verdict at all.
+
+    ``parent_end`` is the pipe's receiving end, which a forked child
+    inherits; it is closed here so that the child never holds its own
+    pipe open.
     """
     from repro.service.runner import run_job  # deferred: keep fork startup lean
 
+    if parent_end is not None:
+        parent_end.close()
     recorder = _RelayRecorder(conn, cancel_event)
     hb_stop = threading.Event()
     hb_thread = None
@@ -290,6 +316,8 @@ def process_worker_main(
                 checkpoint_every=checkpoint_every,
                 metrics=recorder,
             )
+        except _Orphaned:
+            return  # nobody to tell; the next service life resumes the job
         except JobCancelledError as exc:
             _deliver_verdict(recorder, checkpoint_dir, "cancelled", str(exc))
             return

@@ -38,12 +38,12 @@ class TestCacheKey:
         params = {**PARAMS, "levels": [16, 32]}
         omitted = cache_key(
             "multires", mr_scan,
-            {**cache_key_defaults("multires", params, None), **params},
+            {**cache_key_defaults("multires", params), **params},
         )
         explicit_params = {**params, "base_driver": "icd"}
         explicit = cache_key(
             "multires", mr_scan,
-            {**cache_key_defaults("multires", explicit_params, None),
+            {**cache_key_defaults("multires", explicit_params),
              **explicit_params},
         )
         assert omitted == explicit
@@ -52,12 +52,12 @@ class TestCacheKey:
         params = {**PARAMS, "levels": [16, 32]}
         icd = cache_key(
             "multires", mr_scan,
-            {**cache_key_defaults("multires", params, None), **params},
+            {**cache_key_defaults("multires", params), **params},
         )
         psv_params = {**params, "base_driver": "psv_icd", "sv_side": 8}
         psv = cache_key(
             "multires", mr_scan,
-            {**cache_key_defaults("multires", psv_params, None), **psv_params},
+            {**cache_key_defaults("multires", psv_params), **psv_params},
         )
         assert icd != psv
 

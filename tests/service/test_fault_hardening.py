@@ -5,7 +5,7 @@ Three fault domains, each with its own recovery contract:
 * **liveness** — a worker subprocess that goes *silent* (SIGSTOP, wedged)
   is detected within ``heartbeat_timeout_s``, SIGKILLed, and its job
   resumes from the newest checkpoint bit-identically; a job that outlives
-  ``job_deadline_s`` fails typed, in both worker models;
+  ``job_deadline_s`` is killed and fails typed at once;
 * **disk faults** — checkpoint writes degrade (retry, suppress, re-probe,
   recover) instead of failing an otherwise-healthy job; only the *result*
   write is terminal, and it fails typed with the errno;
@@ -22,12 +22,18 @@ from __future__ import annotations
 
 import errno
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.convergence import RunHistory
-from repro.io import save_reconstruction
+from repro.io import save_reconstruction, save_scan
 from repro.resilience import FaultInjector
 from repro.service import (
     JobFailedError,
@@ -269,10 +275,7 @@ class TestDegradingCheckpointManager:
 # Service-level disk-fault degradation (the ENOSPC acceptance drill)
 # ----------------------------------------------------------------------
 class TestServiceCheckpointDegradation:
-    @pytest.mark.parametrize("worker_model", ["thread", "process"])
-    def test_enospc_mid_job_degrades_then_recovers(
-        self, tmp_path, scan16, worker_model
-    ):
+    def test_enospc_mid_job_degrades_then_recovers(self, tmp_path, scan16):
         """ENOSPC on the checkpoint dir mid-job: the job still completes
         (bit-identically), the degradation is observable, and checkpointing
         resumes once the fault clears."""
@@ -289,9 +292,7 @@ class TestServiceCheckpointDegradation:
             if event.kind == "iteration" and event.iteration >= 2:
                 disarm_disk_fault(ckpt_dir)
 
-        with ReconstructionService(
-            n_workers=1, worker_model=worker_model, checkpoint_root=ckpt_root
-        ) as svc:
+        with ReconstructionService(n_workers=1, checkpoint_root=ckpt_root) as svc:
             svc.submit(
                 icd_spec(scan16, equits=3.0, job_id=job_id),
                 on_progress=on_progress,
@@ -347,11 +348,7 @@ class TestHeartbeatSupervision:
         and the job resumes from its newest checkpoint bit-identically."""
         import signal
 
-        with ReconstructionService(
-            n_workers=1,
-            worker_model="process",
-            heartbeat_timeout_s=1.0,
-        ) as svc:
+        with ReconstructionService(n_workers=1, heartbeat_timeout_s=1.0) as svc:
             job_id = svc.submit(
                 icd_spec(
                     scan16,
@@ -377,9 +374,7 @@ class TestHeartbeatSupervision:
 
     def test_healthy_worker_under_supervision_is_not_killed(self, scan16):
         """No false positives: a normally-beating worker finishes clean."""
-        with ReconstructionService(
-            n_workers=1, worker_model="process", heartbeat_timeout_s=0.5
-        ) as svc:
+        with ReconstructionService(n_workers=1, heartbeat_timeout_s=0.5) as svc:
             job_id = svc.submit(icd_spec(scan16, equits=2.0))
             svc.result(job_id, timeout=120)
             job = svc.job(job_id)
@@ -395,40 +390,101 @@ class TestHeartbeatSupervision:
             ReconstructionService(job_deadline_s=-1.0, start=False)
 
 
+_ORPHAN_SERVER = """\
+import sys, time
+from repro.io import load_scan
+from repro.service import JobSpec, ReconstructionService
+svc = ReconstructionService(
+    n_workers=1, heartbeat_timeout_s=1.0, checkpoint_root=sys.argv[2]
+)
+svc.submit(JobSpec(
+    driver="icd", scan=load_scan(sys.argv[1]), job_id="orphan",
+    params={"max_equits": 1e5, "seed": 0, "track_cost": False,
+            "stop_delta_hu": None},
+))
+time.sleep(600)
+"""
+
+
+def _exited(pid: int) -> bool:
+    """Whether ``pid`` is gone or a zombie (exited, not yet reaped)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+class TestOrphanedWorker:
+    @pytest.mark.skipif(sys.platform != "linux", reason="finds the worker via /proc")
+    def test_worker_stops_when_its_server_dies(self, tmp_path, scan32):
+        """SIGKILL only the server: its worker must stop computing and exit,
+        with no verdict file, instead of checkpointing on until its relay
+        pipe fills and the send blocks forever."""
+        save_scan(tmp_path / "scan.npz", scan32)
+        ckpt_dir = tmp_path / "ckpts" / "orphan" / "checkpoints"
+        server = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SERVER,
+             str(tmp_path / "scan.npz"), str(tmp_path / "ckpts")],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not any(ckpt_dir.glob("ckpt-*.ckpt")):
+                assert server.poll() is None, "server exited before the first checkpoint"
+                assert time.monotonic() < deadline, "no checkpoint within 120 s"
+                time.sleep(0.02)
+            tasks = Path(f"/proc/{server.pid}/task").iterdir()
+            (worker_pid,) = {
+                int(pid)
+                for task in tasks
+                for pid in (task / "children").read_text().split()
+            }
+            os.kill(server.pid, signal.SIGKILL)
+            server.wait()
+
+            deadline = time.monotonic() + 10
+            while not _exited(worker_pid):
+                assert time.monotonic() < deadline, "orphaned worker still running"
+                time.sleep(0.05)
+            snapshots = sorted(ckpt_dir.glob("ckpt-*.ckpt"))
+            time.sleep(0.5)
+            assert sorted(ckpt_dir.glob("ckpt-*.ckpt")) == snapshots
+            assert not worker_verdict_path(ckpt_dir).exists()
+        finally:
+            try:
+                os.killpg(server.pid, signal.SIGKILL)
+            except ProcessLookupError:  # the whole group already exited
+                pass
+            server.wait()
+
+
 class TestJobDeadline:
-    def test_thread_job_over_deadline_fails_typed(self, scan16):
-        with ReconstructionService(
-            n_workers=1, worker_model="thread", job_deadline_s=0.05
-        ) as svc:
+    def test_process_job_over_deadline_is_killed_and_fails(self, scan16):
+        """The deadline kill fails the job at once: no respawn (a new life
+        would start past the deadline), one WORKER_HUNG event, and no
+        ``workers_hung`` count or degraded health — nothing hung."""
+        with ReconstructionService(n_workers=1, job_deadline_s=0.3) as svc:
             # Opted out of the default stop rule, which would end the job
             # long before its deadline.
-            job_id = svc.submit(icd_spec(scan16, equits=500.0, stop_delta_hu=None))
-            with pytest.raises(JobFailedError, match="deadline"):
-                svc.result(job_id, timeout=120)
-            job = svc.job(job_id)
-        assert job.state is JobState.FAILED
-        assert "deadline" in job.error
-
-    def test_process_job_over_deadline_is_killed_and_fails(self, scan16):
-        with ReconstructionService(
-            n_workers=1,
-            worker_model="process",
-            job_deadline_s=0.3,
-            max_restarts=0,
-        ) as svc:
             job_id = svc.submit(icd_spec(scan16, equits=5000.0, stop_delta_hu=None))
             with pytest.raises(JobFailedError, match="deadline"):
                 svc.result(job_id, timeout=120)
             job = svc.job(job_id)
             counters = dict(svc.rec.counters)
+            health = svc.health()
         assert job.state is JobState.FAILED
         hung = [e for e in job.events if e.kind == "WORKER_HUNG"]
-        assert hung and hung[0].detail["reason"] == "deadline"
-        assert counters["service.workers_hung"] >= 1
+        assert len(hung) == 1
+        assert hung[0].detail["reason"] == "deadline"
+        assert "service.workers_hung" not in counters
+        assert health["status"] == "ok"
 
 
 # ----------------------------------------------------------------------
-# Terminal result-persist faults (process model)
+# Terminal result-persist faults
 # ----------------------------------------------------------------------
 class TestResultPersistFault:
     def test_unwritable_result_dir_fails_typed(self, tmp_path, scan16):
@@ -439,9 +495,7 @@ class TestResultPersistFault:
         # The sentinel lives in the job dir (the result container's home),
         # NOT the checkpoints/ subdir — checkpointing stays healthy.
         arm_disk_fault(ckpt_root / job_id)
-        with ReconstructionService(
-            n_workers=1, worker_model="process", checkpoint_root=ckpt_root
-        ) as svc:
+        with ReconstructionService(n_workers=1, checkpoint_root=ckpt_root) as svc:
             svc.submit(icd_spec(scan16, job_id=job_id))
             with pytest.raises(JobFailedError, match="ResultPersistError"):
                 svc.result(job_id, timeout=120)
@@ -458,9 +512,7 @@ class TestResultPersistFault:
 # ----------------------------------------------------------------------
 class TestVerdictFile:
     def _scheduler(self, tmp_path):
-        svc = ReconstructionService(
-            n_workers=1, worker_model="process", checkpoint_root=tmp_path, start=False
-        )
+        svc = ReconstructionService(n_workers=1, checkpoint_root=tmp_path, start=False)
         return svc, svc.scheduler
 
     def test_consume_round_trip_deletes_and_counts(self, tmp_path):
@@ -499,9 +551,7 @@ class TestVerdictFile:
         worker_verdict_path(job_dir / "checkpoints").write_text(
             json.dumps({"kind": "done", "payload": {}})
         )
-        with ReconstructionService(
-            n_workers=1, worker_model="process", checkpoint_root=ckpt_root
-        ) as svc:
+        with ReconstructionService(n_workers=1, checkpoint_root=ckpt_root) as svc:
             svc.submit(icd_spec(scan16, job_id=job_id))
             result = svc.result(job_id, timeout=120)
             job = svc.job(job_id)
@@ -510,6 +560,8 @@ class TestVerdictFile:
         assert np.array_equal(np.asarray(result.image), image)
         assert counters["service.worker_verdict_files"] == 1
         assert job.iteration == 0  # nothing actually ran
+        # The parent loaded the worker's result container and removed it.
+        assert not worker_result_path(job_dir / "checkpoints").exists()
 
 
 # ----------------------------------------------------------------------
@@ -530,7 +582,6 @@ class TestCorruptCheckpointResume:
         # fails, leaving checkpoints for iterations 1 and 2 behind.
         with ReconstructionService(
             n_workers=1,
-            worker_model="process",
             max_restarts=0,
             checkpoint_root=ckpt_root,
         ) as svc:
@@ -548,9 +599,7 @@ class TestCorruptCheckpointResume:
         FaultInjector.truncate_file(snapshots[-1])
 
         # Life 2: fresh service, same checkpoint root, clean resubmission.
-        with ReconstructionService(
-            n_workers=1, worker_model="process", checkpoint_root=ckpt_root
-        ) as svc:
+        with ReconstructionService(n_workers=1, checkpoint_root=ckpt_root) as svc:
             svc.submit(icd_spec(scan16, equits=4.0, job_id=job_id))
             result = svc.result(job_id, timeout=120)
             job = svc.job(job_id)

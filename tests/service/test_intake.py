@@ -305,10 +305,7 @@ class TestClosedQueueDeferral:
         assert read_status(queue_dir, "late")["state"] == "DONE"
 
     def test_worker_model_and_ttl_pass_through(self, queue_dir):
-        with DirectoryService(
-            queue_dir, n_workers=1, worker_model="process", job_ttl_s=3600.0
-        ) as service:
-            assert service.service.scheduler.worker_model == "process"
+        with DirectoryService(queue_dir, n_workers=1, job_ttl_s=3600.0) as service:
             assert service.service.reaper.enabled
             write_job_spec(queue_dir, "p1", driver="icd", scan_path="scan.npz",
                            params=PARAMS)

@@ -1,11 +1,13 @@
-"""SIGKILL a serving worker mid-job; a rerun resumes and matches bit-for-bit.
+"""SIGKILL a serving process mid-job; a rerun resumes and matches bit-for-bit.
 
 The service-level crash drill (the driver-level one lives in
 ``tests/integration/test_resilience_kill.py``): a child process serves a
 queue directory whose single job carries the ``kill_at_iteration`` fault
-hook, so the whole server dies by SIGKILL after iteration 2 — after that
-iteration's checkpoint cadence point, leaving iteration 1's snapshot on
-disk.  A second server over the *same* queue directory recovers the
+hook with ``SIGSTOP``, which freezes the job's worker subprocess inside
+iteration 2 — before that iteration's snapshot, leaving iteration 1's on
+disk.  The server runs in its own session; once iteration 1's checkpoint
+lands, the test SIGKILLs its whole process group, server and frozen worker
+alike.  A second server over the *same* queue directory recovers the
 non-terminal job, resumes it from the surviving checkpoint (the fault is
 not re-armed on a resumed life), and completes it.  The result must equal,
 exactly, a reference run in a separate queue directory that was never
@@ -18,9 +20,11 @@ CI runs this file under its "service" job with a pytest timeout.
 from __future__ import annotations
 
 import json
+import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +35,7 @@ from repro.resilience import CheckpointManager
 from repro.service import DirectoryService, write_job_spec
 
 KILL_AFTER = 2
+FAULT = {"kill_at_iteration": KILL_AFTER, "signal": "SIGSTOP"}
 PARAMS = {"max_equits": 6.0, "seed": 7, "track_cost": False}
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -47,6 +52,26 @@ sys.exit(3)
 """
 
 
+def kill_server_mid_job(cmd: list[str], ckpt_dir: Path) -> subprocess.CompletedProcess:
+    """Serve in a fresh session; SIGKILL the process group at iteration 1's checkpoint."""
+    proc = subprocess.Popen(cmd, env=_ENV, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 240
+        while not any(ckpt_dir.glob("ckpt-*.ckpt")):
+            assert proc.poll() is None, "server exited before the first checkpoint"
+            assert time.monotonic() < deadline, "no checkpoint within 240 s"
+            time.sleep(0.02)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the whole group already exited
+            pass
+        stdout, stderr = proc.communicate(timeout=60)
+    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
 @pytest.fixture()
 def queue_dirs(tmp_path, scan16):
     """Two independent queue directories sharing one scan file."""
@@ -60,22 +85,19 @@ def queue_dirs(tmp_path, scan16):
 def test_killed_worker_resumes_bit_identical(queue_dirs):
     killed, reference = queue_dirs
     write_job_spec(killed, "drill", driver="icd", scan_path="scan.npz",
-                   params=PARAMS, fault={"kill_at_iteration": KILL_AFTER})
+                   params=PARAMS, fault=FAULT)
 
     # First life: the server dies by SIGKILL mid-job (no cleanup runs).
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(killed)],
-        env=_ENV, capture_output=True, text=True, timeout=300,
-    )
+    ckpt_dir = killed / "jobs" / "drill" / "checkpoints"
+    proc = kill_server_mid_job([sys.executable, "-c", _CHILD, str(killed)], ckpt_dir)
     assert proc.returncode == -signal.SIGKILL, (
         f"child exited {proc.returncode}; stdout={proc.stdout!r} "
         f"stderr={proc.stderr!r}"
     )
 
-    # The kill fired inside iteration KILL_AFTER's sentinel check, before
+    # The worker froze inside iteration KILL_AFTER's sentinel check, before
     # that iteration's snapshot: the newest surviving checkpoint is
     # iteration KILL_AFTER - 1's.
-    ckpt_dir = killed / "jobs" / "drill" / "checkpoints"
     latest = CheckpointManager(ckpt_dir).load_latest()
     assert latest is not None
     assert latest.iteration == KILL_AFTER - 1
@@ -125,13 +147,12 @@ def test_kill_drill_through_module_cli(queue_dirs):
     # fault flag on purpose; it is a test-only hook)
     spec_path = killed / "incoming" / "cli-drill.json"
     doc = json.loads(spec_path.read_text())
-    doc["fault"] = {"kill_at_iteration": KILL_AFTER}
+    doc["fault"] = FAULT
     spec_path.write_text(json.dumps(doc))
 
     serve = [sys.executable, "-m", "repro", "serve", str(killed),
              "--workers", "1", "--drain", "--max-seconds", "240"]
-    first = subprocess.run(serve, env=_ENV, capture_output=True, text=True,
-                           timeout=300)
+    first = kill_server_mid_job(serve, killed / "jobs" / "cli-drill" / "checkpoints")
     assert first.returncode == -signal.SIGKILL, (
         f"exit {first.returncode}: {first.stderr!r}"
     )

@@ -176,6 +176,6 @@ class TestProgressStream:
             job_id = svc.submit(icd_spec(scan16))
             svc.result(job_id, timeout=120)
             job = svc.job(job_id)
-        totals = job.metrics.span_totals()
-        assert "iteration" in totals
+        # The worker's counters come back with the verdict; its span trees
+        # stay in the worker process.
         assert job.metrics.counters["checkpoint.saves"] >= 1

@@ -53,9 +53,9 @@ class TestDefault:
 
 class TestCacheKey:
     def test_defaults_fold_the_resolved_value(self):
-        assert cache_key_defaults("icd", {}, None) == {"stop_delta_hu": DEFAULT_STOP_DELTA_HU}
-        assert cache_key_defaults("icd", {"stop_delta_hu": None}, None) == {}
-        assert cache_key_defaults("multires", {}, None)["stop_delta_hu"] == DEFAULT_STOP_DELTA_HU
+        assert cache_key_defaults("icd", {}) == {"stop_delta_hu": DEFAULT_STOP_DELTA_HU}
+        assert cache_key_defaults("icd", {"stop_delta_hu": None}) == {}
+        assert cache_key_defaults("multires", {})["stop_delta_hu"] == DEFAULT_STOP_DELTA_HU
 
     def test_omitted_and_explicit_share_a_key_and_null_does_not(self, scan16):
         with ReconstructionService(n_workers=1, start=False) as svc:
@@ -72,8 +72,8 @@ class TestCacheKey:
 
 
 class TestKillDrill:
-    def test_sigkilled_worker_resumes_bit_identical_with_default_on(self, scan32):
-        with ReconstructionService(n_workers=1, worker_model="process") as svc:
+    def test_sigkilled_worker_resumes_bit_identical_with_default_on(self, scan32, tmp_path):
+        with ReconstructionService(n_workers=1) as svc:
             job_id = svc.submit(icd_spec(scan32, fault={"kill_at_iteration": 3}))
             result = svc.result(job_id, timeout=240)
             job = svc.job(job_id)
@@ -83,8 +83,7 @@ class TestKillDrill:
             counters = dict(svc.rec.counters)
         assert counters["service.stop_reason.converged"] == 1
 
-        with ReconstructionService(n_workers=1, worker_model="thread") as svc:
-            reference = svc.result(svc.submit(icd_spec(scan32)), timeout=240)
+        reference = run_job(icd_spec(scan32), checkpoint_dir=tmp_path / "reference-ckpts")
         assert np.array_equal(result.image, reference.image)
         assert result.history.records == reference.history.records
         assert result.history.stop_reason == reference.history.stop_reason == "converged"

@@ -1,18 +1,17 @@
-"""Process worker model + scheduler lifecycle/race regressions (PR 8).
+"""Worker subprocesses + scheduler lifecycle/race regressions.
 
-The tentpole acceptance paths:
+The acceptance paths:
 
-* a ``worker_model="process"`` service runs jobs in worker subprocesses
-  and produces bit-identical volumes to the thread model (same ``run_job``
-  path either way), with the same ProgressEvent stream and cooperative
-  cancel semantics relayed over the pipe / shared flag;
+* the service runs jobs in worker subprocesses and produces volumes
+  bit-identical to a direct ``run_job``, with the ProgressEvent stream and
+  cooperative cancel semantics relayed over the pipe / shared flag;
 * a SIGKILL'd worker *subprocess* (the ``kill_at_iteration`` fault) is
   respawned and its job resumes from checkpoints bit-identically — the
   service never goes down;
 * the scheduler regressions this PR fixes stay fixed: ``stop(wait=False)``
   no longer forgets live workers, ``stop``/``start`` is pause/resume
   against a still-open queue, and a terminal-filing race with a concurrent
-  cancel no longer kills the worker with a ``JobStateError``.
+  cancel no longer kills the supervisor thread with a ``JobStateError``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import time
 import numpy as np
 import pytest
 
-import repro.service.scheduler as scheduler_mod
 from repro.service import (
     Job,
     JobCancelledError,
@@ -32,6 +30,8 @@ from repro.service import (
     ReconstructionService,
     Scheduler,
 )
+from repro.service.runner import run_job
+from repro.service.worker import worker_result_path
 
 
 def icd_spec(scan, *, seed=0, priority=0, equits=1.0, job_id=None, fault=None):
@@ -45,26 +45,29 @@ def icd_spec(scan, *, seed=0, priority=0, equits=1.0, job_id=None, fault=None):
     )
 
 
+def reference_image(scan, tmp_path, **kwargs):
+    """Uninterrupted in-process ``run_job`` of the same spec."""
+    result = run_job(icd_spec(scan, **kwargs), checkpoint_dir=tmp_path / "reference-ckpts")
+    return np.array(result.image, copy=True)
+
+
 # ----------------------------------------------------------------------
-# Process worker model
+# Worker subprocesses
 # ----------------------------------------------------------------------
 class TestProcessModel:
-    def test_rejects_unknown_worker_model(self, scan16):
-        with pytest.raises(ValueError, match="worker_model"):
-            ReconstructionService(n_workers=1, worker_model="goroutine", start=False)
-
-    def test_process_job_runs_to_done_bit_identical(self, scan16):
-        with ReconstructionService(n_workers=1, worker_model="process") as svc:
+    def test_process_job_runs_to_done_bit_identical(self, scan16, tmp_path):
+        with ReconstructionService(n_workers=1) as svc:
             job_id = svc.submit(icd_spec(scan16))
             result = svc.result(job_id, timeout=120)
             assert svc.job(job_id).state is JobState.DONE
-        with ReconstructionService(n_workers=1, worker_model="thread") as svc:
-            reference = svc.result(svc.submit(icd_spec(scan16)), timeout=120)
-        assert np.array_equal(result.image, reference.image)
+            # The parent loaded the worker's result container and removed it.
+            ckpt_dir = svc.scheduler.checkpoint_dir_for(job_id)
+            assert not worker_result_path(ckpt_dir).exists()
+        assert np.array_equal(result.image, reference_image(scan16, tmp_path))
 
     def test_progress_events_relayed_from_child(self, scan16):
         events = []
-        with ReconstructionService(n_workers=1, worker_model="process") as svc:
+        with ReconstructionService(n_workers=1) as svc:
             job_id = svc.submit(icd_spec(scan16, equits=2.0), on_progress=events.append)
             svc.result(job_id, timeout=120)
             job = svc.job(job_id)
@@ -77,7 +80,7 @@ class TestProcessModel:
         assert any(e.kind == "CHECKPOINTED" for e in job.events)
 
     def test_child_counters_attached_as_job_metrics(self, scan16):
-        with ReconstructionService(n_workers=1, worker_model="process") as svc:
+        with ReconstructionService(n_workers=1) as svc:
             job_id = svc.submit(icd_spec(scan16))
             svc.result(job_id, timeout=120)
             job = svc.job(job_id)
@@ -95,7 +98,7 @@ class TestProcessModel:
             if event.kind == "iteration" and not cancelled.is_set():
                 cancelled.set()
 
-        with ReconstructionService(n_workers=1, worker_model="process") as svc:
+        with ReconstructionService(n_workers=1) as svc:
             job_id = svc.submit(
                 icd_spec(scan16, equits=20.0), on_progress=on_progress
             )
@@ -105,7 +108,7 @@ class TestProcessModel:
                 svc.result(job_id, timeout=120)
             assert svc.job(job_id).state is JobState.CANCELLED
 
-    def test_sigkilled_worker_process_resumes_bit_identical(self, scan16):
+    def test_sigkilled_worker_process_resumes_bit_identical(self, scan16, tmp_path):
         """The tentpole drill: SIGKILL the worker subprocess mid-job.
 
         The fault fires inside iteration 2's sentinel check, before that
@@ -114,7 +117,7 @@ class TestProcessModel:
         checkpoint — finishing bit-identically to an uninterrupted run,
         with the crash on the job's event log and the service counter.
         """
-        with ReconstructionService(n_workers=1, worker_model="process") as svc:
+        with ReconstructionService(n_workers=1) as svc:
             job_id = svc.submit(
                 icd_spec(scan16, equits=3.0, fault={"kill_at_iteration": 2})
             )
@@ -126,9 +129,7 @@ class TestProcessModel:
             assert svc.report()["counters"]["service.worker_crashes"] == 1
             assert job.state is JobState.DONE
 
-        with ReconstructionService(n_workers=1, worker_model="thread") as svc:
-            reference = svc.result(svc.submit(icd_spec(scan16, equits=3.0)), timeout=240)
-        assert np.array_equal(result.image, reference.image)
+        assert np.array_equal(result.image, reference_image(scan16, tmp_path, equits=3.0))
 
     def test_repeatedly_crashing_job_fails_after_max_restarts(self, scan16, tmp_path):
         """A job that kills its worker before any checkpoint exists re-arms
@@ -136,7 +137,6 @@ class TestProcessModel:
         instead of an infinite respawn loop."""
         with ReconstructionService(
             n_workers=1,
-            worker_model="process",
             max_restarts=1,
             checkpoint_root=tmp_path,
             checkpoint_every=100,  # no checkpoint survives the kill
@@ -199,10 +199,6 @@ class TestStopStartLifecycle:
 # Terminal-filing races
 # ----------------------------------------------------------------------
 class TestTerminalRaces:
-    def _service_with_patched_run(self, monkeypatch, run_job_stub):
-        monkeypatch.setattr(scheduler_mod, "run_job", run_job_stub)
-        return ReconstructionService(n_workers=1, start=False)
-
     def test_failure_racing_concurrent_cancel_does_not_kill_worker(
         self, scan16, monkeypatch
     ):
@@ -216,15 +212,15 @@ class TestTerminalRaces:
             job_id = svc.submit(icd_spec(scan16))
             job = svc.job(job_id)
 
-            def run_job_raced(spec, **kwargs):
+            def supervise_raced(job, ckpt_dir):
                 # Deterministically reproduce the race: another party files
-                # the job terminal while the driver is "running", then the
-                # driver errors out.
+                # the job terminal while the worker is "running", then the
+                # run errors out.
                 job._cancel.set()
                 job.transition(JobState.CANCELLED)
                 raise RuntimeError("induced failure after concurrent cancel")
 
-            monkeypatch.setattr(scheduler_mod, "run_job", run_job_raced)
+            monkeypatch.setattr(svc.scheduler, "_supervise", supervise_raced)
             svc.scheduler._execute(job)  # pre-fix: raises JobStateError
             assert job.state is JobState.CANCELLED
             counters = svc.report()["counters"]
@@ -236,18 +232,18 @@ class TestTerminalRaces:
     def test_worker_survives_terminal_race_and_serves_next_job(
         self, scan16, monkeypatch
     ):
-        """End-to-end: the racing job must not take the worker thread down
-        with it — the next submission still gets served."""
-        real_run_job = scheduler_mod.run_job
+        """End-to-end: the racing job must not take the supervisor thread
+        down with it — the next submission still gets served."""
+        real_supervise = Scheduler._supervise
         raced = threading.Event()
 
-        def run_job_first_races(spec, **kwargs):
+        def supervise_first_races(self, job, ckpt_dir):
             if not raced.is_set():
                 raced.set()
                 raise RuntimeError("induced failure")
-            return real_run_job(spec, **kwargs)
+            return real_supervise(self, job, ckpt_dir)
 
-        monkeypatch.setattr(scheduler_mod, "run_job", run_job_first_races)
+        monkeypatch.setattr(Scheduler, "_supervise", supervise_first_races)
         with ReconstructionService(n_workers=1) as svc:
             bad = svc.submit(icd_spec(scan16, seed=1))
             assert svc.job(bad).wait(timeout=120)
