@@ -82,7 +82,7 @@ def _time_sweep(contender, kctx, updater, order, x0, e0):
     return updates / dt, x, e
 
 
-def _time_sv_wave(contender, kctx, updater, grid, x0, e0, stale_width):
+def _time_sv_wave(contender, kctx, grid, x0, e0, stale_width):
     """One timed pass over all SVs (GPU-style waves); returns updates/sec."""
     x = x0.copy()
     e = e0.copy()
@@ -91,22 +91,11 @@ def _time_sv_wave(contender, kctx, updater, grid, x0, e0, stale_width):
     for sv in grid.svs:
         svb = sv.extract(e)
         order = resolve_rng(11 + sv.index).permutation(sv.n_voxels)
-        if contender == "python":
-            # Per-voxel oracle path over the same order/waves.
-            from repro.core.sv_engine import process_supervoxel
-
-            stats = process_supervoxel(
-                sv, updater, x, svb,
-                rng=resolve_rng(11 + sv.index),
-                zero_skip=True, stale_width=stale_width,
-            )
-            total += stats.updates
-        else:
-            updates, _, _ = run_sv_visit(
-                kctx, sv, order, x, svb,
-                zero_skip=True, stale_width=stale_width, kernel=contender,
-            )
-            total += updates
+        updates, _, _ = run_sv_visit(
+            kctx, sv, order, x, svb,
+            zero_skip=True, stale_width=stale_width, kernel=contender,
+        )
+        total += updates
         valid = sv.gather_idx >= 0
         e[sv.gather_idx[valid]] = svb[valid]
     dt = time.perf_counter() - t0
@@ -177,7 +166,7 @@ def bench_kernels(ctx):
     wave_best = {c: 0.0 for c in wave_contenders}
     for _ in range(TRIALS):
         for c in wave_contenders:
-            ups = _time_sv_wave(c, kctx, updater, grid, x0, e0, stale)
+            ups = _time_sv_wave(c, kctx, grid, x0, e0, stale)
             wave_best[c] = max(wave_best[c], ups)
 
     oracle = best["python"]

@@ -17,10 +17,13 @@ batch are created by one kernel, the MBIR kernel updates voxels against the
 SVBs, and a third kernel atomically merges every SV's delta back — so SVs in
 a batch never see each other's updates, and (with ``threadblocks_per_sv``
 voxels in flight per SV) voxel updates inside an SV see slightly stale SVB
-state.  Both staleness effects are reproduced numerically here (see
-:mod:`repro.core.sv_engine`); the hardware-side consequences (occupancy,
-coalescing, atomics) are evaluated by :mod:`repro.gpusim` from the execution
-trace this driver records.
+state.  Both staleness effects are reproduced numerically here: each
+batch is one :func:`repro.core.sv_engine.run_sv_batch` call, and this
+module supplies only the step that forms an iteration's checkerboard
+batches, while the outer loop is :func:`repro.core.icd.run_iterations`,
+which all three drivers share.  The hardware-side consequences
+(occupancy, coalescing, atomics) are evaluated by :mod:`repro.gpusim` from
+the execution trace this driver records.
 
 Load-balance guards from §3.2: the selection fraction is raised to 25 %, and
 a kernel is only launched if at least ``batch_size / 4`` SVs remain in the
@@ -33,21 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.convergence import (
-    RMSE_CONVERGED_HU,
-    IterationRecord,
-    RunHistory,
-    StopRule,
-    abs_change_hu,
-    rmse_hu,
-)
-from repro.core.cost import map_cost
-from repro.core.icd import ICDResult, default_prior, init_label, initial_image, resilience_hooks
+from repro.core.icd import ICDResult, default_prior, run_iterations
 from repro.core.kernels import resolve_kernel
 from repro.core.prior import Neighborhood, Prior, shared_neighborhood
 from repro.core.selection import SVSelector
 from repro.core.supervoxel import SuperVoxelGrid
-from repro.core.sv_engine import SVUpdateStats, process_supervoxel
+from repro.core.sv_engine import SVUpdateStats, run_sv_batch
 from repro.core.voxel_update import SliceUpdater
 from repro.ct.sinogram import ScanData
 from repro.ct.system_matrix import SystemMatrix
@@ -215,140 +209,57 @@ def gpu_icd_reconstruct(
     selector = SVSelector(grid.n_svs, params.fraction)
     checkerboard = grid.checkerboard_groups()
 
-    n_voxels = geometry.n_voxels
-    hooks = resilience_hooks(
-        "gpu_icd", checkpoint, checkpoint_every, resume_from, sentinel, metrics
-    )
-    ckpt = hooks.resume_state() if hooks is not None else None
-    if ckpt is not None:
-        hooks.validate_shapes(ckpt, n_voxels=n_voxels, n_measurements=scan.n_measurements)
-        x, e, rng, history, iteration, total_updates = hooks.apply_resume(
-            ckpt, rng=rng, selector=selector
-        )
-    else:
-        x = initial_image(scan, init=init).ravel().copy()
-        check_finite(f"initial image (init={init_label(init)})", x)
-        e = updater.initial_error(x)
-        history = RunHistory()
-        total_updates = 0
-        iteration = 0
-    stop = StopRule(
-        n_voxels=n_voxels,
-        max_updates=max_equits * n_voxels,
-        stop_rmse=stop_rmse,
-        stop_delta_hu=stop_delta_hu,
-    )
-
     trace = GPUExecutionTrace(params=params)
-    while (reason := stop.reason(history, total_updates)) is None:
-        iteration += 1
-        x_before = x.copy() if stop_delta_hu is not None else None
+
+    def step(iteration, x, e, rng):
         selected = set(int(s) for s in selector.select(iteration, rng))
-        iter_updates = 0
-        iter_svs = 0
-        with rec.span("iteration", index=iteration):
-            for group_id in range(4):
-                group_svs = [sv for sv in checkerboard[group_id] if sv in selected]
-                rng.shuffle(group_svs)
-                for start in range(0, len(group_svs), params.batch_size):
-                    batch = group_svs[start : start + params.batch_size]
-                    if start > 0 and len(batch) < params.threshold and iteration > 1:
-                        # Under-filled *trailing* launch suppressed (§3.2) —
-                        # the deferred SVs are picked up by a later
-                        # selection.  The first launch of a group always
-                        # runs (a group smaller than the threshold would
-                        # otherwise starve forever), and iteration 1 is
-                        # exempt so every SV is touched once.
-                        trace.skipped_launches += 1
-                        rec.count("gpu.skipped_launches", 1)
-                        break
-                    with rec.span("kernel_batch", group=group_id, svs=len(batch)):
-                        # Kernel 1: create all SVBs of the batch from the
-                        # current e.
-                        svbs = []
-                        originals = []
-                        with rec.span("extract"):
-                            for sv_id in batch:
-                                svb = grid.svs[sv_id].extract(e)
-                                originals.append(svb.copy())
-                                svbs.append(svb)
-                        # Kernel 2: the MBIR kernel — all SVs update
-                        # concurrently, each with `threadblocks_per_sv`
-                        # voxels in flight.
-                        batch_stats = []
-                        with rec.span("update"):
-                            for sv_id, svb in zip(batch, svbs):
-                                sv = grid.svs[sv_id]
-                                stats = process_supervoxel(
-                                    sv,
-                                    updater,
-                                    x,
-                                    svb,
-                                    rng=rng,
-                                    zero_skip=zero_skip and iteration > 1,  # bootstrap exemption
-                                    stale_width=params.threadblocks_per_sv,
-                                    kernel=kernel,
-                                    metrics=rec,
-                                )
-                                selector.record_update(sv.index, stats.total_abs_delta)
-                                batch_stats.append(stats)
-                                iter_updates += stats.updates
-                        iter_svs += len(batch)
-                        # Kernel 3: atomic error-sinogram merge for the whole
-                        # batch.
-                        with rec.span("merge"):
-                            for sv_id, svb, orig in zip(batch, svbs, originals):
-                                grid.svs[sv_id].accumulate_delta(svb, orig, e)
-                    if rec.enabled:
-                        rec.count("gpu.batches", 1)
-                        rec.count("gpu.svs", len(batch))
-                    trace.kernels.append(
-                        KernelTrace(
-                            iteration=iteration, group=group_id, sv_stats=tuple(batch_stats)
-                        )
+        updates = 0
+        svs_updated = 0
+        for group_id in range(4):
+            group_svs = [sv for sv in checkerboard[group_id] if sv in selected]
+            rng.shuffle(group_svs)
+            for start in range(0, len(group_svs), params.batch_size):
+                batch = group_svs[start : start + params.batch_size]
+                if start > 0 and len(batch) < params.threshold and iteration > 1:
+                    # Under-filled *trailing* launch suppressed (§3.2) — the
+                    # deferred SVs are picked up by a later selection.  The
+                    # first launch of a group always runs (a group smaller
+                    # than the threshold would otherwise starve forever),
+                    # and iteration 1 is exempt so every SV is touched once.
+                    trace.skipped_launches += 1
+                    rec.count("gpu.skipped_launches", 1)
+                    break
+                # The three Alg. 3 kernels: create every SVB of the batch
+                # from the current e, run the MBIR kernel (all SVs update
+                # concurrently, each with `threadblocks_per_sv` voxels in
+                # flight), then merge the whole batch atomically.
+                with rec.span("kernel_batch", group=group_id, svs=len(batch)):
+                    batch_stats = run_sv_batch(
+                        grid, batch, updater, selector, x, e, rng=rng,
+                        zero_skip=zero_skip and iteration > 1,  # bootstrap exemption
+                        stale_width=params.threadblocks_per_sv, kernel=kernel, metrics=rec,
                     )
-
-            total_updates += iter_updates
-            img = x.reshape(geometry.n_pixels, geometry.n_pixels)
-            with rec.span("bookkeeping"):
-                cost = (
-                    map_cost(img, scan, system, prior, neighborhood)
-                    if track_cost
-                    else float("nan")
+                if rec.enabled:
+                    rec.count("gpu.batches", 1)
+                    rec.count("gpu.svs", len(batch))
+                trace.kernels.append(
+                    KernelTrace(iteration=iteration, group=group_id, sv_stats=batch_stats)
                 )
-                rmse = rmse_hu(img, golden) if golden is not None else None
-                delta_hu = None if x_before is None else abs_change_hu(x, x_before)
-        history.append(
-            IterationRecord(
-                iteration=iteration,
-                equits=total_updates / n_voxels,
-                cost=cost,
-                rmse=rmse,
-                updates=iter_updates,
-                svs_updated=iter_svs,
-                delta_hu=delta_hu,
-            )
-        )
-        if hooks is not None:
-            rolled = hooks.after_iteration(
-                iteration=iteration,
-                total_updates=total_updates,
-                x=x,
-                e=e,
-                rng=rng,
-                history=history,
-                updater=updater,
-                selector=selector,
-            )
-            if rolled is not None:  # corruption detected: replay from checkpoint
-                iteration, total_updates = rolled
+                updates += sum(stats.updates for stats in batch_stats)
+                svs_updated += len(batch)
+        return updates, svs_updated
 
-    history.stop_reason = reason
-    history.mark_converged_if_below(stop_rmse if stop_rmse is not None else RMSE_CONVERGED_HU)
+    image, history, error = run_iterations(
+        "gpu_icd", updater, step, init=init, rng=rng, max_equits=max_equits,
+        golden=golden, stop_rmse=stop_rmse, stop_delta_hu=stop_delta_hu,
+        track_cost=track_cost, metrics=metrics, checkpoint=checkpoint,
+        checkpoint_every=checkpoint_every, resume_from=resume_from,
+        sentinel=sentinel, selector=selector,
+    )
     return GPUICDResult(
-        image=x.reshape(geometry.n_pixels, geometry.n_pixels),
+        image=image,
         history=history,
-        error_sinogram=e.reshape(geometry.sinogram_shape),
+        error_sinogram=error,
         metrics=metrics,
         trace=trace,
         grid=grid,

@@ -10,6 +10,10 @@ buffers, no deferred write-back.
 It also produces the "golden" images used for RMSE-based convergence
 measurement: the paper runs traditional ICD for 40 equits, "by when it is
 known to converge".
+
+:func:`run_iterations` is the outer-iteration loop all three drivers
+share; a driver differs only in the step that schedules one iteration's
+updates (here: one randomized sweep).
 """
 
 from __future__ import annotations
@@ -114,6 +118,115 @@ def initial_image(scan: ScanData, *, init: "str | np.ndarray" = "fbp") -> np.nda
 def init_label(init) -> str:
     """A short description of an ``init`` argument for error messages."""
     return repr(init) if isinstance(init, str) else f"<array {getattr(init, 'shape', '?')}>"
+
+
+def run_iterations(
+    driver: str,
+    updater: SliceUpdater,
+    step,
+    *,
+    init,
+    rng: np.random.Generator,
+    max_equits: float,
+    max_iterations: int | None = None,
+    golden: np.ndarray | None,
+    stop_rmse: float | None,
+    stop_delta_hu: float | None,
+    track_cost: bool,
+    metrics: MetricsRecorder | None,
+    checkpoint,
+    checkpoint_every: int,
+    resume_from,
+    sentinel,
+    selector=None,
+) -> tuple[np.ndarray, RunHistory, np.ndarray]:
+    """The outer-iteration loop every driver shares.
+
+    Starts from ``init`` (or resumes through the resilience hooks), then
+    runs ``step(iteration, x, e, rng) -> (updates, svs_updated)`` until
+    :class:`~repro.core.convergence.StopRule` names a reason.  The step
+    mutates the flat image ``x`` and error sinogram ``e`` in place; it is
+    handed the loop's generator on every call, because a resume may
+    replace it.  Each iteration is one ``iteration`` span whose last child
+    is ``bookkeeping`` (cost, RMSE, ``delta_hu``), then one
+    :class:`~repro.core.convergence.IterationRecord` and the hooks'
+    checkpoint/sentinel call, which may roll the loop back.  ``selector``
+    is the SV drivers' :class:`~repro.core.selection.SVSelector`, whose
+    state checkpoints carry.  Returns ``(image, history, error_sinogram)``
+    in their 2-D shapes.
+    """
+    rec = as_recorder(metrics)
+    scan, system = updater.scan, updater.system
+    geometry = system.geometry
+    n_voxels = geometry.n_voxels
+    hooks = resilience_hooks(driver, checkpoint, checkpoint_every, resume_from, sentinel, metrics)
+    ckpt = hooks.resume_state() if hooks is not None else None
+    if ckpt is not None:
+        hooks.validate_shapes(ckpt, n_voxels=n_voxels, n_measurements=scan.n_measurements)
+        x, e, rng, history, iteration, total_updates = hooks.apply_resume(
+            ckpt, rng=rng, selector=selector
+        )
+    else:
+        x = initial_image(scan, init=init).ravel().copy()
+        check_finite(f"initial image (init={init_label(init)})", x)
+        e = updater.initial_error(x)
+        history = RunHistory()
+        total_updates = 0
+        iteration = 0
+    stop = StopRule(
+        n_voxels=n_voxels,
+        max_updates=max_equits * n_voxels,
+        max_iterations=max_iterations,
+        stop_rmse=stop_rmse,
+        stop_delta_hu=stop_delta_hu,
+    )
+    while (reason := stop.reason(history, total_updates)) is None:
+        iteration += 1
+        x_before = x.copy() if stop_delta_hu is not None else None
+        with rec.span("iteration", index=iteration):
+            updates, svs_updated = step(iteration, x, e, rng)
+            total_updates += updates
+            img = x.reshape(geometry.n_pixels, geometry.n_pixels)
+            with rec.span("bookkeeping"):
+                cost = (
+                    map_cost(img, scan, system, updater.prior, updater.neighborhood)
+                    if track_cost
+                    else float("nan")
+                )
+                rmse = rmse_hu(img, golden) if golden is not None else None
+                delta_hu = None if x_before is None else abs_change_hu(x, x_before)
+        history.append(
+            IterationRecord(
+                iteration=iteration,
+                equits=total_updates / n_voxels,
+                cost=cost,
+                rmse=rmse,
+                updates=updates,
+                svs_updated=svs_updated,
+                delta_hu=delta_hu,
+            )
+        )
+        if hooks is not None:
+            rolled = hooks.after_iteration(
+                iteration=iteration,
+                total_updates=total_updates,
+                x=x,
+                e=e,
+                rng=rng,
+                history=history,
+                updater=updater,
+                selector=selector,
+            )
+            if rolled is not None:  # corruption detected: replay from checkpoint
+                iteration, total_updates = rolled
+
+    history.stop_reason = reason
+    history.mark_converged_if_below(stop_rmse if stop_rmse is not None else RMSE_CONVERGED_HU)
+    return (
+        x.reshape(geometry.n_pixels, geometry.n_pixels),
+        history,
+        e.reshape(geometry.sinogram_shape),
+    )
 
 
 @dataclass
@@ -246,28 +359,7 @@ def icd_reconstruct(
                 f"[{subset.min()}, {subset.max()}]"
             )
 
-    hooks = resilience_hooks("icd", checkpoint, checkpoint_every, resume_from, sentinel, metrics)
-    ckpt = hooks.resume_state() if hooks is not None else None
-    if ckpt is not None:
-        hooks.validate_shapes(ckpt, n_voxels=n_voxels, n_measurements=scan.n_measurements)
-        x, e, rng, history, iteration, total_updates = hooks.apply_resume(ckpt, rng=rng)
-    else:
-        x = initial_image(scan, init=init).ravel().copy()
-        check_finite(f"initial image (init={init_label(init)})", x)
-        e = updater.initial_error(x)
-        history = RunHistory()
-        total_updates = 0
-        iteration = 0
-    stop = StopRule(
-        n_voxels=n_voxels,
-        max_updates=max_equits * n_voxels,
-        max_iterations=max_iterations,
-        stop_rmse=stop_rmse,
-        stop_delta_hu=stop_delta_hu,
-    )
-    while (reason := stop.reason(history, total_updates)) is None:
-        iteration += 1
-        x_before = x.copy() if stop_delta_hu is not None else None
+    def step(iteration, x, e, rng):
         order = (
             rng.permutation(n_voxels)
             if subset is None
@@ -276,54 +368,21 @@ def icd_reconstruct(
         # Zero-skipping is suspended on the first iteration so a zero
         # (air) initialisation can bootstrap; afterwards a voxel whose
         # whole neighborhood is zero can never change and is skipped.
-        skip_active = zero_skip and iteration > 1
-        with rec.span("iteration", index=iteration):
-            with rec.span("sweep"):
-                updates = run_sweep(
-                    ctx, order, x, e, zero_skip=skip_active, kernel=kernel, metrics=rec
-                )
-            total_updates += updates
-            img = x.reshape(geometry.n_pixels, geometry.n_pixels)
-            with rec.span("bookkeeping"):
-                cost = (
-                    map_cost(img, scan, system, prior, neighborhood)
-                    if track_cost
-                    else float("nan")
-                )
-                rmse = rmse_hu(img, golden) if golden is not None else None
-                delta_hu = None if x_before is None else abs_change_hu(x, x_before)
-        history.append(
-            IterationRecord(
-                iteration=iteration,
-                equits=total_updates / n_voxels,
-                cost=cost,
-                rmse=rmse,
-                updates=updates,
-                svs_updated=0,
-                delta_hu=delta_hu,
+        with rec.span("sweep"):
+            updates = run_sweep(
+                ctx, order, x, e, zero_skip=zero_skip and iteration > 1, kernel=kernel,
+                metrics=rec,
             )
-        )
-        if hooks is not None:
-            rolled = hooks.after_iteration(
-                iteration=iteration,
-                total_updates=total_updates,
-                x=x,
-                e=e,
-                rng=rng,
-                history=history,
-                updater=updater,
-            )
-            if rolled is not None:  # corruption detected: replay from checkpoint
-                iteration, total_updates = rolled
+        return updates, 0
 
-    history.stop_reason = reason
-    history.mark_converged_if_below(stop_rmse if stop_rmse is not None else RMSE_CONVERGED_HU)
-    return ICDResult(
-        image=x.reshape(geometry.n_pixels, geometry.n_pixels),
-        history=history,
-        error_sinogram=e.reshape(geometry.sinogram_shape),
-        metrics=metrics,
+    image, history, error = run_iterations(
+        "icd", updater, step, init=init, rng=rng, max_equits=max_equits,
+        max_iterations=max_iterations, golden=golden, stop_rmse=stop_rmse,
+        stop_delta_hu=stop_delta_hu, track_cost=track_cost, metrics=metrics,
+        checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+        resume_from=resume_from, sentinel=sentinel,
     )
+    return ICDResult(image=image, history=history, error_sinogram=error, metrics=metrics)
 
 
 def golden_reconstruction(

@@ -595,8 +595,12 @@ def run_sv_visit(
 
     Returns ``(updates, skipped, total_abs_delta)`` with the exact counting
     and accumulation order of the per-voxel engine.  Mutates ``x`` and
-    ``svb`` in place.
+    ``svb`` in place.  Members are visited in bulk-synchronous waves of
+    ``stale_width``: every member of a wave proposes its update from the
+    same image and SVB state, then all of them apply.
     """
+    if kernel == "python":
+        return _visit_python(ctx, sv, order, x, svb, zero_skip, stale_width)
     if kernel == "vectorized":
         if stale_width == 1:
             return _visit_vectorized_seq(ctx, sv, order, x, svb, zero_skip)
@@ -628,7 +632,28 @@ def run_sv_visit(
             stale_width,
         )
         return int(updates), int(skipped), float(tad)
-    raise ValueError(f"run_sv_visit handles 'vectorized'/'numba', not {kernel!r}")
+    raise ValueError(f"unknown kernel {kernel!r}")
+
+
+def _visit_python(ctx, sv, order, x, svb, zero_skip, stale_width):
+    """The oracle: per-voxel SliceUpdater proposals and applies, wave by wave."""
+    upd = ctx.updater
+    updates = 0
+    skipped = 0
+    total_abs_delta = 0.0
+    for start in range(0, order.size, stale_width):
+        proposals = []
+        for m in order[start : start + stale_width]:
+            j = int(sv.voxels[m])
+            if zero_skip and upd.should_skip(j, x):
+                skipped += 1
+                continue
+            proposals.append((m, j, upd.propose_update(j, x, svb, sv.member_footprint(m))))
+        for m, j, u in proposals:
+            delta = upd.apply_update(j, u, x, svb, sv.member_footprint(m))
+            total_abs_delta += abs(delta)
+            updates += 1
+    return updates, skipped, total_abs_delta
 
 
 def _visit_vectorized_seq(ctx, sv, order, x, svb, zero_skip):

@@ -16,7 +16,11 @@ deltas merge at the end of the wave.  Image-domain updates apply
 immediately, matching the fact that voxel arrays are not buffered in
 PSV-ICD.  This preserves the algorithmically relevant property — SVs
 processed concurrently do not see each other's error-sinogram updates — and
-makes runs reproducible, which a true racy execution is not.
+makes runs reproducible, which a true racy execution is not.  A wave is
+one :func:`repro.core.sv_engine.run_sv_batch` call, and this module
+supplies only the step that forms an iteration's waves: the outer loop
+(start or resume, stop rule, records, checkpoints) is
+:func:`repro.core.icd.run_iterations`, which all three drivers share.
 :class:`repro.gpusim.cpu_model.CPUTimingModel` turns the recorded wave
 trace into 16-core wall-clock estimates.  Real parallelism in this repo
 runs whole jobs: process workers and shard groups (:mod:`repro.service`).
@@ -28,21 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.convergence import (
-    RMSE_CONVERGED_HU,
-    IterationRecord,
-    RunHistory,
-    StopRule,
-    abs_change_hu,
-    rmse_hu,
-)
-from repro.core.cost import map_cost
-from repro.core.icd import ICDResult, default_prior, init_label, initial_image, resilience_hooks
+from repro.core.icd import ICDResult, default_prior, run_iterations
 from repro.core.kernels import resolve_kernel
 from repro.core.prior import Neighborhood, Prior, shared_neighborhood
 from repro.core.selection import SVSelector
 from repro.core.supervoxel import SuperVoxelGrid
-from repro.core.sv_engine import SVUpdateStats, process_supervoxel
+from repro.core.sv_engine import SVUpdateStats, run_sv_batch
 from repro.core.voxel_update import SliceUpdater
 from repro.ct.sinogram import ScanData
 from repro.ct.system_matrix import SystemMatrix
@@ -170,113 +165,37 @@ def psv_icd_reconstruct(
         )
     selector = SVSelector(grid.n_svs, fraction)
 
-    n_voxels = geometry.n_voxels
-    hooks = resilience_hooks(
-        "psv_icd", checkpoint, checkpoint_every, resume_from, sentinel, metrics
-    )
-    ckpt = hooks.resume_state() if hooks is not None else None
-    if ckpt is not None:
-        hooks.validate_shapes(ckpt, n_voxels=n_voxels, n_measurements=scan.n_measurements)
-        x, e, rng, history, iteration, total_updates = hooks.apply_resume(
-            ckpt, rng=rng, selector=selector
-        )
-    else:
-        x = initial_image(scan, init=init).ravel().copy()
-        check_finite(f"initial image (init={init_label(init)})", x)
-        e = updater.initial_error(x)
-        history = RunHistory()
-        total_updates = 0
-        iteration = 0
-    stop = StopRule(
-        n_voxels=n_voxels,
-        max_updates=max_equits * n_voxels,
-        stop_rmse=stop_rmse,
-        stop_delta_hu=stop_delta_hu,
-    )
-
     trace = PSVExecutionTrace(n_cores=n_cores, sv_side=grid.sv_side)
-    while (reason := stop.reason(history, total_updates)) is None:
-        iteration += 1
-        x_before = x.copy() if stop_delta_hu is not None else None
+
+    def step(iteration, x, e, rng):
         selected = selector.select(iteration, rng)
-        iter_updates = 0
-        with rec.span("iteration", index=iteration):
-            for wave_start in range(0, selected.size, n_cores):
-                wave_svs = selected[wave_start : wave_start + n_cores]
-                with rec.span("wave", svs=len(wave_svs)):
-                    # Each concurrent core snapshots the error sinogram as of
-                    # the start of the wave.
-                    svbs = []
-                    originals = []
-                    with rec.span("extract"):
-                        for sv_id in wave_svs:
-                            sv = grid.svs[int(sv_id)]
-                            svb = sv.extract(e)
-                            originals.append(svb.copy())
-                            svbs.append(svb)
-                    wave_stats = []
-                    with rec.span("update"):
-                        for sv_id, svb in zip(wave_svs, svbs):
-                            sv = grid.svs[int(sv_id)]
-                            stats = process_supervoxel(
-                                sv, updater, x, svb, rng=rng,
-                                zero_skip=zero_skip and iteration > 1,  # bootstrap exemption
-                                stale_width=1,
-                                kernel=kernel,
-                                metrics=rec,
-                            )
-                            selector.record_update(sv.index, stats.total_abs_delta)
-                            wave_stats.append(stats)
-                            iter_updates += stats.updates
-                    # Locked merge (Alg. 2 lines 16-19) at the end of the wave.
-                    with rec.span("merge"):
-                        for sv_id, svb, orig in zip(wave_svs, svbs, originals):
-                            grid.svs[int(sv_id)].accumulate_delta(svb, orig, e)
-                trace.waves.append(
-                    PSVWaveTrace(iteration=iteration, sv_stats=tuple(wave_stats))
+        updates = 0
+        for wave_start in range(0, selected.size, n_cores):
+            wave_svs = selected[wave_start : wave_start + n_cores]
+            # Each concurrent core snapshots the error sinogram as of the
+            # start of the wave; the locked merges (Alg. 2 lines 16-19)
+            # land at its end.
+            with rec.span("wave", svs=len(wave_svs)):
+                wave_stats = run_sv_batch(
+                    grid, wave_svs, updater, selector, x, e, rng=rng,
+                    zero_skip=zero_skip and iteration > 1,  # bootstrap exemption
+                    stale_width=1, kernel=kernel, metrics=rec,
                 )
+            trace.waves.append(PSVWaveTrace(iteration=iteration, sv_stats=wave_stats))
+            updates += sum(stats.updates for stats in wave_stats)
+        return updates, int(selected.size)
 
-            total_updates += iter_updates
-            img = x.reshape(geometry.n_pixels, geometry.n_pixels)
-            with rec.span("bookkeeping"):
-                cost = (
-                    map_cost(img, scan, system, prior, neighborhood)
-                    if track_cost
-                    else float("nan")
-                )
-                rmse = rmse_hu(img, golden) if golden is not None else None
-                delta_hu = None if x_before is None else abs_change_hu(x, x_before)
-        history.append(
-            IterationRecord(
-                iteration=iteration,
-                equits=total_updates / n_voxels,
-                cost=cost,
-                rmse=rmse,
-                updates=iter_updates,
-                svs_updated=int(selected.size),
-                delta_hu=delta_hu,
-            )
-        )
-        if hooks is not None:
-            rolled = hooks.after_iteration(
-                iteration=iteration,
-                total_updates=total_updates,
-                x=x,
-                e=e,
-                rng=rng,
-                history=history,
-                updater=updater,
-                selector=selector,
-            )
-            if rolled is not None:  # corruption detected: replay from checkpoint
-                iteration, total_updates = rolled
-
-    history.stop_reason = reason
-    history.mark_converged_if_below(stop_rmse if stop_rmse is not None else RMSE_CONVERGED_HU)
+    image, history, error = run_iterations(
+        "psv_icd", updater, step, init=init, rng=rng, max_equits=max_equits,
+        golden=golden, stop_rmse=stop_rmse, stop_delta_hu=stop_delta_hu,
+        track_cost=track_cost, metrics=metrics, checkpoint=checkpoint,
+        checkpoint_every=checkpoint_every, resume_from=resume_from,
+        sentinel=sentinel, selector=selector,
+    )
     return PSVICDResult(
-        image=x.reshape(geometry.n_pixels, geometry.n_pixels),
+        image=image,
         history=history,
-        error_sinogram=e.reshape(geometry.sinogram_shape),
+        error_sinogram=error,
         metrics=metrics,
         trace=trace,
         grid=grid,

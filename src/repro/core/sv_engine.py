@@ -16,6 +16,12 @@ provides the single engine both use, parameterised by ``stale_width``:
   The paper conjectures this staleness costs convergence ("We also suspect
   that the intra-SV parallelism slows the convergence", §5.4); the emulation
   makes that effect measurable.
+
+:func:`process_supervoxel` updates one SV; its member loop is
+:func:`repro.core.kernels.run_sv_visit`, which dispatches every kernel.
+:func:`run_sv_batch` runs one concurrent batch — a PSV-ICD wave or a
+GPU-ICD kernel launch: extract every SVB from the same error sinogram,
+update each SV, merge every delta back.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.kernels import run_sv_visit
-from repro.core.supervoxel import SuperVoxel
+from repro.core.selection import SVSelector
+from repro.core.supervoxel import SuperVoxel, SuperVoxelGrid
 from repro.core.voxel_update import SliceUpdater
 from repro.observability import NULL_RECORDER
 from repro.utils import resolve_rng
@@ -72,59 +79,74 @@ def process_supervoxel(
         raise ValueError(f"stale_width must be >= 1, got {stale_width}")
     rng = resolve_rng(rng)
     order = rng.permutation(sv.n_voxels)
-
-    if kernel != "python":
-        updates, skipped, total_abs_delta = run_sv_visit(
-            updater.context(),
-            sv,
-            order,
-            x_flat,
-            svb,
-            zero_skip=zero_skip,
-            stale_width=stale_width,
-            kernel=kernel,
-        )
-        stats = SVUpdateStats(
-            sv_index=sv.index,
-            updates=updates,
-            skipped=skipped,
-            total_abs_delta=total_abs_delta,
-        )
-        _count_visit(metrics, kernel, stats, order.size, stale_width)
-        return stats
-
-    updates = 0
-    skipped = 0
-    total_abs_delta = 0.0
-    for start in range(0, order.size, stale_width):
-        wave = order[start : start + stale_width]
-        proposals: list[tuple[int, int, float]] = []
-        for m in wave:
-            j = int(sv.voxels[m])
-            if zero_skip and updater.should_skip(j, x_flat):
-                skipped += 1
-                continue
-            u = updater.propose_update(j, x_flat, svb, sv.member_footprint(m))
-            proposals.append((m, j, u))
-        for m, j, u in proposals:
-            delta = updater.apply_update(j, u, x_flat, svb, sv.member_footprint(m))
-            total_abs_delta += abs(delta)
-            updates += 1
-    stats = SVUpdateStats(
+    updates, skipped, total_abs_delta = run_sv_visit(
+        updater.context(),
+        sv,
+        order,
+        x_flat,
+        svb,
+        zero_skip=zero_skip,
+        stale_width=stale_width,
+        kernel=kernel,
+    )
+    if metrics.enabled:
+        metrics.count(f"kernel.{kernel}.sv_visits", 1)
+        metrics.count(f"kernel.{kernel}.updates", updates)
+        metrics.count(f"kernel.{kernel}.skipped", skipped)
+        metrics.count(f"kernel.{kernel}.waves", -(-order.size // stale_width))
+    return SVUpdateStats(
         sv_index=sv.index,
         updates=updates,
         skipped=skipped,
         total_abs_delta=total_abs_delta,
     )
-    _count_visit(metrics, kernel, stats, order.size, stale_width)
-    return stats
 
 
-def _count_visit(metrics, kernel: str, stats: SVUpdateStats, n_visited: int, stale_width: int) -> None:
-    """Accumulate the per-flavor SV-visit counters (no-op when disabled)."""
-    if not metrics.enabled:
-        return
-    metrics.count(f"kernel.{kernel}.sv_visits", 1)
-    metrics.count(f"kernel.{kernel}.updates", stats.updates)
-    metrics.count(f"kernel.{kernel}.skipped", stats.skipped)
-    metrics.count(f"kernel.{kernel}.waves", -(-n_visited // stale_width))
+def run_sv_batch(
+    grid: SuperVoxelGrid,
+    sv_ids,
+    updater: SliceUpdater,
+    selector: SVSelector,
+    x_flat: np.ndarray,
+    e_flat: np.ndarray,
+    *,
+    rng: np.random.Generator,
+    zero_skip: bool,
+    stale_width: int,
+    kernel: str,
+    metrics=NULL_RECORDER,
+) -> tuple[SVUpdateStats, ...]:
+    """Process the SVs ``sv_ids`` of ``grid`` as one concurrent batch.
+
+    Every SVB is extracted from the same ``e_flat`` (SVs of a batch never
+    see each other's updates), each SV is updated by
+    :func:`process_supervoxel` in ``sv_ids`` order, drawing its visit
+    order from ``rng``, its update amount goes to ``selector``, and then
+    every SV's delta merges back into ``e_flat``.  The three phases are the
+    ``extract`` / ``update`` / ``merge`` spans.  ``x_flat`` and ``e_flat``
+    are mutated in place.
+    """
+    svs = [grid.svs[int(sv_id)] for sv_id in sv_ids]
+    with metrics.span("extract"):
+        svbs = [sv.extract(e_flat) for sv in svs]
+        originals = [svb.copy() for svb in svbs]
+    batch_stats = []
+    with metrics.span("update"):
+        for sv, svb in zip(svs, svbs):
+            stats = process_supervoxel(
+                sv,
+                updater,
+                x_flat,
+                svb,
+                rng=rng,
+                zero_skip=zero_skip,
+                stale_width=stale_width,
+                kernel=kernel,
+                metrics=metrics,
+            )
+            selector.record_update(sv.index, stats.total_abs_delta)
+            batch_stats.append(stats)
+    with metrics.span("merge"):
+        for sv, svb, orig in zip(svs, svbs, originals):
+            sv.accumulate_delta(svb, orig, e_flat)
+    return tuple(batch_stats)

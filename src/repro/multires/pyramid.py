@@ -12,11 +12,14 @@ Checkpoint layout (all inside the one job checkpoint directory, so the
 service's "does this job have checkpoints?" glob keeps working):
 
 * ``ckpt-L<level>-<iteration>.ckpt`` — the inner driver's ordinary
-  checkpoints, written through :class:`LevelCheckpointManager`, which
-  prefixes the level so each level only sees (and rotates) its own files
-  and stamps ``meta["multires_level"]`` into every snapshot;
+  checkpoints, written through the caller's manager scoped to the level
+  (:meth:`~repro.resilience.CheckpointManager.scoped`), which prefixes the
+  level so each level only sees (and rotates) its own files and stamps
+  ``meta["multires_level"]`` into every snapshot.  One manager writes every
+  level, so a service job's disk-fault degradation covers the pyramid;
 * ``level-L<level>-final.npz`` — the finished image of each completed
-  *coarse* level, persisted atomically.
+  *coarse* level, persisted atomically.  A marker write that fails with
+  ``OSError`` is counted (``multires.marker_writes_failed``) and skipped.
 
 Resume therefore lands in the correct pyramid stage: completed levels are
 restored from their final images (never re-run), the interrupted level
@@ -48,7 +51,7 @@ from repro.ct.system_matrix import SystemMatrix
 from repro.io import CorruptFileError, load_reconstruction, save_reconstruction
 from repro.multires.resample import coarse_system_for, prolong_image, restrict_scan
 from repro.observability import MetricsRecorder, as_recorder
-from repro.resilience import Checkpoint, CheckpointManager
+from repro.resilience import CheckpointManager
 
 __all__ = [
     "BASE_DRIVERS",
@@ -142,32 +145,27 @@ def parse_levels(levels, geometry) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-class LevelCheckpointManager(CheckpointManager):
-    """A checkpoint store scoped to one pyramid level of a shared directory.
+def _level_scope(manager: CheckpointManager, level: int) -> CheckpointManager:
+    """``manager`` scoped to one pyramid level of its directory.
 
     Files are named ``ckpt-L<level:02d>-<iteration:08d>.ckpt`` — they still
     match the service's ``ckpt-*.ckpt`` liveness globs (so first-life
     detection and dedup-vs-resume decisions keep working on multires
-    jobs), but each level's manager only lists, loads, and rotates its own
+    jobs), but each level's view only lists, loads, and rotates its own
     level's files, and every snapshot records the level in
     ``meta["multires_level"]``.
     """
+    return manager.scoped(f"L{level:02d}-", multires_level=level)
+
+
+class LevelCheckpointManager(CheckpointManager):
+    """A plain checkpoint store scoped to one pyramid level (see :func:`_level_scope`)."""
 
     def __init__(self, directory, level: int, *, keep: int = 3) -> None:
         super().__init__(directory, keep=keep)
         self.level = int(level)
-
-    def path_for(self, iteration: int) -> Path:
-        return self.directory / f"ckpt-L{self.level:02d}-{int(iteration):08d}.ckpt"
-
-    def paths(self) -> list[Path]:
-        if not self.directory.is_dir():
-            return []
-        return sorted(self.directory.glob(f"ckpt-L{self.level:02d}-*.ckpt"))
-
-    def save(self, checkpoint: Checkpoint) -> Path:
-        checkpoint.meta["multires_level"] = self.level
-        return super().save(checkpoint)
+        scope = _level_scope(self, self.level)
+        self.prefix, self.meta = scope.prefix, scope.meta
 
 
 @dataclass(frozen=True)
@@ -322,16 +320,11 @@ def multires_reconstruct(
     budgets = _coarse_equits_per_level(coarse_equits, len(sizes))
     rec = as_recorder(metrics)
 
-    if checkpoint is None:
-        root: Path | None = None
-        keep = 3
-    elif isinstance(checkpoint, CheckpointManager):
-        root = checkpoint.directory
-        keep = checkpoint.keep
+    if checkpoint is None or isinstance(checkpoint, CheckpointManager):
+        base = checkpoint
     else:
-        root = Path(checkpoint)
-        keep = 3
-    resuming = resume_from is not None and root is not None
+        base = CheckpointManager(checkpoint)
+    resuming = resume_from is not None and base is not None
 
     level_runs: list[LevelRun] = []
     x_seed: np.ndarray | None = None
@@ -342,7 +335,7 @@ def multires_reconstruct(
         scale = (size / n) ** 2
 
         if resuming and not is_final:
-            restored = _load_marker(root, k, size)
+            restored = _load_marker(base.directory, k, size)
             if restored is not None:
                 image, meta = restored
                 equits = float(meta.get("equits", 0.0))
@@ -371,9 +364,7 @@ def multires_reconstruct(
             system_k = coarse_system_for(scan_k.geometry)
         seeded = x_seed is not None
         init_k = prolong_image(x_seed, size) if seeded else init
-        manager = (
-            LevelCheckpointManager(root, k, keep=keep) if root is not None else None
-        )
+        manager = _level_scope(base, k) if base is not None else None
         with rec.span("multires_level", level=k, size=size):
             result = driver_fn(
                 scan_k,
@@ -413,20 +404,26 @@ def multires_reconstruct(
             final_result = result
         else:
             x_seed = np.asarray(result.image, dtype=np.float64)
-            if root is not None:
-                save_reconstruction(
-                    _marker_path(root, k),
-                    x_seed,
-                    None,
-                    metadata={
-                        "format": _LEVEL_MARKER_FORMAT,
-                        "multires_level": k,
-                        "size": size,
-                        "factor": factor,
-                        "equits": equits,
-                        "iterations": iterations,
-                    },
-                )
+            if base is not None:
+                try:
+                    save_reconstruction(
+                        _marker_path(base.directory, k),
+                        x_seed,
+                        None,
+                        metadata={
+                            "format": _LEVEL_MARKER_FORMAT,
+                            "multires_level": k,
+                            "size": size,
+                            "factor": factor,
+                            "equits": equits,
+                            "iterations": iterations,
+                        },
+                    )
+                except OSError:
+                    # The marker only saves a resume this level's re-run,
+                    # as a torn marker does: a disk fault must not fail
+                    # the solve.
+                    rec.count("multires.marker_writes_failed")
 
     # Combined history: the finest level's records, re-based by the
     # effective cost of all coarse work so `history.equits` reads as total

@@ -21,10 +21,13 @@ with zero dependencies and near-zero cost when disabled:
 
 Instrumentation sites (see DESIGN.md §9):
 
-* the three drivers (``icd``, ``psv_icd``, ``gpu_icd``) record one span
-  per outer iteration, and GPU-ICD records the three per-batch kernel
-  phases — ``extract`` (SVB creation), ``update`` (the MBIR kernel),
-  ``merge`` (the atomic write-back);
+* the loop all three drivers share,
+  :func:`repro.core.icd.run_iterations`, records one ``iteration`` span
+  per outer iteration, ending in ``bookkeeping``; inside it icd records
+  ``sweep``, and each PSV-ICD ``wave`` and GPU-ICD ``kernel_batch``
+  records the three phases of :func:`repro.core.sv_engine.run_sv_batch` —
+  ``extract`` (SVB creation), ``update`` (the MBIR kernel), ``merge``
+  (the write-back);
 * :func:`repro.core.kernels.run_sweep` and
   :func:`repro.core.sv_engine.process_supervoxel` report update / skip /
   wave counters per kernel flavor (``kernel.<flavor>.updates`` ...);

@@ -46,6 +46,7 @@ iterates (it only *reads* state at iteration boundaries).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import io as _stdio
 import json
@@ -293,6 +294,9 @@ class CheckpointManager:
         after each successful save).  Keeping more than one matters: if the
         *latest* file is later found corrupt, :meth:`load_latest` falls
         back to the next-newest valid one.
+
+    :meth:`scoped` narrows a store to the files of one part of a run that
+    shares the directory (a multires pyramid level).
     """
 
     def __init__(self, directory: str | Path, *, keep: int = 3) -> None:
@@ -302,17 +306,34 @@ class CheckpointManager:
         self.keep = int(keep)
         #: corrupt files skipped by :meth:`load_latest` (for tests/metrics).
         self.corrupt_skipped = 0
+        #: file names are ``ckpt-<prefix><iteration:08d>.ckpt``.
+        self.prefix = ""
+        #: entries stamped into every saved checkpoint's ``meta``.
+        self.meta: dict = {}
+
+    def scoped(self, prefix: str, **meta) -> "CheckpointManager":
+        """This store narrowed to the files named ``ckpt-<prefix>*``.
+
+        The view lists, loads and rotates only those files and stamps
+        ``meta`` into every checkpoint it saves.  It is a shallow copy, so
+        it shares everything else with this store: a degrading manager's
+        writer, with its retries, events and counters, covers every view.
+        """
+        view = copy.copy(self)
+        view.prefix = prefix
+        view.meta = {**self.meta, **meta}
+        return view
 
     # -- paths ----------------------------------------------------------
     def path_for(self, iteration: int) -> Path:
         """The file a checkpoint of ``iteration`` is stored at."""
-        return self.directory / f"ckpt-{int(iteration):08d}.ckpt"
+        return self.directory / f"ckpt-{self.prefix}{int(iteration):08d}.ckpt"
 
     def paths(self) -> list[Path]:
         """Existing checkpoint files, oldest first."""
         if not self.directory.is_dir():
             return []
-        return sorted(self.directory.glob("ckpt-*.ckpt"))
+        return sorted(self.directory.glob(f"ckpt-{self.prefix}*.ckpt"))
 
     # -- save -----------------------------------------------------------
     def save(self, checkpoint: Checkpoint) -> Path:
@@ -323,6 +344,7 @@ class CheckpointManager:
         ``os.replace`` — a crash mid-save leaves the previous checkpoints
         untouched and at worst an ignorable temp file.
         """
+        checkpoint.meta.update(self.meta)
         self.directory.mkdir(parents=True, exist_ok=True)
         final = self.path_for(checkpoint.iteration)
         tmp = final.with_name(f".{final.name}.tmp-{os.getpid()}")

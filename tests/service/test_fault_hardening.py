@@ -33,7 +33,9 @@ import numpy as np
 import pytest
 
 from repro.core.convergence import RunHistory
+from repro.ct import scaled_geometry, shepp_logan, simulate_scan
 from repro.io import save_reconstruction, save_scan
+from repro.observability import MetricsRecorder
 from repro.resilience import FaultInjector
 from repro.service import (
     JobFailedError,
@@ -51,7 +53,7 @@ from repro.service.faults import (
     disarm_disk_fault,
     next_backoff,
 )
-from repro.service.runner import run_job
+from repro.service.runner import run_job, system_for
 from repro.service.worker import worker_result_path, worker_verdict_path
 
 
@@ -63,6 +65,21 @@ def icd_spec(scan, *, seed=0, equits=1.0, job_id=None, fault=None, **params):
         job_id=job_id,
         fault=fault,
     )
+
+
+def multires_spec(scan):
+    return JobSpec(
+        driver="multires",
+        scan=scan,
+        params={"levels": [32, 64], "coarse_equits": 1.0, "max_equits": 2.0,
+                "track_cost": False},
+    )
+
+
+@pytest.fixture(scope="module")
+def scan64():
+    """A 64^2 scan; its geometry allows a [32, 64] pyramid."""
+    return simulate_scan(shepp_logan(64), system_for(scaled_geometry(64)), dose=1e5, seed=7)
 
 
 def reference_image(scan, tmp_path, *, seed=0, equits=1.0):
@@ -335,6 +352,33 @@ class TestServiceCheckpointDegradation:
                 e for e in svc.job(job_id).events if e.kind == "CHECKPOINT_DEGRADED"
             ]
         assert degraded and degraded[0].detail["errno"] == errno.ENOSPC
+
+    def test_multires_levels_checkpoint_through_the_job_manager(self, tmp_path, scan64):
+        """Every pyramid level saves through the job's degrading manager:
+        a disk fault suppresses the level checkpoints and is reported once,
+        as for a single-level job."""
+        ckpt_dir = tmp_path / "job" / "checkpoints"
+        arm_disk_fault(ckpt_dir)
+        rec = MetricsRecorder()
+        result = run_job(multires_spec(scan64), checkpoint_dir=ckpt_dir, metrics=rec)
+        assert result.history.stop_reason is not None
+        assert rec.counters.get("checkpoint.degraded", 0) == 1
+        assert rec.counters.get("checkpoint.saves_suppressed", 0) >= 2
+        assert not list(ckpt_dir.glob("ckpt-*.ckpt"))
+
+    def test_multires_marker_write_failure_is_counted_not_fatal(self, tmp_path, scan64):
+        """A level-final marker that cannot be written is skipped: the job
+        finishes bit-identically, and a resume re-runs that level."""
+        ckpt_dir = tmp_path / "job" / "checkpoints"
+        (ckpt_dir / "level-L00-final.npz").mkdir(parents=True)
+        rec = MetricsRecorder()
+        result = run_job(multires_spec(scan64), checkpoint_dir=ckpt_dir, metrics=rec)
+        assert rec.counters.get("multires.marker_writes_failed", 0) == 1
+        reference = run_job(multires_spec(scan64), checkpoint_dir=tmp_path / "reference")
+        assert np.array_equal(result.image, reference.image)
+        resumed = run_job(multires_spec(scan64), checkpoint_dir=ckpt_dir)
+        assert [run.from_marker for run in resumed.levels] == [False, False]
+        assert np.array_equal(resumed.image, reference.image)
 
 
 # ----------------------------------------------------------------------
