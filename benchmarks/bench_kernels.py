@@ -8,25 +8,23 @@ Contenders, slowest first:
 * ``python``     — ``kernel="python"``: the same per-voxel updater calls
   with the footprint-index views hoisted once per run (the equivalence
   oracle);
-* ``vectorized`` — the pure-NumPy fused kernel;
-* ``numba``      — the compiled kernel (only when importable).
+* ``vectorized`` — the pure-NumPy fused kernel.
 
 All contenders are run interleaved (machine noise on shared runners swings
 single timings by tens of percent; best-of-N of interleaved trials is
 stable) and each must reproduce the oracle's image and error sinogram
 **bit-for-bit** before its timing counts.
 
-The assertion tiers reflect what pure-NumPy can honestly deliver under the
+The assertion reflects what pure NumPy can honestly deliver under the
 bit-exactness contract: the strict-sequential cumsum reductions and scalar
 surrogate solves it shares with the oracle put a floor on per-voxel cost,
-so the vectorized kernel lands around 2-3x the hoisted oracle (and ~3x the
-pre-kernel-layer baseline) rather than the 10x+ a compiled kernel reaches.
-We hard-assert >= 2x over the oracle as the regression guard, and >= 10x
-for Numba where available.
+so the vectorized kernel lands around 2-3x the hoisted oracle rather than
+the 10x+ a compiled kernel reaches.  We hard-assert >= 1.8x over the oracle
+as the regression guard.
 
 Emit mode: set ``REPRO_BENCH_JSON=path.json`` to additionally write the
 measured numbers as a machine-readable report (CI uploads it as the
-``BENCH_<pr>.json`` perf-trajectory artifact; the checked-in ``BENCH_2.json``
+``BENCH_3.json`` perf-trajectory artifact; the checked-in ``BENCH_3.json``
 was produced this way).
 """
 
@@ -41,7 +39,7 @@ import numpy as np
 from conftest import report
 
 from repro.core import SuperVoxelGrid, default_prior, initial_image
-from repro.core.kernels import HAVE_NUMBA, run_sv_visit, run_sweep
+from repro.core.kernels import run_sv_visit, run_sweep
 from repro.core.prior import shared_neighborhood
 from repro.core.voxel_update import SliceUpdater
 from repro.utils import resolve_rng
@@ -52,8 +50,6 @@ TRIALS = 5
 #: measurements are 2.1-2.5x; the floor sits below the noise band so the
 #: assert trips on real regressions, not on a busy machine.
 VEC_MIN_SPEEDUP = 1.8
-#: Hard floor for the numba kernel vs the python oracle.
-NUMBA_MIN_SPEEDUP = 10.0
 
 
 def _baseline_sweep(updater, order, x, e, zero_skip):
@@ -109,7 +105,8 @@ def _emit_json(path, n_pixels, sv_side, stale_width, best, wave_best):
         "bench": "kernels",
         "pixels": n_pixels,
         "trials": TRIALS,
-        "numba": HAVE_NUMBA,
+        "cpu_count": os.cpu_count() or 1,
+        "numpy": np.__version__,
         "python": platform.python_version(),
         "sweep_updates_per_s": {k: round(v, 1) for k, v in best.items()},
         "sweep_speedup_vs_python": {k: round(v / oracle, 3) for k, v in best.items()},
@@ -139,10 +136,10 @@ def bench_kernels(ctx):
     e0 = updater.initial_error(x0)
     order = resolve_rng(0).permutation(n * n)
 
-    contenders = ["baseline", "python", "vectorized"] + (["numba"] if HAVE_NUMBA else [])
+    contenders = ["baseline", "python", "vectorized"]
 
-    # Warmup: builds the fast pack / compiles the numba kernel, and pins
-    # down the oracle outputs every contender must reproduce exactly.
+    # Warmup: builds the fast pack, and pins down the oracle outputs every
+    # contender must reproduce exactly.
     _, x_ref, e_ref = _time_sweep("python", kctx, updater, order, x0, e0)
     for c in contenders:
         _, x_c, e_c = _time_sweep(c, kctx, updater, order, x0, e0)
@@ -162,7 +159,7 @@ def bench_kernels(ctx):
     for sv in grid.svs:  # warm per-SV pads outside the timed region
         prep = kctx.sv_prep(sv)
         prep.build_pads(kctx)
-    wave_contenders = ["python", "vectorized"] + (["numba"] if HAVE_NUMBA else [])
+    wave_contenders = ["python", "vectorized"]
     wave_best = {c: 0.0 for c in wave_contenders}
     for _ in range(TRIALS):
         for c in wave_contenders:
@@ -192,10 +189,6 @@ def bench_kernels(ctx):
         f"vectorized kernel regressed: {best['vectorized']:.0f} vs "
         f"{oracle:.0f} updates/s ({best['vectorized'] / oracle:.2f}x < {VEC_MIN_SPEEDUP}x)"
     )
-    if HAVE_NUMBA:
-        assert best["numba"] >= NUMBA_MIN_SPEEDUP * oracle, (
-            f"numba kernel below target: {best['numba'] / oracle:.2f}x < {NUMBA_MIN_SPEEDUP}x"
-        )
     return best
 
 

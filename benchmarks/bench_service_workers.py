@@ -31,12 +31,14 @@ from repro.service.runner import clear_system_cache
 #: Worker pool size of the soaked gateway.
 N_WORKERS = 2
 
-#: Soak sizing: closed-loop clients and total jobs at 32^2.  Per-job work
-#: (SOAK_EQUITS) is deliberately heavy relative to SOAK_TTL_S: the
-#: terminal tail lingering inside one TTL window must stay well under the
-#: in-flight population, so a peak past 2x concurrency means a leak, not
-#: fast jobs outpacing the reaper.
-SOAK_PIXELS = 32
+#: Soak sizing: closed-loop clients and total jobs at 64^2.  Per-job work
+#: (SOAK_EQUITS at SOAK_PIXELS) is deliberately heavy relative to
+#: SOAK_TTL_S: the terminal tail lingering inside one TTL window must stay
+#: well under the in-flight population, so a peak past 2x concurrency means
+#: a leak, not fast jobs outpacing the reaper.  That needs jobs several
+#: TTLs long: a 3-equit job runs 0.26-0.56 s at 64^2 (2 vCPUs, idle to
+#: busy) but 0.05-0.12 s at 32^2, where healthy runs peaked at the bound.
+SOAK_PIXELS = 64
 SOAK_JOBS = int(os.environ.get("REPRO_SOAK_JOBS", "24"))
 SOAK_CONCURRENCY = 4
 SOAK_EQUITS = 3.0

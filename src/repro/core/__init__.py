@@ -17,7 +17,6 @@ from repro.core.icd import (
     initial_image,
 )
 from repro.core.kernels import (
-    HAVE_NUMBA,
     KERNELS,
     KernelContext,
     resolve_kernel,
@@ -42,7 +41,6 @@ from repro.core.voxel_update import (
 )
 
 __all__ = [
-    "HAVE_NUMBA",
     "KERNELS",
     "KernelContext",
     "resolve_kernel",

@@ -308,9 +308,9 @@ def icd_reconstruct(
         Evaluate the MAP cost each outer iteration (costs one forward
         projection; disable in benchmarks).
     kernel:
-        Inner-loop implementation: ``"auto"`` (default), ``"python"``,
-        ``"vectorized"`` or ``"numba"``.  All kernels produce bit-identical
-        iterates (see :mod:`repro.core.kernels`).
+        Inner-loop implementation: ``"auto"`` (default, resolves to
+        ``"vectorized"``), ``"python"`` or ``"vectorized"``.  Both kernels
+        produce bit-identical iterates (see :mod:`repro.core.kernels`).
     neighborhood:
         Optionally a prebuilt :class:`Neighborhood`; defaults to the
         process-wide shared instance for this image size.
@@ -341,7 +341,7 @@ def icd_reconstruct(
     geometry = system.geometry
     if neighborhood is None:
         neighborhood = shared_neighborhood(geometry.n_pixels)
-    kernel = resolve_kernel(kernel, prior)
+    kernel = resolve_kernel(kernel)
     updater = SliceUpdater(system, scan, prior, neighborhood, positivity=positivity)
     ctx = updater.context()  # hoisted per-voxel footprint views + kernel state
     rng = resolve_rng(seed)

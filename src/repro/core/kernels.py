@@ -1,4 +1,4 @@
-"""Fused batch update kernels — the compiled/fused ICD hot path.
+"""Fused batch update kernels — the ICD hot path.
 
 Every driver ultimately spends its time in the Alg. 1 per-voxel chain:
 gather the footprint from an error buffer, dot it against the fused ``w*A``
@@ -6,41 +6,36 @@ products, solve the 1-D surrogate against the 8-neighborhood, scatter the
 delta back.  Executed as one Python-level
 :class:`~repro.core.voxel_update.SliceUpdater` call per voxel, interpreter
 dispatch dwarfs the arithmetic — exactly the fine-grained footprint work the
-paper's §4 data-layout transformation exists to make fast.  This module
-compiles that loop out of Python.  Three kernels are selectable everywhere a
-driver accepts ``kernel=``:
+paper's §4 data-layout transformation exists to make fast.  Two kernels
+are selectable everywhere a driver accepts ``kernel=``:
 
 ``python``
     The original per-voxel :class:`SliceUpdater` path.  Slowest, simplest,
-    and the **equivalence oracle**: the other kernels must reproduce its
+    and the **equivalence oracle**: the other kernel must reproduce its
     iterates bit-for-bit.
 ``vectorized``
     Pure NumPy, dependency-light.  Footprint index/weight views are hoisted
     once per run, neighborhoods are padded to fixed width 8, theta1 gathers
     are batched per bulk-synchronous wave, and the surrogate solve runs as
     straight-line scalar arithmetic.
-``numba``
-    A ``@njit(cache=True)`` kernel over the same flat CSC arrays (optional
-    dependency: ``pip install repro[fast]``).  Falls back cleanly when Numba
-    is absent.
 
 Bit-exactness contract
 ----------------------
 Cross-kernel bit-equality is only possible if every kernel performs the
 same IEEE-754 operations in the same order.  Empirically (and baked into
-this design):
+this design, so that a compiled scalar kernel can join the contract):
 
 * ``np.cumsum`` is the only NumPy reduction that matches a scalar
   accumulation loop bit-for-bit; ``np.sum``, ``@``/BLAS dots and
   ``np.add.reduceat`` all use pairwise/SIMD orderings a compiled loop
   cannot reproduce.  All reductions here are therefore strict
-  left-to-right: ``cumsum`` in NumPy, plain loops in Numba.
+  left-to-right: ``cumsum`` in NumPy, plain loops in scalar code.
 * NumPy's vectorized ``pow`` is elementwise-deterministic (independent of
   position, length and stride) but **not** bit-identical to libm's
   ``pow`` — and compiled code calls libm.  The q-GGMRF influence ratio is
   therefore evaluated one scalar at a time via ``math.pow`` in the Python
-  paths (see :meth:`QGGMRFPrior.influence_ratio_scalar`), which Numba's
-  ``math.pow`` reproduces.
+  paths (see :meth:`QGGMRFPrior.influence_ratio_scalar`), which a compiled
+  loop's libm ``pow`` reproduces.
 * Padding is exact: a padded neighbor slot carries weight 0.0 and indexes
   the voxel itself, so both surrogate sums see an interleaved ``+0.0``
   term, which never changes a strict-sequential sum here (the running
@@ -62,27 +57,18 @@ from repro.core.prior import Prior, QGGMRFPrior, QuadraticPrior
 from repro.core.supervoxel import member_entries
 from repro.observability import NULL_RECORDER
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
 __all__ = [
-    "HAVE_NUMBA",
     "KERNELS",
     "KernelContext",
     "resolve_kernel",
-    "numba_supports_prior",
     "run_sweep",
     "run_sv_visit",
 ]
 
 #: Selectable kernel names, in oracle-first order.
-KERNELS = ("python", "vectorized", "numba")
+KERNELS = ("python", "vectorized")
 
-# Prior dispatch codes shared by the vectorized and numba kernels.
+# Prior dispatch codes of the inline surrogate solves.
 _GENERIC = -1
 _QUAD = 0
 _QGGMRF = 1
@@ -97,39 +83,15 @@ def _prior_kind(prior: Prior) -> int:
     return _GENERIC
 
 
-def numba_supports_prior(prior: Prior) -> bool:
-    """Whether the compiled kernel can evaluate ``prior`` (it must inline it)."""
-    return _prior_kind(prior) != _GENERIC
-
-
-def resolve_kernel(kernel: str | None, prior: Prior) -> str:
+def resolve_kernel(kernel: str | None) -> str:
     """Resolve a ``kernel=`` argument to a concrete kernel name.
 
-    ``"auto"`` (or ``None``) picks ``numba`` when it is importable and can
-    compile ``prior``, else ``vectorized``.  Explicitly requesting
-    ``"numba"`` raises if the dependency is missing (``pip install
-    repro[fast]``) or the prior is not compilable.
+    ``"auto"`` (or ``None``) resolves to ``vectorized``, the faster kernel.
     """
-    if kernel is None:
-        kernel = "auto"
-    if kernel == "auto":
-        if HAVE_NUMBA and numba_supports_prior(prior):
-            return "numba"
+    if kernel is None or kernel == "auto":
         return "vectorized"
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; use one of {KERNELS} or 'auto'")
-    if kernel == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(
-                "kernel='numba' requested but numba is not installed; "
-                "install the extra with `pip install repro[fast]` or use "
-                "kernel='vectorized'"
-            )
-        if not numba_supports_prior(prior):
-            raise ValueError(
-                f"kernel='numba' supports QGGMRFPrior and QuadraticPrior, not "
-                f"{type(prior).__name__}; use kernel='vectorized'"
-            )
     return kernel
 
 
@@ -444,31 +406,6 @@ def _dispatch_sweep(ctx, order, x, e, zero_skip, kernel) -> int:
         return _sweep_python(ctx, order, x, e, zero_skip)
     if kernel == "vectorized":
         return _sweep_vectorized(ctx, order, x, e, zero_skip)
-    if kernel == "numba":
-        _require_numba(ctx)
-        tsig, c0, hq, p, qc = _numba_prior_args(ctx)
-        return int(
-            _nb_sweep(
-                np.ascontiguousarray(order, dtype=np.int64),
-                x,
-                e,
-                ctx.indptr,
-                ctx.indices,
-                ctx.wa,
-                ctx.a_data,
-                ctx.theta2,
-                ctx.nb_idx,
-                ctx.nb_w,
-                ctx.prior_kind,
-                tsig,
-                c0,
-                hq,
-                p,
-                qc,
-                ctx.positivity,
-                zero_skip,
-            )
-        )
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
@@ -605,33 +542,6 @@ def run_sv_visit(
         if stale_width == 1:
             return _visit_vectorized_seq(ctx, sv, order, x, svb, zero_skip)
         return _visit_vectorized_wave(ctx, sv, order, x, svb, zero_skip, stale_width)
-    if kernel == "numba":
-        _require_numba(ctx)
-        tsig, c0, hq, p, qc = _numba_prior_args(ctx)
-        updates, skipped, tad = _nb_visit(
-            np.ascontiguousarray(order, dtype=np.int64),
-            sv.voxels,
-            sv.member_offsets,
-            sv.svb_indices,
-            x,
-            svb,
-            ctx.indptr,
-            ctx.wa,
-            ctx.a_data,
-            ctx.theta2,
-            ctx.nb_idx,
-            ctx.nb_w,
-            ctx.prior_kind,
-            tsig,
-            c0,
-            hq,
-            p,
-            qc,
-            ctx.positivity,
-            zero_skip,
-            stale_width,
-        )
-        return int(updates), int(skipped), float(tad)
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
@@ -833,145 +743,3 @@ def _visit_vectorized_wave(ctx, sv, order, x, svb, zero_skip, stale_width):
                     sub(g, dp, g)
                     svb[fp] = g
     return updates, skipped, tad
-
-
-# ----------------------------------------------------------------------
-# Numba kernels (optional)
-# ----------------------------------------------------------------------
-def _require_numba(ctx) -> None:
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba kernel requested but numba is not importable")
-    if ctx.prior_kind == _GENERIC:
-        raise ValueError("numba kernel cannot compile this prior; use 'vectorized'")
-
-
-def _numba_prior_args(ctx) -> tuple[float, float, float, float, float]:
-    """Flatten the prior constants into njit-friendly scalars."""
-    if ctx.prior_kind == _QGGMRF:
-        tsig, c0, hq, p = ctx.qg_coeffs
-        return tsig, c0, hq, p, 0.0
-    return 1.0, 1.0, 0.0, 0.0, ctx.quad_c
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_solve(v, th1, t2, x, nb_idx, nb_w, j, kind, tsig, c0, hq, p, qc, positivity):
-        """Canonical scalar surrogate solve (see _solve_inline)."""
-        s1 = 0.0
-        s2 = 0.0
-        for k in range(8):
-            xk = x[nb_idx[j, k]]
-            wk = nb_w[j, k]
-            if kind == 1:
-                d = v - xk
-                r = abs(d) / tsig
-                rq = math.pow(r, p)
-                t = 1.0 + rq
-                btl = wk * ((1.0 + hq * rq) / (c0 * (t * t)))
-            else:
-                btl = wk * qc
-            s1 += btl
-            s2 += btl * (xk - v)
-        denom = t2 + 2.0 * s1
-        if denom <= 0.0:
-            return v
-        u = v + (-th1 + 2.0 * s2) / denom
-        if positivity and u < 0.0:
-            u = 0.0
-        return u
-
-    @njit(cache=True)
-    def _nb_sweep(
-        order, x, e, indptr, indices, wa, a_data, theta2, nb_idx, nb_w,
-        kind, tsig, c0, hq, p, qc, positivity, zero_skip,
-    ):
-        updates = 0
-        for oi in range(order.shape[0]):
-            j = order[oi]
-            v = x[j]
-            if zero_skip and v == 0.0:
-                allz = True
-                for k in range(8):
-                    if x[nb_idx[j, k]] != 0.0:
-                        allz = False
-                        break
-                if allz:
-                    continue
-            lo = indptr[j]
-            hi = indptr[j + 1]
-            if hi > lo:
-                acc = 0.0
-                for i in range(lo, hi):
-                    acc += wa[i] * e[indices[i]]
-                th1 = -acc
-            else:
-                th1 = 0.0
-            u = _nb_solve(v, th1, theta2[j], x, nb_idx, nb_w, j,
-                          kind, tsig, c0, hq, p, qc, positivity)
-            updates += 1
-            delta = u - v
-            if delta != 0.0:
-                x[j] = u
-                for i in range(lo, hi):
-                    e[indices[i]] -= a_data[i] * delta
-        return updates
-
-    @njit(cache=True)
-    def _nb_visit(
-        order, voxels, member_ptr, svb_indices, x, svb, indptr, wa, a_data,
-        theta2, nb_idx, nb_w, kind, tsig, c0, hq, p, qc, positivity,
-        zero_skip, stale_width,
-    ):
-        updates = 0
-        skipped = 0
-        tad = 0.0
-        prop_m = np.empty(stale_width, dtype=np.int64)
-        prop_u = np.empty(stale_width, dtype=np.float64)
-        n = order.shape[0]
-        for start in range(0, n, stale_width):
-            end = min(start + stale_width, n)
-            nprop = 0
-            for w in range(start, end):
-                m = order[w]
-                j = voxels[m]
-                v = x[j]
-                if zero_skip and v == 0.0:
-                    allz = True
-                    for k in range(8):
-                        if x[nb_idx[j, k]] != 0.0:
-                            allz = False
-                            break
-                    if allz:
-                        skipped += 1
-                        continue
-                flo = member_ptr[m]
-                fhi = member_ptr[m + 1]
-                lo = indptr[j]
-                if fhi > flo:
-                    acc = 0.0
-                    for i in range(fhi - flo):
-                        acc += wa[lo + i] * svb[svb_indices[flo + i]]
-                    th1 = -acc
-                else:
-                    th1 = 0.0
-                u = _nb_solve(v, th1, theta2[j], x, nb_idx, nb_w, j,
-                              kind, tsig, c0, hq, p, qc, positivity)
-                prop_m[nprop] = m
-                prop_u[nprop] = u
-                nprop += 1
-            for t_ in range(nprop):
-                m = prop_m[t_]
-                j = voxels[m]
-                u = prop_u[t_]
-                delta = u - x[j]
-                tad += abs(delta)
-                updates += 1
-                if delta != 0.0:
-                    x[j] = u
-                    flo = member_ptr[m]
-                    fhi = member_ptr[m + 1]
-                    lo = indptr[j]
-                    for i in range(fhi - flo):
-                        svb[svb_indices[flo + i]] -= a_data[lo + i] * delta
-        return updates, skipped, tad

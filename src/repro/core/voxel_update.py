@@ -23,8 +23,8 @@ Canonical arithmetic
 --------------------
 Since the kernel layer (:mod:`repro.core.kernels`) was introduced, the
 update math follows a *canonical arithmetic contract* so that the
-interpreted path here, the vectorized NumPy kernel, and the compiled Numba
-kernel produce **bit-identical** iterates:
+interpreted path here and the vectorized NumPy kernel produce
+**bit-identical** iterates, and a compiled scalar kernel can too:
 
 * every reduction (the theta1 dot product, the two neighbor sums) is a
   strict left-to-right sequential sum.  NumPy realises this with
@@ -80,7 +80,7 @@ def solve_surrogate(
 
     This is the readable array-form *specification*; the drivers run
     :func:`solve_surrogate_scalar`, whose strict-sequential arithmetic is
-    reproducible bit-for-bit by the compiled kernels.  The two agree to the
+    reproducible bit-for-bit by every kernel.  The two agree to the
     last few ulps (they differ only in summation order and pow provenance).
     """
     btilde = neighbor_weights * prior.influence_ratio(v - neighbor_values)
@@ -277,9 +277,9 @@ class SliceUpdater:
 
         Returns a :class:`repro.core.kernels.KernelContext` holding the flat
         hoisted buffers (per-voxel footprint views, padded neighborhood
-        tables, prior constants, scratch) that the ``vectorized`` and
-        ``numba`` kernels execute over.  Imported lazily to keep this module
-        free of the (optional) compiled-kernel machinery.
+        tables, prior constants, scratch) that the ``vectorized`` kernel
+        executes over.  Imported lazily to keep this module free of the
+        kernel machinery.
 
         Thread-safe: threads sharing one updater may race to the first
         call, and an unguarded lazy build would hand one of them a

@@ -102,10 +102,32 @@ def _open_npz(path: Path, kind: str):
         raise CorruptFileError(f"{path}: unreadable {kind} file ({exc})") from exc
 
 
+#: numpy parses each npz entry's header with ``ast.literal_eval``, which
+#: CPython 3.11 can fail with ``SystemError`` ("AST constructor recursion
+#: depth mismatch") when two threads run it at once.  A serving process
+#: reads npz files from several threads (scheduler supervisors, gateway
+#: handlers, the result cache's disk tier), so entry reads take turns.
+_read_lock = threading.Lock()
+
+
+def _fresh_read_lock() -> None:
+    """Give a forked child its own, unlocked read lock.
+
+    A lock another thread held at fork time stays locked in the child,
+    where no thread is left to release it.
+    """
+    global _read_lock
+    _read_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_read_lock)
+
+
 def _read_key(data, key: str, path: Path):
     """Read one npz entry, naming ``key`` in any corruption error."""
     try:
-        return data[key]
+        with _read_lock:
+            return data[key]
     except KeyError:
         raise CorruptFileError(f"{path}: missing required key {key!r}") from None
     except Exception as exc:  # zlib/zip errors surface lazily at read time

@@ -24,7 +24,6 @@ from repro.multires.halo import (
     stripe_voxel_indices,
 )
 from repro.multires.pyramid import (
-    LevelCheckpointManager,
     LevelRun,
     MultiresResult,
     multires_reconstruct,
@@ -46,7 +45,6 @@ __all__ = [
     "plan_stripes",
     "stitch_stripes",
     "stripe_voxel_indices",
-    "LevelCheckpointManager",
     "LevelRun",
     "MultiresResult",
     "multires_reconstruct",

@@ -55,7 +55,6 @@ from repro.resilience import CheckpointManager
 
 __all__ = [
     "BASE_DRIVERS",
-    "LevelCheckpointManager",
     "LevelRun",
     "MultiresResult",
     "parse_levels",
@@ -156,16 +155,6 @@ def _level_scope(manager: CheckpointManager, level: int) -> CheckpointManager:
     ``meta["multires_level"]``.
     """
     return manager.scoped(f"L{level:02d}-", multires_level=level)
-
-
-class LevelCheckpointManager(CheckpointManager):
-    """A plain checkpoint store scoped to one pyramid level (see :func:`_level_scope`)."""
-
-    def __init__(self, directory, level: int, *, keep: int = 3) -> None:
-        super().__init__(directory, keep=keep)
-        self.level = int(level)
-        scope = _level_scope(self, self.level)
-        self.prefix, self.meta = scope.prefix, scope.meta
 
 
 @dataclass(frozen=True)

@@ -88,10 +88,10 @@ def mp_context() -> multiprocessing.context.BaseContext:
     """The multiprocessing context worker processes are spawned from.
 
     ``fork`` when the platform offers it: children inherit the parent's
-    built system matrices and compiled kernels copy-on-write, so per-job
-    startup is a process clone, not a fresh interpreter.  Elsewhere the
-    platform default (``spawn``) is used — job specs and results already
-    travel by pickle/file, so only startup latency differs.
+    built system matrices copy-on-write, so per-job startup is a process
+    clone, not a fresh interpreter.  Elsewhere the platform default
+    (``spawn``) is used — job specs and results already travel by
+    pickle/file, so only startup latency differs.
     """
     try:
         return multiprocessing.get_context("fork")

@@ -1,9 +1,9 @@
 """Kernel-layer tests: cross-kernel bit-equality, selection, float32 storage.
 
-The kernel layer's contract is strong — ``vectorized`` and ``numba`` must
-reproduce the ``python`` oracle's iterates *bit-for-bit* (same visit order,
-same zero-skip decisions, same IEEE-754 operation sequence) — so these
-tests assert exact ``np.array_equal``, never ``allclose``.
+The kernel layer's contract is strong — ``vectorized`` must reproduce the
+``python`` oracle's iterates *bit-for-bit* (same visit order, same zero-skip
+decisions, same IEEE-754 operation sequence) — so these tests assert exact
+``np.array_equal``, never ``allclose``.
 """
 
 from __future__ import annotations
@@ -20,65 +20,36 @@ from repro.core import (
     QuadraticPrior,
     SliceUpdater,
     SuperVoxelGrid,
+    default_prior,
     gpu_icd_reconstruct,
     icd_reconstruct,
     psv_icd_reconstruct,
     rmse_hu,
     shared_neighborhood,
 )
-from repro.core.kernels import (
-    HAVE_NUMBA,
-    KERNELS,
-    numba_supports_prior,
-    resolve_kernel,
-)
+from repro.core.kernels import KERNELS, resolve_kernel
 from repro.ct import SystemMatrix, simulate_scan
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
-#: Kernels to test against the oracle; numba rides along when importable.
-FAST_KERNELS = ["vectorized"] + (["numba"] if HAVE_NUMBA else [])
 
 
 class TestResolveKernel:
-    def test_auto_without_numba(self):
-        prior = QGGMRFPrior(sigma=1.0)
-        expected = "numba" if HAVE_NUMBA else "vectorized"
-        assert resolve_kernel("auto", prior) == expected
-        assert resolve_kernel(None, prior) == expected
-
-    def test_auto_generic_prior_falls_back(self):
-        class Custom(QGGMRFPrior):
-            pass
-
-        prior = Custom(sigma=1.0)
-        assert not numba_supports_prior(prior)
-        assert resolve_kernel("auto", prior) == "vectorized"
+    def test_auto_resolves_to_vectorized(self):
+        assert resolve_kernel("auto") == "vectorized"
+        assert resolve_kernel(None) == "vectorized"
 
     def test_explicit_names_pass_through(self):
-        prior = QuadraticPrior(sigma=1.0)
-        assert resolve_kernel("python", prior) == "python"
-        assert resolve_kernel("vectorized", prior) == "vectorized"
+        assert resolve_kernel("python") == "python"
+        assert resolve_kernel("vectorized") == "vectorized"
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("cuda", QuadraticPrior(sigma=1.0))
+            resolve_kernel("cuda")
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="exercises the numba-absent error")
-    def test_numba_missing_raises(self):
-        with pytest.raises(RuntimeError, match="repro\\[fast\\]"):
-            resolve_kernel("numba", QGGMRFPrior(sigma=1.0))
-
-    @needs_numba
-    def test_numba_generic_prior_rejected(self):
-        class Custom(QGGMRFPrior):
-            pass
-
-        with pytest.raises(ValueError, match="vectorized"):
-            resolve_kernel("numba", Custom(sigma=1.0))
+    def test_removed_kernel_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel"):
+            resolve_kernel("numba")
 
     def test_kernel_names(self):
-        assert KERNELS == ("python", "vectorized", "numba")
+        assert KERNELS == ("python", "vectorized")
 
 
 class TestSharedNeighborhood:
@@ -93,48 +64,58 @@ class TestSharedNeighborhood:
         np.testing.assert_array_equal(shared.weights, fresh.weights)
 
 
+class _SubclassedQGGMRF(QGGMRFPrior):
+    """Exact-type prior dispatch sends a subclass down the generic path."""
+
+
+#: (kernel, prior) pairs checked against the oracle: the default q-GGMRF
+#: prior (``None``) and one prior for each other branch of the inline
+#: surrogate solves.
+EQUIVALENCE_CASES = [
+    pytest.param("vectorized", None, id="vectorized"),
+    pytest.param("vectorized", QuadraticPrior(sigma=1.0), id="vectorized-quadratic"),
+    pytest.param(
+        "vectorized", _SubclassedQGGMRF(sigma=default_prior().sigma), id="vectorized-generic"
+    ),
+]
+
+
 # ----------------------------------------------------------------------
-# Driver-level bit-equality: every kernel, every driver, both stale modes.
+# Driver-level bit-equality: every driver, both stale modes, every prior branch.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
+@pytest.mark.parametrize("kernel, prior", EQUIVALENCE_CASES)
 class TestKernelEquivalence:
-    def test_sequential_icd(self, scan32, system32, kernel):
-        ref = icd_reconstruct(
-            scan32, system32, max_equits=2, seed=0, track_cost=False, kernel="python"
-        )
-        res = icd_reconstruct(
-            scan32, system32, max_equits=2, seed=0, track_cost=False, kernel=kernel
-        )
+    def test_sequential_icd(self, scan32, system32, kernel, prior):
+        kwargs = dict(max_equits=2, seed=0, track_cost=False, prior=prior)
+        ref = icd_reconstruct(scan32, system32, kernel="python", **kwargs)
+        res = icd_reconstruct(scan32, system32, kernel=kernel, **kwargs)
         assert np.array_equal(res.image, ref.image)
         assert np.array_equal(res.error_sinogram, ref.error_sinogram)
         assert [r.updates for r in res.history.records] == [
             r.updates for r in ref.history.records
         ]
 
-    def test_sequential_icd_zero_init(self, scan32, system32, kernel):
+    def test_sequential_icd_zero_init(self, scan32, system32, kernel, prior):
         """Zero init exercises the zero-skip path hard (mostly-skipped sweeps)."""
-        ref = icd_reconstruct(
-            scan32, system32, max_equits=2, seed=3, init="zero",
-            track_cost=False, kernel="python",
-        )
-        res = icd_reconstruct(
-            scan32, system32, max_equits=2, seed=3, init="zero",
-            track_cost=False, kernel=kernel,
-        )
+        kwargs = dict(max_equits=2, seed=3, init="zero", track_cost=False, prior=prior)
+        ref = icd_reconstruct(scan32, system32, kernel="python", **kwargs)
+        res = icd_reconstruct(scan32, system32, kernel=kernel, **kwargs)
         assert np.array_equal(res.image, ref.image)
         assert np.array_equal(res.error_sinogram, ref.error_sinogram)
 
-    def test_psv_icd(self, scan32, system32, kernel):
-        kwargs = dict(max_equits=2, seed=0, track_cost=False, sv_side=8, n_cores=4)
+    def test_psv_icd(self, scan32, system32, kernel, prior):
+        kwargs = dict(
+            max_equits=2, seed=0, track_cost=False, sv_side=8, n_cores=4, prior=prior
+        )
         ref = psv_icd_reconstruct(scan32, system32, kernel="python", **kwargs)
         res = psv_icd_reconstruct(scan32, system32, kernel=kernel, **kwargs)
         assert np.array_equal(res.image, ref.image)
         assert np.array_equal(res.error_sinogram, ref.error_sinogram)
 
-    def test_gpu_icd_stale_waves(self, scan32, system32, kernel):
+    def test_gpu_icd_stale_waves(self, scan32, system32, kernel, prior):
         """stale_width > 1 runs the bulk-synchronous wave variant."""
         params = GPUICDParams(sv_side=8, threadblocks_per_sv=4, batch_size=4)
-        kwargs = dict(max_equits=2, seed=0, track_cost=False, params=params)
+        kwargs = dict(max_equits=2, seed=0, track_cost=False, params=params, prior=prior)
         ref = gpu_icd_reconstruct(scan32, system32, kernel="python", **kwargs)
         res = gpu_icd_reconstruct(scan32, system32, kernel=kernel, **kwargs)
         assert np.array_equal(res.image, ref.image)
@@ -152,20 +133,17 @@ class TestKernelEquivalence:
 )
 @settings(max_examples=6, deadline=None)
 def test_kernels_identical_on_random_scans(system16, phantom16, seed, dose, init):
-    """All kernels produce identical images + error sinograms after 2 equits."""
+    """Both kernels produce identical images + error sinograms after 2 equits."""
     scan = simulate_scan(phantom16, system16, dose=dose, seed=seed)
-    results = {
-        kernel: icd_reconstruct(
+    ref, res = (
+        icd_reconstruct(
             scan, system16, max_equits=2, seed=seed, init=init,
             track_cost=False, kernel=kernel,
         )
-        for kernel in ["python", *FAST_KERNELS]
-    }
-    ref = results["python"]
-    for kernel in FAST_KERNELS:
-        res = results[kernel]
-        assert np.array_equal(res.image, ref.image), kernel
-        assert np.array_equal(res.error_sinogram, ref.error_sinogram), kernel
+        for kernel in ("python", "vectorized")
+    )
+    assert np.array_equal(res.image, ref.image)
+    assert np.array_equal(res.error_sinogram, ref.error_sinogram)
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from repro import (
     shepp_logan,
     simulate_scan,
 )
-from repro.core.kernels import HAVE_NUMBA
+from repro.core.kernels import KERNELS
 from repro.resilience import (
     Checkpoint,
     CheckpointError,
@@ -41,8 +41,6 @@ from repro.resilience import (
     capture_rng_state,
     restore_rng_state,
 )
-
-KERNELS = ["python", "vectorized"] + (["numba"] if HAVE_NUMBA else [])
 
 
 @pytest.fixture(scope="module")

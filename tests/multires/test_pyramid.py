@@ -15,7 +15,7 @@ import pytest
 from repro.core.icd import icd_reconstruct
 from repro.ct import build_system_matrix, scaled_geometry, shepp_logan, simulate_scan
 from repro.multires.pyramid import (
-    LevelCheckpointManager,
+    _level_scope,
     multires_reconstruct,
     parse_levels,
 )
@@ -157,8 +157,8 @@ class TestLevelCheckpoints:
                 x=np.zeros(4), e=np.zeros(4), rng_state={}, history=RunHistory(),
             )
 
-        m0 = LevelCheckpointManager(tmp_path, 0, keep=2)
-        m1 = LevelCheckpointManager(tmp_path, 1, keep=2)
+        m0 = _level_scope(CheckpointManager(tmp_path, keep=2), 0)
+        m1 = _level_scope(CheckpointManager(tmp_path, keep=2), 1)
         for it in (1, 2, 3):
             m0.save(ckpt(it))
         m1.save(ckpt(1))

@@ -291,3 +291,72 @@ class TestConcurrentWriters:
         np.testing.assert_array_equal(loaded, image)
         assert meta == {"k": 1}
         assert [f.name for f in tmp_path.iterdir()] == ["entry.npz"]
+
+
+class TestConcurrentReaders:
+    """numpy parses each npz entry's header with ``ast.literal_eval``.
+
+    On CPython 3.11 two threads doing that at once can raise ``SystemError``
+    ("AST constructor recursion depth mismatch"), which the readers mapped
+    to :class:`CorruptFileError`: a healthy job's result could load as
+    corrupt when a gateway thread read a scan at the same moment.
+    """
+
+    def test_header_parses_never_overlap(self, tmp_path, monkeypatch):
+        import ast
+        import threading
+        import time
+
+        real_literal_eval = ast.literal_eval
+        inside = threading.Lock()
+
+        def literal_eval(source):
+            # Stands in for the interpreter fault: fails whenever another
+            # parse is still running.
+            if not inside.acquire(blocking=False):
+                raise SystemError("AST constructor recursion depth mismatch")
+            try:
+                time.sleep(0.001)
+                return real_literal_eval(source)
+            finally:
+                inside.release()
+
+        path = tmp_path / "recon.npz"
+        save_reconstruction(path, np.full((8, 8), 3.0), None, metadata={"k": 1})
+        monkeypatch.setattr(ast, "literal_eval", literal_eval)
+        errors = []
+        start = threading.Barrier(4)
+
+        def reader():
+            start.wait()
+            for _ in range(10):
+                try:
+                    load_reconstruction(path)
+                except Exception as exc:  # noqa: BLE001 - recorded for the assert
+                    errors.append(f"{type(exc).__name__}: {exc}")
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_forked_child_reads_while_parent_thread_holds_the_lock(self, tmp_path):
+        import multiprocessing
+
+        from repro import io as repro_io
+
+        path = tmp_path / "recon.npz"
+        save_reconstruction(path, np.zeros((4, 4)), None)
+        child = multiprocessing.get_context("fork").Process(
+            target=load_reconstruction, args=(path,)
+        )
+        with repro_io._read_lock:  # as if a gateway thread were mid-read
+            child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
