@@ -8,19 +8,23 @@ Contenders, slowest first:
 * ``python``     — ``kernel="python"``: the same per-voxel updater calls
   with the footprint-index views hoisted once per run (the equivalence
   oracle);
-* ``vectorized`` — the pure-NumPy fused kernel.
+* ``vectorized`` — the pure-NumPy fused kernel;
+* ``c``          — the compiled kernel (one C call per sweep or SV visit;
+  skipped when the host cannot build it).
 
 All contenders are run interleaved (machine noise on shared runners swings
 single timings by tens of percent; best-of-N of interleaved trials is
 stable) and each must reproduce the oracle's image and error sinogram
 **bit-for-bit** before its timing counts.
 
-The assertion reflects what pure NumPy can honestly deliver under the
-bit-exactness contract: the strict-sequential cumsum reductions and scalar
-surrogate solves it shares with the oracle put a floor on per-voxel cost,
-so the vectorized kernel lands around 2-3x the hoisted oracle rather than
-the 10x+ a compiled kernel reaches.  We hard-assert >= 1.8x over the oracle
-as the regression guard.
+The assertions reflect what each kernel can honestly deliver under the
+bit-exactness contract.  The strict-sequential cumsum reductions and scalar
+surrogate solves pure NumPy shares with the oracle put a floor on its
+per-voxel cost: the vectorized kernel lands around 2-3x the hoisted oracle,
+and we hard-assert >= 1.8x.  The compiled kernel runs the same operations
+without the interpreter: at 64² on a 2-vCPU host (BENCH_3.json) it measured
+20x the oracle and 8.9x ``vectorized`` on the sweep, and 15x and 9.1x in
+SV waves; we hard-assert >= 3x ``vectorized`` in both modes.
 
 Emit mode: set ``REPRO_BENCH_JSON=path.json`` to additionally write the
 measured numbers as a machine-readable report (CI uploads it as the
@@ -39,7 +43,7 @@ import numpy as np
 from conftest import report
 
 from repro.core import SuperVoxelGrid, default_prior, initial_image
-from repro.core.kernels import run_sv_visit, run_sweep
+from repro.core.kernels import load_c_kernel, run_sv_visit, run_sweep
 from repro.core.prior import shared_neighborhood
 from repro.core.voxel_update import SliceUpdater
 from repro.utils import resolve_rng
@@ -50,6 +54,9 @@ TRIALS = 5
 #: measurements are 2.1-2.5x; the floor sits below the noise band so the
 #: assert trips on real regressions, not on a busy machine.
 VEC_MIN_SPEEDUP = 1.8
+#: Hard floor for the compiled kernel vs the vectorized one, sweep and
+#: waves alike; well under the measured ratios (BENCH_3.json).
+C_MIN_SPEEDUP = 3.0
 
 
 def _baseline_sweep(updater, order, x, e, zero_skip):
@@ -78,8 +85,8 @@ def _time_sweep(contender, kctx, updater, order, x0, e0):
     return updates / dt, x, e
 
 
-def _time_sv_wave(contender, kctx, grid, x0, e0, stale_width):
-    """One timed pass over all SVs (GPU-style waves); returns updates/sec."""
+def _sv_wave_pass(contender, kctx, grid, x0, e0, stale_width):
+    """One timed pass over all SVs (GPU-style waves); returns (updates/sec, x, e)."""
     x = x0.copy()
     e = e0.copy()
     total = 0
@@ -95,7 +102,7 @@ def _time_sv_wave(contender, kctx, grid, x0, e0, stale_width):
         valid = sv.gather_idx >= 0
         e[sv.gather_idx[valid]] = svb[valid]
     dt = time.perf_counter() - t0
-    return total / dt
+    return total / dt, x, e
 
 
 def _emit_json(path, n_pixels, sv_side, stale_width, best, wave_best):
@@ -136,7 +143,8 @@ def bench_kernels(ctx):
     e0 = updater.initial_error(x0)
     order = resolve_rng(0).permutation(n * n)
 
-    contenders = ["baseline", "python", "vectorized"]
+    compiled = ["c"] if load_c_kernel() is None else []
+    contenders = ["baseline", "python", "vectorized", *compiled]
 
     # Warmup: builds the fast pack, and pins down the oracle outputs every
     # contender must reproduce exactly.
@@ -159,11 +167,17 @@ def bench_kernels(ctx):
     for sv in grid.svs:  # warm per-SV pads outside the timed region
         prep = kctx.sv_prep(sv)
         prep.build_pads(kctx)
-    wave_contenders = ["python", "vectorized"]
+    wave_contenders = ["python", "vectorized", *compiled]
+    # Every wave contender must reproduce the oracle's pass bit-for-bit.
+    x_wref, e_wref = _sv_wave_pass("python", kctx, grid, x0, e0, stale)[1:]
+    for c in wave_contenders:
+        _, x_c, e_c = _sv_wave_pass(c, kctx, grid, x0, e0, stale)
+        assert np.array_equal(x_c, x_wref), f"{c}: SV-wave image not bit-equal to oracle"
+        assert np.array_equal(e_c, e_wref), f"{c}: SV-wave error sinogram not bit-equal"
     wave_best = {c: 0.0 for c in wave_contenders}
     for _ in range(TRIALS):
         for c in wave_contenders:
-            ups = _time_sv_wave(c, kctx, grid, x0, e0, stale)
+            ups = _sv_wave_pass(c, kctx, grid, x0, e0, stale)[0]
             wave_best[c] = max(wave_best[c], ups)
 
     oracle = best["python"]
@@ -189,6 +203,13 @@ def bench_kernels(ctx):
         f"vectorized kernel regressed: {best['vectorized']:.0f} vs "
         f"{oracle:.0f} updates/s ({best['vectorized'] / oracle:.2f}x < {VEC_MIN_SPEEDUP}x)"
     )
+    for mode, rates in (("sweep", best), ("SV waves", wave_best)):
+        if compiled:
+            assert rates["c"] >= C_MIN_SPEEDUP * rates["vectorized"], (
+                f"c kernel regressed ({mode}): {rates['c']:.0f} vs "
+                f"{rates['vectorized']:.0f} updates/s "
+                f"({rates['c'] / rates['vectorized']:.2f}x < {C_MIN_SPEEDUP}x)"
+            )
     return best
 
 

@@ -164,7 +164,8 @@ def gpu_icd_reconstruct(
     (each threadblock has one voxel in flight at a time); inter-SV
     concurrency equals the batch, whose SVBs all snapshot the error sinogram
     at batch start.  ``kernel`` selects the inner-loop implementation
-    (``"auto"``/``"python"``/``"vectorized"``); both kernels produce
+    (``"auto"``/``"python"``/``"vectorized"``/``"c"``, resolved as in
+    :func:`repro.core.icd.icd_reconstruct`); all kernels produce
     bit-identical iterates.  ``neighborhood`` optionally passes a
     prebuilt table (defaults to the process-wide shared instance).
 
@@ -196,8 +197,8 @@ def gpu_icd_reconstruct(
     geometry = system.geometry
     if neighborhood is None:
         neighborhood = shared_neighborhood(geometry.n_pixels)
-    kernel = resolve_kernel(kernel)
     updater = SliceUpdater(system, scan, prior, neighborhood, positivity=positivity)
+    kernel = resolve_kernel(kernel, updater)
     rng = resolve_rng(seed)
 
     if grid is None:

@@ -308,9 +308,10 @@ def icd_reconstruct(
         Evaluate the MAP cost each outer iteration (costs one forward
         projection; disable in benchmarks).
     kernel:
-        Inner-loop implementation: ``"auto"`` (default, resolves to
-        ``"vectorized"``), ``"python"`` or ``"vectorized"``.  Both kernels
-        produce bit-identical iterates (see :mod:`repro.core.kernels`).
+        Inner-loop implementation: ``"auto"`` (default: ``"c"`` when the
+        compiled kernel builds and supports the prior and matrix, else
+        ``"vectorized"``), ``"python"``, ``"vectorized"`` or ``"c"``.  All
+        kernels produce bit-identical iterates (see :mod:`repro.core.kernels`).
     neighborhood:
         Optionally a prebuilt :class:`Neighborhood`; defaults to the
         process-wide shared instance for this image size.
@@ -341,8 +342,8 @@ def icd_reconstruct(
     geometry = system.geometry
     if neighborhood is None:
         neighborhood = shared_neighborhood(geometry.n_pixels)
-    kernel = resolve_kernel(kernel)
     updater = SliceUpdater(system, scan, prior, neighborhood, positivity=positivity)
+    kernel = resolve_kernel(kernel, updater)
     ctx = updater.context()  # hoisted per-voxel footprint views + kernel state
     rng = resolve_rng(seed)
     n_voxels = geometry.n_voxels

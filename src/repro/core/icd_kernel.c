@@ -1,0 +1,194 @@
+/*
+ * The ``c`` kernel: Alg. 1's per-voxel chain (footprint gather, theta1 dot,
+ * surrogate solve, delta scatter) for the full-image ICD sweep and for one
+ * SuperVoxel visit.  repro/core/kernels.py compiles this file on first use
+ * and calls it through ctypes; it validates every array it passes here.
+ *
+ * The arithmetic is the ``python`` oracle's, operation for operation (the
+ * bit-exactness contract in kernels.py): every sum runs strictly left to
+ * right from its first term, the q-GGMRF ratio calls libm ``pow`` one
+ * scalar at a time, and float32 matrix values widen to double before each
+ * product.  Built with -ffp-contract=off so no multiply-add is fused.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+#define KIND_QUADRATIC 0
+#define KIND_QGGMRF 1
+
+/* Mirrors kernels.py's _CContext field for field. */
+struct repro_ctx {
+    int64_t n_voxels;
+    const int32_t *indptr;  /* CSC column offsets, n_voxels + 1 */
+    const int32_t *indices; /* CSC row indices into the error sinogram */
+    const float *wa;        /* fused w * A products, CSC order */
+    const float *a;         /* A values, CSC order */
+    const int64_t *nb_idx;  /* (n_voxels, 8) neighbours, padded with the voxel itself */
+    const double *nb_w;     /* (n_voxels, 8) neighbour weights, 0.0 in padded slots */
+    const double *theta2;   /* per-voxel sum w * A^2 */
+    int32_t kind;           /* KIND_QUADRATIC or KIND_QGGMRF */
+    int32_t positivity;
+    double tsig, c0, hq, p; /* QGGMRFPrior.surrogate_coeffs() */
+    double qc;              /* QuadraticPrior's constant influence ratio */
+};
+
+/* Zero-skipping test (section 2.1): the voxel and all its neighbours are zero. */
+static int skip_voxel(const struct repro_ctx *c, const double *x, int64_t j)
+{
+    const int64_t *nb = c->nb_idx + 8 * j;
+    if (x[j] != 0.0)
+        return 0;
+    for (int k = 0; k < 8; k++)
+        if (x[nb[k]] != 0.0)
+            return 0;
+    return 1;
+}
+
+/* theta1 = -sum wa * buf over voxel j's footprint, whose buffer positions
+ * are idx32[0..ln) or idx64[0..ln) (whichever is not NULL). */
+static double theta1(const struct repro_ctx *c, int64_t j, const int32_t *idx32,
+                     const int64_t *idx64, int64_t ln, const double *buf)
+{
+    const float *wa = c->wa + c->indptr[j];
+    double acc;
+    if (ln == 0)
+        return 0.0;
+    acc = (double)wa[0] * buf[idx32 ? idx32[0] : idx64[0]];
+    for (int64_t k = 1; k < ln; k++)
+        acc += (double)wa[k] * buf[idx32 ? idx32[k] : idx64[k]];
+    return -acc;
+}
+
+/* buf -= A_j * delta over voxel j's footprint (same addressing as theta1). */
+static void scatter(const struct repro_ctx *c, int64_t j, const int32_t *idx32,
+                    const int64_t *idx64, int64_t ln, double *buf, double delta)
+{
+    const float *a = c->a + c->indptr[j];
+    for (int64_t k = 0; k < ln; k++) {
+        int64_t i = idx32 ? idx32[k] : idx64[k];
+        buf[i] = buf[i] - (double)a[k] * delta;
+    }
+}
+
+/* The surrogate solve over the padded width-8 neighbourhood. */
+static double solve(const struct repro_ctx *c, int64_t j, double v, double th1,
+                    const double *x)
+{
+    const int64_t *nb = c->nb_idx + 8 * j;
+    const double *w = c->nb_w + 8 * j;
+    double s1 = 0.0, s2 = 0.0, denom, u;
+    for (int k = 0; k < 8; k++) {
+        double xk = x[nb[k]];
+        double btl;
+        if (c->kind == KIND_QGGMRF) {
+            double r = fabs(v - xk) / c->tsig;
+            double rq = pow(r, c->p);
+            double t = 1.0 + rq;
+            btl = w[k] * ((1.0 + c->hq * rq) / (c->c0 * (t * t)));
+        } else {
+            btl = w[k] * c->qc;
+        }
+        s1 += btl;
+        s2 += btl * (xk - v);
+    }
+    denom = c->theta2[j] + 2.0 * s1;
+    if (denom <= 0.0)
+        return v;
+    u = v + (-th1 + 2.0 * s2) / denom;
+    if (c->positivity && u < 0.0)
+        u = 0.0;
+    return u;
+}
+
+/* Visit the voxels order[0..n) against the global error sinogram e.
+ * Returns the number of updates (zero-skipped voxels excluded), or -1 if
+ * an order entry is out of range, in which case nothing was touched. */
+int64_t repro_sweep(const struct repro_ctx *c, const int64_t *order, int64_t n,
+                    double *x, double *e, int32_t zero_skip)
+{
+    int64_t updates = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (order[i] < 0 || order[i] >= c->n_voxels)
+            return -1;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t j = order[i];
+        const int32_t *fp = c->indices + c->indptr[j];
+        int64_t ln = c->indptr[j + 1] - c->indptr[j];
+        double v, u, delta;
+        if (zero_skip && skip_voxel(c, x, j))
+            continue;
+        v = x[j];
+        u = solve(c, j, v, theta1(c, j, fp, NULL, ln, e), x);
+        updates++;
+        delta = u - v;
+        if (delta != 0.0) {
+            x[j] = u;
+            scatter(c, j, fp, NULL, ln, e, delta);
+        }
+    }
+    return updates;
+}
+
+/* Visit a SuperVoxel's members order[0..n) against its flat SVB in
+ * bulk-synchronous waves of `width`: every member of a wave proposes from
+ * the pre-wave x and SVB, then the proposals apply in wave order.  Member m
+ * is voxel voxels[m], whose footprint sits at svb_idx[offsets[m]..offsets[m+1]).
+ * Returns the number of updates and stores the skipped count and the sum of
+ * |delta| (in apply order); -1 if width < 1 or an order entry is out of
+ * range (nothing touched), -2 if scratch memory ran out. */
+int64_t repro_sv_visit(const struct repro_ctx *c, const int64_t *voxels,
+                       const int64_t *offsets, const int64_t *svb_idx, int64_t n_members,
+                       const int64_t *order, int64_t n, double *x, double *svb,
+                       int32_t zero_skip, int64_t width, int64_t *skipped,
+                       double *total_abs_delta)
+{
+    int64_t updates = 0, skips = 0, cap;
+    double tad = 0.0;
+    double *prop;
+    int64_t *kept;
+    if (width < 1)
+        return -1;
+    for (int64_t i = 0; i < n; i++)
+        if (order[i] < 0 || order[i] >= n_members)
+            return -1;
+    cap = width < n ? width : (n > 0 ? n : 1);
+    prop = malloc(cap * sizeof *prop);
+    kept = malloc(cap * sizeof *kept);
+    if (prop == NULL || kept == NULL) {
+        free(prop);
+        free(kept);
+        return -2;
+    }
+    for (int64_t start = 0; start < n; start += width) {
+        int64_t stop = n - start < width ? n : start + width;
+        int64_t n_kept = 0;
+        for (int64_t i = start; i < stop; i++) {
+            int64_t m = order[i], j = voxels[m];
+            const int64_t *fp = svb_idx + offsets[m];
+            int64_t ln = offsets[m + 1] - offsets[m];
+            if (zero_skip && skip_voxel(c, x, j)) {
+                skips++;
+                continue;
+            }
+            prop[n_kept] = solve(c, j, x[j], theta1(c, j, NULL, fp, ln, svb), x);
+            kept[n_kept++] = m;
+        }
+        for (int64_t i = 0; i < n_kept; i++) {
+            int64_t m = kept[i], j = voxels[m];
+            double delta = prop[i] - x[j];
+            tad += fabs(delta);
+            updates++;
+            if (delta != 0.0) {
+                x[j] = prop[i];
+                scatter(c, j, NULL, svb_idx + offsets[m], offsets[m + 1] - offsets[m], svb,
+                        delta);
+            }
+        }
+    }
+    free(prop);
+    free(kept);
+    *skipped = skips;
+    *total_abs_delta = tad;
+    return updates;
+}

@@ -6,24 +6,38 @@ products, solve the 1-D surrogate against the 8-neighborhood, scatter the
 delta back.  Executed as one Python-level
 :class:`~repro.core.voxel_update.SliceUpdater` call per voxel, interpreter
 dispatch dwarfs the arithmetic — exactly the fine-grained footprint work the
-paper's §4 data-layout transformation exists to make fast.  Two kernels
+paper's §4 data-layout transformation exists to make fast.  Three kernels
 are selectable everywhere a driver accepts ``kernel=``:
 
 ``python``
     The original per-voxel :class:`SliceUpdater` path.  Slowest, simplest,
-    and the **equivalence oracle**: the other kernel must reproduce its
+    and the **equivalence oracle**: the other kernels must reproduce its
     iterates bit-for-bit.
 ``vectorized``
     Pure NumPy, dependency-light.  Footprint index/weight views are hoisted
     once per run, neighborhoods are padded to fixed width 8, theta1 gathers
     are batched per bulk-synchronous wave, and the surrogate solve runs as
-    straight-line scalar arithmetic.
+    straight-line scalar arithmetic.  Runs every prior and storage dtype.
+``c``
+    The whole sweep or SuperVoxel visit in one C call (``icd_kernel.c``,
+    called through :mod:`ctypes` on the context's own arrays).  Runs the
+    q-GGMRF and quadratic priors (exact type) over float32 storage with
+    int32 indices.  The source is compiled on first use, at most once per
+    process, by ``$CC`` or else the compiler Python was built with, with
+    the fixed flags ``-O2 -ffp-contract=off -fPIC -shared -lm`` into a
+    private temporary directory that is deleted once the library is
+    loaded; a forked child inherits the loaded library.
+
+``kernel="auto"`` resolves to ``c`` when the library loads and supports
+the updater, and to ``vectorized`` otherwise (no compiler, a failed
+build, a generic prior, float64 storage).  Since every kernel computes the
+same bits, the choice never changes iterates, RNG draws or checkpoints.
 
 Bit-exactness contract
 ----------------------
 Cross-kernel bit-equality is only possible if every kernel performs the
 same IEEE-754 operations in the same order.  Empirically (and baked into
-this design, so that a compiled scalar kernel can join the contract):
+this design, so that the compiled scalar kernel joins the contract):
 
 * ``np.cumsum`` is the only NumPy reduction that matches a scalar
   accumulation loop bit-for-bit; ``np.sum``, ``@``/BLAS dots and
@@ -44,12 +58,23 @@ this design, so that a compiled scalar kernel can join the contract):
   value, appending ``±0.0`` terms after the real ones.
 * Scalar-array products against float32 data are forced to float64 loops
   (NEP 50 would otherwise compute ``float32 * python_float`` in float32).
+* The C source is compiled with ``-ffp-contract=off`` (no fused
+  multiply-adds) and never with ``-ffast-math``/``-Ofast``; ``CFLAGS`` is
+  not read, because the flags are part of this contract.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -60,13 +85,14 @@ from repro.observability import NULL_RECORDER
 __all__ = [
     "KERNELS",
     "KernelContext",
+    "load_c_kernel",
     "resolve_kernel",
     "run_sweep",
     "run_sv_visit",
 ]
 
 #: Selectable kernel names, in oracle-first order.
-KERNELS = ("python", "vectorized")
+KERNELS = ("python", "vectorized", "c")
 
 # Prior dispatch codes of the inline surrogate solves.
 _GENERIC = -1
@@ -83,16 +109,202 @@ def _prior_kind(prior: Prior) -> int:
     return _GENERIC
 
 
-def resolve_kernel(kernel: str | None) -> str:
-    """Resolve a ``kernel=`` argument to a concrete kernel name.
+def resolve_kernel(kernel: str | None, updater) -> str:
+    """Resolve a ``kernel=`` argument to a concrete kernel name for ``updater``.
 
-    ``"auto"`` (or ``None``) resolves to ``vectorized``, the faster kernel.
+    ``"auto"`` (or ``None``) resolves to ``c`` when the compiled kernel
+    loads and supports ``updater``'s prior and storage, else to
+    ``vectorized``.  An explicit ``"c"`` that cannot run raises
+    ``RuntimeError`` naming the cause.
     """
     if kernel is None or kernel == "auto":
-        return "vectorized"
+        return "c" if _c_unsupported(updater) is None else "vectorized"
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; use one of {KERNELS} or 'auto'")
+    if kernel == "c":
+        reason = _c_unsupported(updater)
+        if reason is not None:
+            raise RuntimeError(f"kernel 'c' cannot run: {reason}")
     return kernel
+
+
+# ----------------------------------------------------------------------
+# The compiled kernel: build, load, and the context struct it reads
+# ----------------------------------------------------------------------
+_C_SOURCE = Path(__file__).with_name("icd_kernel.c")
+#: Fixed build flags (part of the bit-exactness contract; never CFLAGS).
+_C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+#: A compiler that has not finished by then is treated as missing.
+_C_BUILD_TIMEOUT_S = 120.0
+
+
+class _CContext(ctypes.Structure):
+    """``struct repro_ctx`` of ``icd_kernel.c``, field for field."""
+
+    _fields_ = [
+        ("n_voxels", ctypes.c_int64),
+        ("indptr", ctypes.c_void_p),
+        ("indices", ctypes.c_void_p),
+        ("wa", ctypes.c_void_p),
+        ("a", ctypes.c_void_p),
+        ("nb_idx", ctypes.c_void_p),
+        ("nb_w", ctypes.c_void_p),
+        ("theta2", ctypes.c_void_p),
+        ("kind", ctypes.c_int32),
+        ("positivity", ctypes.c_int32),
+        ("tsig", ctypes.c_double),
+        ("c0", ctypes.c_double),
+        ("hq", ctypes.c_double),
+        ("p", ctypes.c_double),
+        ("qc", ctypes.c_double),
+    ]
+
+
+def _build_c_library() -> ctypes.CDLL:
+    """Compile ``icd_kernel.c`` into a private temp dir, load it, delete the dir.
+
+    The compiler is the one setuptools' ``build_ext`` would use: ``$CC`` if
+    set, else ``sysconfig``'s ``CC``.  Raises ``OSError`` (or
+    ``subprocess.SubprocessError``) naming what failed.
+    """
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC")
+    if not cc:
+        raise OSError("no C compiler configured ($CC and sysconfig CC are empty)")
+    try:
+        cc_argv = shlex.split(cc)
+    except ValueError as exc:
+        raise OSError(f"cannot parse the compiler command {cc!r}: {exc}") from None
+    tmp = tempfile.mkdtemp(prefix="repro-icd-kernel-")
+    try:
+        out = os.path.join(tmp, "icd_kernel.so")
+        cmd = [*cc_argv, *_C_FLAGS, "-o", out, str(_C_SOURCE), "-lm"]
+        proc = subprocess.run(
+            cmd, capture_output=True, text=True, timeout=_C_BUILD_TIMEOUT_S, check=False
+        )
+        if proc.returncode != 0:
+            detail = (proc.stderr or proc.stdout).strip()[-500:]
+            raise OSError(f"{shlex.join(cmd)} exited with {proc.returncode}: {detail}")
+        lib = ctypes.CDLL(out)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    ctx_p = ctypes.POINTER(_CContext)
+    ptr, i32, i64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
+    lib.repro_sweep.argtypes = [ctx_p, ptr, i64, ptr, ptr, i32]
+    lib.repro_sweep.restype = i64
+    lib.repro_sv_visit.argtypes = [
+        ctx_p, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr, i32, i64,
+        ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double),
+    ]
+    lib.repro_sv_visit.restype = i64
+    return lib
+
+
+class _CLibrary:
+    """The process's compiled kernel: built at most once, on first use."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.lib: ctypes.CDLL | None = None
+        #: why the build or load failed, once it has
+        self.error: str | None = None
+
+    def load(self) -> str | None:
+        """Build and load on the first call; return why that failed, or None."""
+        if self.lib is None and self.error is None:
+            with self.lock:
+                if self.lib is None and self.error is None:
+                    try:
+                        self.lib = _build_c_library()
+                    except (OSError, subprocess.SubprocessError) as exc:
+                        self.error = f"{type(exc).__name__}: {exc}"
+        return self.error
+
+
+_C_LIBRARY = _CLibrary()
+
+
+def _fresh_c_lock() -> None:
+    """Give a forked child an unlocked build lock (the library itself is inherited)."""
+    _C_LIBRARY.lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_c_lock)
+
+
+def load_c_kernel() -> str | None:
+    """Build and load the ``c`` kernel now; return why it is unavailable, or None.
+
+    A server calls this before forking workers, so they inherit the
+    loaded library instead of each compiling it.
+    """
+    return _C_LIBRARY.load()
+
+
+def _c_unsupported(updater) -> str | None:
+    """Why the ``c`` kernel cannot run ``updater``'s solve, or None."""
+    if _prior_kind(updater.prior) == _GENERIC:
+        return f"prior {type(updater.prior).__name__} is neither QGGMRFPrior nor QuadraticPrior"
+    matrix = updater.system.matrix
+    if (
+        updater.wa.dtype != np.float32
+        or matrix.indices.dtype != np.int32
+        or matrix.indptr.dtype != np.int32
+    ):
+        return "the system matrix is not float32 with int32 indices"
+    return _C_LIBRARY.load()
+
+
+def _require(arr, dtype, size: int, name: str, *, writeable: bool = False) -> np.ndarray:
+    """Check an array the C kernel will read (or write) through a raw pointer."""
+    if not (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == dtype
+        and arr.flags.c_contiguous
+        and arr.size == size
+        and (arr.flags.writeable or not writeable)
+    ):
+        raise TypeError(
+            f"c kernel: {name} must be a C-contiguous{' writeable' if writeable else ''} "
+            f"{np.dtype(dtype).name} array of {size} elements, got "
+            f"{getattr(arr, 'dtype', type(arr).__name__)} of "
+            f"{getattr(arr, 'size', '?')} elements"
+        )
+    return arr
+
+
+def _c_context(ctx: "KernelContext") -> _CContext:
+    """Validate the context's arrays once and point a ``_CContext`` at them."""
+    reason = _c_unsupported(ctx.updater)
+    if reason is not None:
+        raise RuntimeError(f"kernel 'c' cannot run: {reason}")
+    n = ctx.theta2.size
+    nnz = ctx.indices.size
+    indptr = _require(ctx.indptr, np.int32, n + 1, "indptr")
+    indices = _require(ctx.indices, np.int32, nnz, "indices")
+    nb_idx = _require(ctx.nb_idx, np.int64, 8 * n, "nb_idx")
+    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+        raise ValueError("c kernel: indptr is not a valid CSC column index")
+    if nnz and (indices.min() < 0 or indices.max() >= ctx.n_rows):
+        raise ValueError("c kernel: a CSC row index is out of range")
+    if nb_idx.min() < 0 or nb_idx.max() >= n:
+        raise ValueError("c kernel: a neighbour index is out of range")
+    c = _CContext(
+        n_voxels=n,
+        indptr=indptr.ctypes.data,
+        indices=indices.ctypes.data,
+        wa=_require(ctx.wa, np.float32, nnz, "wa").ctypes.data,
+        a=_require(ctx.a_data, np.float32, nnz, "a_data").ctypes.data,
+        nb_idx=nb_idx.ctypes.data,
+        nb_w=_require(ctx.nb_w, np.float64, 8 * n, "nb_w").ctypes.data,
+        theta2=_require(ctx.theta2, np.float64, n, "theta2").ctypes.data,
+        kind=ctx.prior_kind,
+        positivity=int(ctx.positivity),
+    )
+    if ctx.prior_kind == _QGGMRF:
+        c.tsig, c.c0, c.hq, c.p = ctx.qg_coeffs
+    else:
+        c.qc = ctx.quad_c
+    return c
 
 
 class _FastPack:
@@ -173,7 +385,7 @@ class _SVPrep:
     exact), but the batched multiply then runs a pure float64 loop.
     """
 
-    __slots__ = ("sv", "fp_views", "fp_lens", "idx_pad", "wa_pad")
+    __slots__ = ("sv", "fp_views", "fp_lens", "idx_pad", "wa_pad", "_c_args")
 
     def __init__(self, sv) -> None:
         self.sv = sv
@@ -182,6 +394,34 @@ class _SVPrep:
         self.fp_lens = np.diff(sv.member_offsets).tolist()
         self.idx_pad = None
         self.wa_pad = None
+        self._c_args = None
+
+    def c_args(self, ctx: "KernelContext") -> tuple:
+        """The ``c`` kernel's per-SV arguments, validated on first use.
+
+        ``(voxels, offsets, svb_indices)`` addresses, the member count and
+        the SVB size.  The arrays stay alive as attributes of ``sv``.
+        """
+        if self._c_args is None:
+            sv = self.sv
+            n_members = sv.n_voxels
+            voxels = _require(sv.voxels, np.int64, n_members, "sv.voxels")
+            offsets = _require(sv.member_offsets, np.int64, n_members + 1, "sv.member_offsets")
+            svb_idx = _require(sv.svb_indices, np.int64, int(offsets[-1]), "sv.svb_indices")
+            if n_members and (voxels.min() < 0 or voxels.max() >= ctx.theta2.size):
+                raise ValueError(f"c kernel: SV {sv.index} has a voxel out of range")
+            # Each member's footprint must be exactly its CSC column, so the
+            # kernel's wa/A reads stay inside that column.
+            col_lens = np.diff(ctx.indptr)[voxels]
+            if offsets[0] != 0 or not np.array_equal(np.diff(offsets), col_lens):
+                raise ValueError(f"c kernel: SV {sv.index} footprints do not match its columns")
+            if svb_idx.size and (svb_idx.min() < 0 or svb_idx.max() >= sv.svb_cells):
+                raise ValueError(f"c kernel: SV {sv.index} has an SVB index out of range")
+            self._c_args = (
+                voxels.ctypes.data, offsets.ctypes.data, svb_idx.ctypes.data,
+                n_members, sv.svb_cells,
+            )
+        return self._c_args
 
     def build_pads(self, ctx: "KernelContext") -> None:
         """Build the padded theta1 tables (idempotent, thread-safe)."""
@@ -213,8 +453,8 @@ class KernelContext:
     Everything data-independent is materialised once: the width-8 padded
     neighborhood tables and the prior's canonical scalar constants up
     front; what only some kernels read (per-voxel footprint views for the
-    ``python`` kernel, Python-list mirrors, the vectorized kernel's layout)
-    on first use.  A context is bound to one updater (hence one system
+    ``python`` kernel, Python-list mirrors, the vectorized kernel's layout,
+    the ``c`` kernel's struct) on first use.  A context is bound to one updater (hence one system
     matrix / scan / prior) and caches per-SV preparation keyed by SV index,
     so it must not be shared across different :class:`SuperVoxelGrid`
     instances — drivers build one updater per run, which gives each run a
@@ -229,6 +469,8 @@ class KernelContext:
         self.wa = updater.wa
         self.a_data = updater.a_data
         self.theta2 = updater.theta2
+        #: error-sinogram length (the CSC row count)
+        self.n_rows = matrix.shape[0]
 
         nb = updater.neighborhood
         n_voxels = nb.indices.shape[0]
@@ -244,6 +486,7 @@ class KernelContext:
         self._col_sizes = None
         self._fp_views = None
         self._fast = None
+        self._c_struct = None
         #: guards every lazy build below — one context may be shared by
         #: concurrent threads (re-entrant: the _FastPack build reads
         #: col_sizes and the list mirrors).
@@ -314,6 +557,15 @@ class KernelContext:
                 if self._fast is None:
                     self._fast = _FastPack(self)
         return self._fast
+
+    @property
+    def c_struct(self) -> _CContext:
+        """The ``c`` kernel's struct over this context's arrays (lazy; validated once)."""
+        if self._c_struct is None:
+            with self._lock:
+                if self._c_struct is None:
+                    self._c_struct = _c_context(self)
+        return self._c_struct
 
     def sv_prep(self, sv) -> _SVPrep:
         """Hoisted per-SV state, cached by SV index (one grid per context)."""
@@ -406,7 +658,24 @@ def _dispatch_sweep(ctx, order, x, e, zero_skip, kernel) -> int:
         return _sweep_python(ctx, order, x, e, zero_skip)
     if kernel == "vectorized":
         return _sweep_vectorized(ctx, order, x, e, zero_skip)
+    if kernel == "c":
+        return _sweep_c(ctx, order, x, e, zero_skip)
     raise ValueError(f"unknown kernel {kernel!r}")
+
+
+def _sweep_c(ctx, order, x, e, zero_skip):
+    """One ``repro_sweep`` call over the whole order."""
+    c = ctx.c_struct
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    _require(x, np.float64, c.n_voxels, "x", writeable=True)
+    _require(e, np.float64, ctx.n_rows, "e", writeable=True)
+    updates = _C_LIBRARY.lib.repro_sweep(
+        ctypes.byref(c), order.ctypes.data, order.size, x.ctypes.data, e.ctypes.data,
+        int(zero_skip),
+    )
+    if updates < 0:
+        raise ValueError("c kernel: the sweep order holds a voxel index out of range")
+    return updates
 
 
 def _sweep_python(ctx, order, x, e, zero_skip):
@@ -542,7 +811,30 @@ def run_sv_visit(
         if stale_width == 1:
             return _visit_vectorized_seq(ctx, sv, order, x, svb, zero_skip)
         return _visit_vectorized_wave(ctx, sv, order, x, svb, zero_skip, stale_width)
+    if kernel == "c":
+        return _visit_c(ctx, sv, order, x, svb, zero_skip, stale_width)
     raise ValueError(f"unknown kernel {kernel!r}")
+
+
+def _visit_c(ctx, sv, order, x, svb, zero_skip, stale_width):
+    """One ``repro_sv_visit`` call: every wave, proposals then applies."""
+    c = ctx.c_struct
+    voxels, offsets, svb_idx, n_members, svb_cells = ctx.sv_prep(sv).c_args(ctx)
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    _require(x, np.float64, c.n_voxels, "x", writeable=True)
+    _require(svb, np.float64, svb_cells, "svb", writeable=True)
+    skipped = ctypes.c_int64()
+    tad = ctypes.c_double()
+    updates = _C_LIBRARY.lib.repro_sv_visit(
+        ctypes.byref(c), voxels, offsets, svb_idx, n_members, order.ctypes.data, order.size,
+        x.ctypes.data, svb.ctypes.data, int(zero_skip), stale_width,
+        ctypes.byref(skipped), ctypes.byref(tad),
+    )
+    if updates == -2:
+        raise MemoryError("c kernel: no memory for the wave scratch")
+    if updates < 0:
+        raise ValueError("c kernel: bad stale_width or a member index out of range")
+    return updates, skipped.value, tad.value
 
 
 def _visit_python(ctx, sv, order, x, svb, zero_skip, stale_width):

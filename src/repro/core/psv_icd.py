@@ -129,8 +129,9 @@ def psv_icd_reconstruct(
         built for ``system``'s geometry; its ``sv_side`` and ``overlap``
         take the place of the arguments, also in the trace.
     kernel:
-        Inner-loop implementation (``"auto"``/``"python"``/``"vectorized"``);
-        both kernels produce bit-identical iterates.
+        Inner-loop implementation (``"auto"``/``"python"``/``"vectorized"``/
+        ``"c"``, resolved as in :func:`repro.core.icd.icd_reconstruct`); all
+        kernels produce bit-identical iterates.
     neighborhood:
         Optionally a prebuilt :class:`Neighborhood`; defaults to the
         process-wide shared instance for this image size.
@@ -153,8 +154,8 @@ def psv_icd_reconstruct(
     geometry = system.geometry
     if neighborhood is None:
         neighborhood = shared_neighborhood(geometry.n_pixels)
-    kernel = resolve_kernel(kernel)
     updater = SliceUpdater(system, scan, prior, neighborhood, positivity=positivity)
+    kernel = resolve_kernel(kernel, updater)
     rng = resolve_rng(seed)
 
     if grid is None:

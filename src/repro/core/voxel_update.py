@@ -23,8 +23,8 @@ Canonical arithmetic
 --------------------
 Since the kernel layer (:mod:`repro.core.kernels`) was introduced, the
 update math follows a *canonical arithmetic contract* so that the
-interpreted path here and the vectorized NumPy kernel produce
-**bit-identical** iterates, and a compiled scalar kernel can too:
+interpreted path here, the vectorized NumPy kernel and the compiled C
+kernel produce **bit-identical** iterates:
 
 * every reduction (the theta1 dot product, the two neighbor sums) is a
   strict left-to-right sequential sum.  NumPy realises this with
@@ -277,8 +277,8 @@ class SliceUpdater:
 
         Returns a :class:`repro.core.kernels.KernelContext` holding the flat
         hoisted buffers (per-voxel footprint views, padded neighborhood
-        tables, prior constants, scratch) that the ``vectorized`` kernel
-        executes over.  Imported lazily to keep this module free of the
+        tables, prior constants, scratch) that the ``vectorized`` and ``c``
+        kernels execute over.  Imported lazily to keep this module free of the
         kernel machinery.
 
         Thread-safe: threads sharing one updater may race to the first

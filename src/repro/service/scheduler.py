@@ -39,6 +39,7 @@ import time
 from pathlib import Path
 from typing import Callable
 
+from repro.core.kernels import load_c_kernel
 from repro.observability import MetricsRecorder, as_recorder
 from repro.service.cache import ResultCache
 from repro.service.jobs import (
@@ -397,10 +398,12 @@ class Scheduler:
         ``job_deadline_s`` is SIGKILLed too, but never respawned: a new
         life would start past the deadline.
         """
-        # Build the (process-wide, read-only) system matrix in the parent
-        # first: forked children inherit it copy-on-write instead of each
-        # rebuilding it from scratch.
+        # Build the (process-wide, read-only) system matrix and the compiled
+        # kernel in the parent first: forked children inherit both instead
+        # of each rebuilding the matrix and compiling the kernel.  A host
+        # that cannot build the kernel runs ``vectorized`` in every child.
         system_for(job.spec.scan.geometry)
+        load_c_kernel()
         ctx = mp_context()
         restarts = 0
         deadline = (

@@ -1,12 +1,20 @@
 """Kernel-layer tests: cross-kernel bit-equality, selection, float32 storage.
 
-The kernel layer's contract is strong — ``vectorized`` must reproduce the
-``python`` oracle's iterates *bit-for-bit* (same visit order, same zero-skip
-decisions, same IEEE-754 operation sequence) — so these tests assert exact
-``np.array_equal``, never ``allclose``.
+The kernel layer's contract is strong — ``vectorized`` and ``c`` must
+reproduce the ``python`` oracle's iterates *bit-for-bit* (same visit order,
+same zero-skip decisions, same IEEE-754 operation sequence) — so these
+tests assert exact ``np.array_equal``, never ``allclose``.  Cases that need
+the compiled kernel skip when it does not build on the host; the fallback
+itself is tested in a subprocess with no compiler.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,29 +35,110 @@ from repro.core import (
     rmse_hu,
     shared_neighborhood,
 )
-from repro.core.kernels import KERNELS, resolve_kernel
+from repro.core.kernels import KERNELS, load_c_kernel, resolve_kernel, run_sv_visit, run_sweep
 from repro.ct import SystemMatrix, simulate_scan
+
+#: Whether the compiled kernel builds and loads on this host.
+C_LOADS = load_c_kernel() is None
+NEEDS_C = pytest.mark.skipif(not C_LOADS, reason="the c kernel does not build on this host")
+#: Every kernel that runs here, oracle first.
+RUNNABLE_KERNELS = [k for k in KERNELS if k != "c" or C_LOADS]
+
+
+class _SubclassedQGGMRF(QGGMRFPrior):
+    """Exact-type prior dispatch sends a subclass down the generic path."""
+
+
+def _updater(scan, system, prior=None):
+    n = system.geometry.n_pixels
+    return SliceUpdater(system, scan, prior or default_prior(), shared_neighborhood(n))
+
+
+def _float64(system):
+    return SystemMatrix(system.geometry, system.matrix.astype(np.float64))
 
 
 class TestResolveKernel:
-    def test_auto_resolves_to_vectorized(self):
-        assert resolve_kernel("auto") == "vectorized"
-        assert resolve_kernel(None) == "vectorized"
+    def test_auto_resolves_to_vectorized(self, scan32, system32):
+        """A generic prior or float64 storage keeps ``auto`` on ``vectorized``."""
+        generic = _updater(scan32, system32, _SubclassedQGGMRF(sigma=1.0))
+        wide = _updater(scan32, _float64(system32))
+        for upd in (generic, wide):
+            assert resolve_kernel("auto", upd) == "vectorized"
+            assert resolve_kernel(None, upd) == "vectorized"
 
-    def test_explicit_names_pass_through(self):
-        assert resolve_kernel("python") == "python"
-        assert resolve_kernel("vectorized") == "vectorized"
+    @NEEDS_C
+    def test_auto_resolves_to_c_when_loaded(self, scan32, system32):
+        for prior in (None, QuadraticPrior(sigma=1.0)):
+            upd = _updater(scan32, system32, prior)
+            assert resolve_kernel("auto", upd) == "c"
+            assert resolve_kernel(None, upd) == "c"
 
-    def test_unknown_kernel_rejected(self):
+    def test_explicit_names_pass_through(self, scan32, system32):
+        upd = _updater(scan32, system32)
+        for kernel in RUNNABLE_KERNELS:
+            assert resolve_kernel(kernel, upd) == kernel
+
+    def test_c_rejects_what_it_cannot_run(self, scan32, system32):
+        generic = _updater(scan32, system32, _SubclassedQGGMRF(sigma=1.0))
+        with pytest.raises(RuntimeError, match="_SubclassedQGGMRF"):
+            resolve_kernel("c", generic)
+        with pytest.raises(RuntimeError, match="float32"):
+            resolve_kernel("c", _updater(scan32, _float64(system32)))
+        with pytest.raises(RuntimeError, match="cannot run"):
+            icd_reconstruct(scan32, _float64(system32), max_equits=1, kernel="c")
+
+    def test_unknown_kernel_rejected(self, scan32, system32):
         with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("cuda")
+            resolve_kernel("cuda", _updater(scan32, system32))
 
-    def test_removed_kernel_name_rejected(self):
+    def test_removed_kernel_name_rejected(self, scan32, system32):
         with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("numba")
+            resolve_kernel("numba", _updater(scan32, system32))
 
     def test_kernel_names(self):
-        assert KERNELS == ("python", "vectorized")
+        assert KERNELS == ("python", "vectorized", "c")
+
+
+#: Run with no compiler: ``auto`` must fall back and still match the oracle.
+_NO_COMPILER_SCRIPT = textwrap.dedent(
+    """
+    import numpy as np
+    from repro import build_system_matrix, scaled_geometry, shepp_logan, simulate_scan
+    from repro.core import SliceUpdater, default_prior, icd_reconstruct, shared_neighborhood
+    from repro.core.kernels import load_c_kernel, resolve_kernel
+
+    system = build_system_matrix(scaled_geometry(16))
+    scan = simulate_scan(shepp_logan(16), system, dose=1e5, seed=7)
+    updater = SliceUpdater(system, scan, default_prior(), shared_neighborhood(16))
+    assert resolve_kernel("auto", updater) == "vectorized"
+    assert "exited with" in load_c_kernel()
+    try:
+        resolve_kernel("c", updater)
+    except RuntimeError as exc:
+        assert "exited with" in str(exc), exc
+    else:
+        raise AssertionError("kernel='c' resolved without a compiler")
+    kwargs = dict(max_equits=2, seed=0, track_cost=False)
+    ref = icd_reconstruct(scan, system, kernel="python", **kwargs)
+    res = icd_reconstruct(scan, system, **kwargs)
+    assert np.array_equal(res.image, ref.image)
+    assert np.array_equal(res.error_sinogram, ref.error_sinogram)
+    print("ok")
+    """
+)
+
+
+def test_auto_falls_back_without_a_compiler():
+    """``CC=false`` fails the build: ``auto`` runs ``vectorized``, bit-equal to the oracle."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, CC="false", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_COMPILER_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 class TestSharedNeighborhood:
@@ -64,19 +153,17 @@ class TestSharedNeighborhood:
         np.testing.assert_array_equal(shared.weights, fresh.weights)
 
 
-class _SubclassedQGGMRF(QGGMRFPrior):
-    """Exact-type prior dispatch sends a subclass down the generic path."""
-
-
 #: (kernel, prior) pairs checked against the oracle: the default q-GGMRF
 #: prior (``None``) and one prior for each other branch of the inline
-#: surrogate solves.
+#: surrogate solves (the ``c`` kernel runs no generic prior).
 EQUIVALENCE_CASES = [
     pytest.param("vectorized", None, id="vectorized"),
     pytest.param("vectorized", QuadraticPrior(sigma=1.0), id="vectorized-quadratic"),
     pytest.param(
         "vectorized", _SubclassedQGGMRF(sigma=default_prior().sigma), id="vectorized-generic"
     ),
+    pytest.param("c", None, id="c", marks=NEEDS_C),
+    pytest.param("c", QuadraticPrior(sigma=1.0), id="c-quadratic", marks=NEEDS_C),
 ]
 
 
@@ -133,17 +220,18 @@ class TestKernelEquivalence:
 )
 @settings(max_examples=6, deadline=None)
 def test_kernels_identical_on_random_scans(system16, phantom16, seed, dose, init):
-    """Both kernels produce identical images + error sinograms after 2 equits."""
+    """Every kernel produces the oracle's images + error sinograms after 2 equits."""
     scan = simulate_scan(phantom16, system16, dose=dose, seed=seed)
-    ref, res = (
+    ref, *others = (
         icd_reconstruct(
             scan, system16, max_equits=2, seed=seed, init=init,
             track_cost=False, kernel=kernel,
         )
-        for kernel in ("python", "vectorized")
+        for kernel in RUNNABLE_KERNELS
     )
-    assert np.array_equal(res.image, ref.image)
-    assert np.array_equal(res.error_sinogram, ref.error_sinogram)
+    for res in others:
+        assert np.array_equal(res.image, ref.image)
+        assert np.array_equal(res.error_sinogram, ref.error_sinogram)
 
 
 # ----------------------------------------------------------------------
@@ -176,6 +264,48 @@ class TestFloat32Storage:
         assert abs(r32 - r64) < 0.1
         # And the two images themselves agree to well under 0.1 HU RMSE.
         assert rmse_hu(res32.image, res64.image) < 0.1
+
+
+# ----------------------------------------------------------------------
+# The C kernel's argument checks: bad input raises before any write.
+# ----------------------------------------------------------------------
+@NEEDS_C
+class TestCKernelGuards:
+    def _state(self, scan32, system32):
+        updater = _updater(scan32, system32)
+        x = np.full(32 * 32, 0.01)
+        return updater.context(), x, updater.initial_error(x)
+
+    def test_sweep_rejects_out_of_range_order(self, scan32, system32):
+        ctx, x, e = self._state(scan32, system32)
+        x0, e0 = x.copy(), e.copy()
+        for bad in (32 * 32, -1):
+            order = np.array([0, 1, bad])
+            with pytest.raises(ValueError, match="out of range"):
+                run_sweep(ctx, order, x, e, zero_skip=False, kernel="c")
+        assert np.array_equal(x, x0) and np.array_equal(e, e0)
+
+    def test_sweep_rejects_wrong_buffers(self, scan32, system32):
+        ctx, x, e = self._state(scan32, system32)
+        order = np.arange(4)
+        with pytest.raises(TypeError, match="x must be"):
+            run_sweep(ctx, order, x.astype(np.float32), e, zero_skip=False, kernel="c")
+        with pytest.raises(TypeError, match="e must be"):
+            run_sweep(ctx, order, x, e[:-1], zero_skip=False, kernel="c")
+        with pytest.raises(TypeError, match="x must be"):
+            run_sweep(ctx, order, x[::-1], e, zero_skip=False, kernel="c")
+
+    def test_sv_visit_rejects_bad_order_and_svb(self, scan32, system32):
+        ctx, x, e = self._state(scan32, system32)
+        sv = SuperVoxelGrid(system32, 8).svs[0]
+        svb = sv.extract(e)
+        svb0 = svb.copy()
+        kwargs = dict(zero_skip=False, stale_width=2, kernel="c")
+        with pytest.raises(ValueError, match="out of range"):
+            run_sv_visit(ctx, sv, np.array([0, sv.n_voxels]), x, svb, **kwargs)
+        assert np.array_equal(svb, svb0)
+        with pytest.raises(TypeError, match="svb must be"):
+            run_sv_visit(ctx, sv, np.arange(2), x, svb[:-1], **kwargs)
 
 
 # ----------------------------------------------------------------------

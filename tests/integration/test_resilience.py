@@ -32,7 +32,7 @@ from repro import (
     shepp_logan,
     simulate_scan,
 )
-from repro.core.kernels import KERNELS
+from repro.core.kernels import KERNELS, load_c_kernel
 from repro.resilience import (
     Checkpoint,
     CheckpointError,
@@ -223,7 +223,20 @@ class TestCheckpointContainer:
 # ----------------------------------------------------------------------
 class TestResumeBitIdentity:
     @pytest.mark.parametrize("driver", ["icd", "psv_icd", "gpu_icd"])
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            pytest.param(
+                k,
+                marks=pytest.mark.skipif(
+                    load_c_kernel() is not None, reason="the c kernel does not build on this host"
+                ),
+            )
+            if k == "c"
+            else k
+            for k in KERNELS
+        ],
+    )
     def test_driver_kernel_matrix(self, driver, kernel, scan16m, system16m, tmp_path):
         """Resume from a mid-run checkpoint == uninterrupted run, bit for bit."""
         ref = run_driver(driver, scan16m, system16m, kernel=kernel)

@@ -36,7 +36,7 @@ from repro.core.convergence import RunHistory
 from repro.ct import scaled_geometry, shepp_logan, simulate_scan
 from repro.io import save_reconstruction, save_scan
 from repro.observability import MetricsRecorder
-from repro.resilience import FaultInjector
+from repro.resilience import FaultInjector, ResilienceHooks
 from repro.service import (
     JobFailedError,
     JobSpec,
@@ -292,7 +292,7 @@ class TestDegradingCheckpointManager:
 # Service-level disk-fault degradation (the ENOSPC acceptance drill)
 # ----------------------------------------------------------------------
 class TestServiceCheckpointDegradation:
-    def test_enospc_mid_job_degrades_then_recovers(self, tmp_path, scan16):
+    def test_enospc_mid_job_degrades_then_recovers(self, tmp_path, scan16, monkeypatch):
         """ENOSPC on the checkpoint dir mid-job: the job still completes
         (bit-identically), the degradation is observable, and checkpointing
         resumes once the fault clears."""
@@ -301,19 +301,21 @@ class TestServiceCheckpointDegradation:
         ckpt_dir = ckpt_root / job_id / "checkpoints"
         arm_disk_fault(ckpt_dir)
 
-        # Checkpoint saves run after the iteration span closes, so the
-        # iteration-1 event precedes the iteration-1 save: disarming from
-        # iteration 2 guarantees the first save degrades and a later one
-        # recovers.
-        def on_progress(event):
-            if event.kind == "iteration" and event.iteration >= 2:
-                disarm_disk_fault(ckpt_dir)
+        # The fault clears inside the worker (which inherits this patch by
+        # fork) just before the iteration-2 checkpoint save, so the
+        # iteration-1 save degrades and the iteration-2 save recovers.  A
+        # disarm relayed back through ``on_progress`` races the worker: a
+        # compiled-kernel job can finish all three iterations before it lands.
+        after_iteration = ResilienceHooks.after_iteration
 
+        def disarm_from_iteration_2(self, *, iteration, **kwargs):
+            if iteration >= 2:
+                disarm_disk_fault(ckpt_dir)
+            return after_iteration(self, iteration=iteration, **kwargs)
+
+        monkeypatch.setattr(ResilienceHooks, "after_iteration", disarm_from_iteration_2)
         with ReconstructionService(n_workers=1, checkpoint_root=ckpt_root) as svc:
-            svc.submit(
-                icd_spec(scan16, equits=3.0, job_id=job_id),
-                on_progress=on_progress,
-            )
+            svc.submit(icd_spec(scan16, equits=3.0, job_id=job_id))
             result = svc.result(job_id, timeout=120)
             job = svc.job(job_id)
             counters = dict(svc.rec.counters)
