@@ -35,12 +35,12 @@ N_WORKERS = 2
 #: (SOAK_EQUITS at SOAK_PIXELS) is deliberately heavy relative to
 #: SOAK_TTL_S: the terminal tail lingering inside one TTL window must stay
 #: well under the in-flight population, so a peak past 2x concurrency means
-#: a leak, not fast jobs outpacing the reaper.  That needs jobs several
-#: TTLs long: with the ``vectorized`` kernel a 3-equit job runs 0.26-0.56 s
-#: at 64^2 (2 vCPUs, idle to busy) but 0.05-0.12 s at 32^2, where healthy
-#: runs peaked at the bound.  The ``c`` kernel solves that 64^2 job in
-#: about 0.05 s; ten soaks in a row then peaked at 6-7, under the bound
-#: but with a thinner margin than the 6 the vectorized kernel gave.
+#: a leak, not fast jobs outpacing the reaper.  Jobs several TTLs long
+#: kept healthy peaks at 6 (2 vCPUs); 0.05-0.12 s jobs peaked at the bound.
+#: The ``c`` kernel solves this 64^2 job in about 0.05 s, and ten soaks in
+#: a row then peaked at 6-7, under the bound but with a thinner margin.  A
+#: host without a compiler runs the ``python`` oracle, whose longer jobs
+#: only widen it.
 SOAK_PIXELS = 64
 SOAK_JOBS = int(os.environ.get("REPRO_SOAK_JOBS", "24"))
 SOAK_CONCURRENCY = 4

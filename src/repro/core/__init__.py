@@ -18,7 +18,6 @@ from repro.core.icd import (
 )
 from repro.core.kernels import (
     KERNELS,
-    KernelContext,
     resolve_kernel,
     run_sv_visit,
     run_sweep,
@@ -42,7 +41,6 @@ from repro.core.voxel_update import (
 
 __all__ = [
     "KERNELS",
-    "KernelContext",
     "resolve_kernel",
     "run_sweep",
     "run_sv_visit",

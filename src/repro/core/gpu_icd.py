@@ -164,8 +164,8 @@ def gpu_icd_reconstruct(
     (each threadblock has one voxel in flight at a time); inter-SV
     concurrency equals the batch, whose SVBs all snapshot the error sinogram
     at batch start.  ``kernel`` selects the inner-loop implementation
-    (``"auto"``/``"python"``/``"vectorized"``/``"c"``, resolved as in
-    :func:`repro.core.icd.icd_reconstruct`); all kernels produce
+    (``"auto"``/``"python"``/``"c"``, resolved as in
+    :func:`repro.core.icd.icd_reconstruct`); both kernels produce
     bit-identical iterates.  ``neighborhood`` optionally passes a
     prebuilt table (defaults to the process-wide shared instance).
 

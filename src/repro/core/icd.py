@@ -309,9 +309,9 @@ def icd_reconstruct(
         projection; disable in benchmarks).
     kernel:
         Inner-loop implementation: ``"auto"`` (default: ``"c"`` when the
-        compiled kernel builds and supports the prior and matrix, else
-        ``"vectorized"``), ``"python"``, ``"vectorized"`` or ``"c"``.  All
-        kernels produce bit-identical iterates (see :mod:`repro.core.kernels`).
+        compiled kernel builds and supports the prior and matrix, else the
+        ``"python"`` oracle), ``"python"`` or ``"c"``.  Both kernels
+        produce bit-identical iterates (see :mod:`repro.core.kernels`).
     neighborhood:
         Optionally a prebuilt :class:`Neighborhood`; defaults to the
         process-wide shared instance for this image size.
@@ -344,7 +344,6 @@ def icd_reconstruct(
         neighborhood = shared_neighborhood(geometry.n_pixels)
     updater = SliceUpdater(system, scan, prior, neighborhood, positivity=positivity)
     kernel = resolve_kernel(kernel, updater)
-    ctx = updater.context()  # hoisted per-voxel footprint views + kernel state
     rng = resolve_rng(seed)
     n_voxels = geometry.n_voxels
     if max_iterations is not None and max_iterations < 1:
@@ -371,7 +370,7 @@ def icd_reconstruct(
         # whole neighborhood is zero can never change and is skipped.
         with rec.span("sweep"):
             updates = run_sweep(
-                ctx, order, x, e, zero_skip=zero_skip and iteration > 1, kernel=kernel,
+                updater, order, x, e, zero_skip=zero_skip and iteration > 1, kernel=kernel,
                 metrics=rec,
             )
         return updates, 0

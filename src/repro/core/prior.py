@@ -54,16 +54,16 @@ class Prior:
     def influence_ratio_scalar(self, delta: float) -> float:
         """Scalar influence ratio with *canonical* (libm) arithmetic.
 
-        The kernel layer (:mod:`repro.core.kernels`) requires that every
-        kernel — interpreted, vectorized NumPy and compiled C — produce
+        The kernel layer (:mod:`repro.core.kernels`) requires that both
+        kernels — the interpreted oracle and compiled C — produce
         bit-identical iterates.  NumPy's vectorized transcendentals are not
         bit-identical to the scalar libm calls the C kernel emits, so the canonical
         definition of the update math evaluates the influence ratio one
         scalar at a time.  Subclasses whose ratio involves transcendentals
         must override this with an explicit ``math``-module formula (see
         :class:`QGGMRFPrior`); the default falls back to the array
-        implementation, which both NumPy kernels call for custom priors
-        (the C kernel runs only the q-GGMRF and quadratic priors).
+        implementation, which the oracle calls for custom priors (the C
+        kernel runs only the q-GGMRF and quadratic priors).
         """
         return float(self.influence_ratio(np.float64(delta)))
 

@@ -129,9 +129,9 @@ def psv_icd_reconstruct(
         built for ``system``'s geometry; its ``sv_side`` and ``overlap``
         take the place of the arguments, also in the trace.
     kernel:
-        Inner-loop implementation (``"auto"``/``"python"``/``"vectorized"``/
-        ``"c"``, resolved as in :func:`repro.core.icd.icd_reconstruct`); all
-        kernels produce bit-identical iterates.
+        Inner-loop implementation (``"auto"``/``"python"``/``"c"``, resolved
+        as in :func:`repro.core.icd.icd_reconstruct`); both kernels produce
+        bit-identical iterates.
     neighborhood:
         Optionally a prebuilt :class:`Neighborhood`; defaults to the
         process-wide shared instance for this image size.

@@ -18,7 +18,7 @@ provides the single engine both use, parameterised by ``stale_width``:
   makes that effect measurable.
 
 :func:`process_supervoxel` updates one SV; its member loop is
-:func:`repro.core.kernels.run_sv_visit`, which dispatches every kernel.
+:func:`repro.core.kernels.run_sv_visit`, which dispatches both kernels.
 :func:`run_sv_batch` runs one concurrent batch — a PSV-ICD wave or a
 GPU-ICD kernel launch: extract every SVB from the same error sinogram,
 update each SV, merge every delta back.
@@ -80,7 +80,7 @@ def process_supervoxel(
     rng = resolve_rng(rng)
     order = rng.permutation(sv.n_voxels)
     updates, skipped, total_abs_delta = run_sv_visit(
-        updater.context(),
+        updater,
         sv,
         order,
         x_flat,

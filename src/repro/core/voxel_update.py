@@ -18,13 +18,15 @@ Two data-independent quantities are hoisted out of the iteration loop by
 The same updater serves the sequential driver (footprint indices into the
 global error sinogram) and the SuperVoxel drivers (footprint indices into a
 private SVB): the caller passes whichever index array matches the buffer.
+It is also what both kernels of :mod:`repro.core.kernels` run over: its
+per-voxel methods are the ``python`` oracle, and its arrays, the width-8
+neighbour tables included, are what the ``c`` kernel reads.
 
 Canonical arithmetic
 --------------------
-Since the kernel layer (:mod:`repro.core.kernels`) was introduced, the
-update math follows a *canonical arithmetic contract* so that the
-interpreted path here, the vectorized NumPy kernel and the compiled C
-kernel produce **bit-identical** iterates:
+The update math follows a *canonical arithmetic contract* so that the
+interpreted path here and the compiled C kernel produce **bit-identical**
+iterates:
 
 * every reduction (the theta1 dot product, the two neighbor sums) is a
   strict left-to-right sequential sum.  NumPy realises this with
@@ -46,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.kernels import build_c_struct, build_c_sv_args
 from repro.core.prior import Neighborhood, Prior
 from repro.ct.sinogram import ScanData
 from repro.ct.system_matrix import SystemMatrix
@@ -109,8 +112,8 @@ def solve_surrogate_scalar(
 
     ``neighbor_values`` / ``neighbor_weights`` are sequences of floats;
     entries with weight 0 are exact no-ops on both sums, which is what lets
-    the vectorized kernel pad every voxel's neighborhood to a fixed width 8
-    and still match this function bit-for-bit.
+    the ``c`` kernel pad every voxel's neighborhood to a fixed width 8 and
+    still match this function bit-for-bit.
     """
     s1 = 0.0
     s2 = 0.0
@@ -131,7 +134,7 @@ def solve_surrogate_scalar(
 
 @dataclass
 class SliceUpdater:
-    """Precomputed per-slice state shared by all ICD drivers.
+    """Precomputed per-slice state shared by all ICD drivers and both kernels.
 
     Parameters
     ----------
@@ -153,18 +156,20 @@ class SliceUpdater:
 
     def __post_init__(self) -> None:
         A = self.system.matrix
-        w_flat = self.scan.weights.ravel()
-        a64 = A.data.astype(np.float64)
-        w_at_rows = w_flat[A.indices]
-        wa64 = w_at_rows * a64
         # Hot-path storage dtype follows the system matrix: a float32 A
         # (the builder's default) gives float32 wa/a_data, halving the
         # per-update gather traffic.  Accumulation always upcasts entry-wise
         # to float64, and theta2 is computed from the full-precision
         # products *before* the storage rounding.
         store_dtype = A.data.dtype if A.data.dtype == np.float32 else np.float64
+        # The build's one matrix-sized float64 temporary: the weight at each
+        # stored entry's row (widened before the gather, so float32 weights
+        # upcast exactly), times A in place, then times A again for theta2.
+        products = np.asarray(self.scan.weights.ravel(), dtype=np.float64)[A.indices]
+        products *= A.data
         #: fused w*A products, aligned with the CSC storage of ``A``.
-        self.wa = wa64.astype(store_dtype)
+        self.wa = products.astype(store_dtype)
+        products *= A.data
         #: per-voxel theta2 = sum w * A^2 (constant across the run).
         if A.nnz == 0:
             self.theta2 = np.zeros(A.shape[1], dtype=np.float64)
@@ -172,11 +177,26 @@ class SliceUpdater:
             # reduceat with an empty segment repeats the next value (and an
             # out-of-bounds start raises); clamp starts and mask empties to 0.
             starts = np.minimum(A.indptr[:-1], A.nnz - 1)
-            self.theta2 = np.add.reduceat(wa64 * a64, starts) * (np.diff(A.indptr) > 0)
+            self.theta2 = np.add.reduceat(products, starts) * (np.diff(A.indptr) > 0)
         self.indptr = A.indptr
-        self.a_data = A.data if store_dtype == np.float32 else a64
-        self._context = None  # lazily built kernel-layer view (kernels.py)
-        self._context_lock = threading.Lock()  # wave workers share one updater
+        self.a_data = A.data if A.data.dtype == store_dtype else A.data.astype(store_dtype)
+
+        nb = self.neighborhood
+        valid = nb.indices >= 0
+        own = np.arange(nb.indices.shape[0], dtype=np.int64)[:, None]
+        #: width-8 neighbour indices, invalid slots pointing at the voxel itself.
+        self.nb_idx = np.where(valid, nb.indices, own)
+        #: width-8 neighbour weights, 0.0 in invalid slots (exact no-ops).
+        self.nb_w = np.where(valid, nb.weights[None, :], 0.0)
+
+        # What only one kernel reads is built on its first use, under one
+        # lock with double-checked reads, so the built path is one attribute
+        # read: the python kernel's footprint views, the c kernel's struct
+        # and its per-SV arguments.
+        self._lock = threading.Lock()
+        self._fp_views = None
+        self._c_struct = None
+        self._c_sv_args: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     def column_slice(self, voxel: int) -> slice:
@@ -272,27 +292,42 @@ class SliceUpdater:
         u = self.propose_update(voxel, x_flat, buffer, footprint_idx)
         return self.apply_update(voxel, u, x_flat, buffer, footprint_idx)
 
-    def context(self):
-        """The kernel-layer view of this updater (cached).
+    @property
+    def fp_views(self) -> list:
+        """Per-voxel views of the CSC row indices (the ``python`` kernel's footprints)."""
+        if self._fp_views is None:
+            with self._lock:
+                if self._fp_views is None:
+                    self._fp_views = np.split(self.system.matrix.indices, self.indptr[1:-1])
+        return self._fp_views
 
-        Returns a :class:`repro.core.kernels.KernelContext` holding the flat
-        hoisted buffers (per-voxel footprint views, padded neighborhood
-        tables, prior constants, scratch) that the ``vectorized`` and ``c``
-        kernels execute over.  Imported lazily to keep this module free of the
-        kernel machinery.
+    @property
+    def c_struct(self):
+        """The ``c`` kernel's struct over this updater's arrays (validated once).
 
-        Thread-safe: threads sharing one updater may race to the first
-        call, and an unguarded lazy build would hand one of them a
-        half-initialised context.  Double-checked locking keeps the hot
-        (already-built) path at one attribute read.
+        Raises ``RuntimeError`` when the ``c`` kernel cannot run this solve.
         """
-        if self._context is None:
-            with self._context_lock:
-                if self._context is None:
-                    from repro.core.kernels import KernelContext
+        if self._c_struct is None:
+            with self._lock:
+                if self._c_struct is None:
+                    self._c_struct = build_c_struct(self)
+        return self._c_struct
 
-                    self._context = KernelContext(self)
-        return self._context
+    def c_sv_args(self, sv) -> tuple:
+        """The ``c`` kernel's arguments for SuperVoxel ``sv`` (validated once per SV).
+
+        Cached by SV index and kept with ``sv`` itself: the arguments are
+        addresses into ``sv``'s arrays, and a different grid's SV of the
+        same index gets its own.
+        """
+        cached = self._c_sv_args.get(sv.index)
+        if cached is None or cached[0] is not sv:
+            with self._lock:
+                cached = self._c_sv_args.get(sv.index)
+                if cached is None or cached[0] is not sv:
+                    cached = (sv, build_c_sv_args(self, sv))
+                    self._c_sv_args[sv.index] = cached
+        return cached[1]
 
     def should_skip(self, voxel: int, x_flat: np.ndarray) -> bool:
         """Zero-skipping test (§2.1): voxel and all its neighbors are zero."""

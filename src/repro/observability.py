@@ -343,7 +343,7 @@ def _prometheus_text(
 
     One metric family per kind, with the repro-side name carried in a
     label — so arbitrary dotted counter names (``service.jobs_submitted``,
-    ``kernel.vectorized.updates``) need no per-name sanitisation and the
+    ``kernel.c.updates``) need no per-name sanitisation and the
     exposition stays valid for any name the recorder ever sees.
     """
     lines: list[str] = []

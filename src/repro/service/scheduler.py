@@ -401,7 +401,8 @@ class Scheduler:
         # Build the (process-wide, read-only) system matrix and the compiled
         # kernel in the parent first: forked children inherit both instead
         # of each rebuilding the matrix and compiling the kernel.  A host
-        # that cannot build the kernel runs ``vectorized`` in every child.
+        # that cannot build the kernel runs the ``python`` oracle in every
+        # child.
         system_for(job.spec.scan.geometry)
         load_c_kernel()
         ctx = mp_context()

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import importlib
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import (
+    GPUICDParams,
     Neighborhood,
     QuadraticPrior,
     SliceUpdater,
@@ -14,7 +21,7 @@ from repro.core import (
     solve_surrogate,
 )
 from repro.core.icd import default_prior
-from repro.ct import noiseless_scan
+from repro.ct import SystemMatrix, noiseless_scan
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +148,97 @@ class TestSliceUpdater:
         sl = upd.column_slice(j)
         u = upd.propose_update(j, x, e, indices[sl])
         assert u == pytest.approx(x[j], abs=1e-8)
+
+
+def _with_dtypes(system, scan, matrix_dtype, weights_dtype):
+    system = SystemMatrix(system.geometry, system.matrix.astype(matrix_dtype))
+    return system, dataclasses.replace(scan, weights=scan.weights.astype(weights_dtype))
+
+
+def _unfused_build(system, scan):
+    """``(wa, theta2, a_data)`` by the formula that held four float64 temporaries."""
+    A = system.matrix
+    a64 = A.data.astype(np.float64)
+    w_at_rows = scan.weights.ravel()[A.indices]
+    wa64 = w_at_rows * a64
+    store_dtype = A.data.dtype if A.data.dtype == np.float32 else np.float64
+    starts = np.minimum(A.indptr[:-1], A.nnz - 1)
+    theta2 = np.add.reduceat(wa64 * a64, starts) * (np.diff(A.indptr) > 0)
+    return wa64.astype(store_dtype), theta2, A.data if store_dtype == np.float32 else a64
+
+
+class TestUpdaterBuild:
+    @pytest.mark.parametrize(
+        "matrix_dtype, weights_dtype",
+        [
+            pytest.param(np.float32, np.float64, id="float32-matrix"),
+            pytest.param(np.float64, np.float64, id="float64-matrix"),
+            pytest.param(np.float32, np.float32, id="float32-weights"),
+        ],
+    )
+    def test_matches_unfused_build(self, system32, scan32, matrix_dtype, weights_dtype):
+        """wa, theta2 and a_data equal the unfused formula in value and dtype."""
+        system, scan = _with_dtypes(system32, scan32, matrix_dtype, weights_dtype)
+        upd = SliceUpdater(system, scan, default_prior(), Neighborhood(32))
+        for got, want in zip((upd.wa, upd.theta2, upd.a_data), _unfused_build(system, scan)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("matrix_dtype", [np.float32, np.float64])
+    def test_peak_is_one_float64_temporary(self, system32, scan32, matrix_dtype):
+        """The build's traced peak is what it keeps plus 8 bytes per stored entry."""
+        system, scan = _with_dtypes(system32, scan32, matrix_dtype, np.float64)
+        neighborhood = Neighborhood(32)
+        prior = default_prior()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            upd = SliceUpdater(system, scan, prior, neighborhood)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        A = system.matrix
+        kept = sum(
+            value.nbytes
+            for value in vars(upd).values()
+            if isinstance(value, np.ndarray) and value is not A.data and value is not A.indptr
+        )
+        assert peak <= kept + 8 * A.nnz + 2**20, (peak, kept, A.nnz)
+        assert upd.a_data is A.data
+
+
+#: Small-grid arguments of each driver whose updater the lifetime test follows.
+_DRIVER_KWARGS = {
+    "icd": {},
+    "psv_icd": {"sv_side": 6},
+    "gpu_icd": {"params": GPUICDParams(sv_side=8, batch_size=4)},
+}
+
+
+@pytest.mark.parametrize("kernel", ["auto", "python"])
+@pytest.mark.parametrize("driver", sorted(_DRIVER_KWARGS))
+def test_driver_call_frees_its_updater(monkeypatch, scan16, system16, driver, kernel):
+    """No reference cycle keeps a driver call's SliceUpdater alive past its return."""
+    module = importlib.import_module(f"repro.core.{driver}")
+    built = []
+
+    def traced_updater(*args, **kwargs):
+        updater = SliceUpdater(*args, **kwargs)
+        built.append(weakref.ref(updater))
+        return updater
+
+    # Wrapped where the driver looks it up, as perfbench's tracer does.
+    monkeypatch.setattr(module, "SliceUpdater", traced_updater)
+    reconstruct = getattr(module, f"{driver}_reconstruct")
+    gc.collect()
+    gc.disable()
+    try:
+        reconstruct(
+            scan16, system16, max_equits=1, seed=0, track_cost=False, kernel=kernel,
+            **_DRIVER_KWARGS[driver],
+        )
+        alive = [ref() is not None for ref in built]
+    finally:
+        gc.enable()
+    assert alive == [False]

@@ -248,14 +248,14 @@ class TestDriverMetricsContent:
         rec = MetricsRecorder()
         res = psv_icd_reconstruct(
             scan32, system32, max_equits=1, seed=0, track_cost=False,
-            sv_side=8, n_cores=4, kernel="vectorized", metrics=rec,
+            sv_side=8, n_cores=4, kernel="python", metrics=rec,
         )
-        assert rec.counters["kernel.vectorized.sv_visits"] == len(
+        assert rec.counters["kernel.python.sv_visits"] == len(
             [s for w in res.trace.waves for s in w.sv_stats]
         )
-        assert rec.counters["kernel.vectorized.updates"] == res.trace.total_updates
-        assert rec.counters["kernel.vectorized.waves"] >= rec.counters[
-            "kernel.vectorized.sv_visits"
+        assert rec.counters["kernel.python.updates"] == res.trace.total_updates
+        assert rec.counters["kernel.python.waves"] >= rec.counters[
+            "kernel.python.sv_visits"
         ]
 
 
