@@ -144,7 +144,7 @@ def gpu_icd_reconstruct(
     golden: np.ndarray | None = None,
     stop_rmse: float | None = None,
     stop_delta_hu: float | None = None,
-    init: "str | np.ndarray" = "fbp",
+    init: str | np.ndarray = "fbp",
     zero_skip: bool = True,
     positivity: bool = True,
     seed: int | np.random.Generator | None = 0,

@@ -250,7 +250,7 @@ def icd_reconstruct(
     golden: np.ndarray | None = None,
     stop_rmse: float | None = None,
     stop_delta_hu: float | None = None,
-    init: "str | np.ndarray" = "fbp",
+    init: str | np.ndarray = "fbp",
     zero_skip: bool = True,
     voxel_subset: np.ndarray | None = None,
     positivity: bool = True,

@@ -53,6 +53,7 @@ from repro.harness.experiments import (
     run_table2,
     run_table3,
 )
+from repro.service.jobs import DRIVERS
 
 __all__ = [
     "EXIT_OK",
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     submit = sub.add_parser("submit", help="drop a job spec into a queue directory")
     submit.add_argument("queue_dir")
-    submit.add_argument("--driver", choices=["icd", "psv_icd", "gpu_icd"],
+    submit.add_argument("--driver", choices=DRIVERS,
                         required=True, help="reconstruction driver")
     submit.add_argument("--scan", required=True, metavar="PATH",
                         help="scan file (repro.io.save_scan format); relative "
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--concurrency", type=int, default=4, metavar="C",
                           help="client threads (closed) / completion watchers "
                           "(open) (default 4)")
-    loadtest.add_argument("--driver", choices=["icd", "psv_icd", "gpu_icd"],
+    loadtest.add_argument("--driver", choices=DRIVERS,
                           default="icd", help="driver for generated jobs")
     loadtest.add_argument("--scan", default="scan.npz", metavar="PATH",
                           help="server-side scan path for generated jobs "
@@ -552,6 +553,7 @@ def _run_serve(args) -> None:
 
 def _run_submit(args) -> None:
     from repro.service import write_job_spec
+    from repro.service.runner import job_params
 
     try:
         params = json.loads(args.params) if args.params else {}
@@ -559,6 +561,10 @@ def _run_submit(args) -> None:
         raise UsageError(f"--params is not valid JSON: {exc}") from exc
     if not isinstance(params, dict):
         raise UsageError("--params must be a JSON object")
+    try:
+        job_params(args.driver, params)
+    except ValueError as exc:
+        raise UsageError(f"--params: {exc}") from exc
     job_id = args.job_id or f"job-{int(time.time() * 1000):x}-{os.getpid()}"
     path = write_job_spec(
         args.queue_dir, job_id,

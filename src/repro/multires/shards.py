@@ -44,6 +44,7 @@ from repro.service.jobs import (
     JobFailedError,
     JobSpec,
 )
+from repro.service.runner import job_params
 
 __all__ = ["ShardGroup", "ShardCoordinator", "GroupFailedError", "GroupCancelledError"]
 
@@ -169,6 +170,7 @@ class ShardCoordinator:
         ``(n_slices, n, n)``; each slice is bit-identical to an unsharded
         reconstruction of that slice with the same driver/params.
         """
+        job_params(driver, params or {})
         if not scans:
             raise ValueError("submit_volume needs at least one slice scan")
         geom = scans[0].geometry
@@ -271,7 +273,7 @@ class ShardCoordinator:
         the stripe's owned+halo rows, seeded with the current stitched
         image) and stitches their owned rows; the stitched result after
         the last round is the group result.  Raises ``ValueError`` for
-        unsatisfiable plans before anything is submitted.
+        unsatisfiable plans or params before anything is registered.
         """
         n = scan.geometry.n_pixels
         stripes = plan_stripes(n, n_shards, halo)  # validates the plan
@@ -285,6 +287,7 @@ class ShardCoordinator:
                 raise ValueError(
                     f"param {reserved!r} is managed by the shard coordinator"
                 )
+        job_params("icd", params)
         gid = group_id or self._new_group_id()
         group = ShardGroup(
             group_id=gid,

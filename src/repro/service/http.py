@@ -18,7 +18,8 @@ method    path                    behaviour
 POST      ``/jobs``               submit ``{"driver", "scan", "params",
                                   "priority", "job_id"?}`` → 201 + job id;
                                   429 + ``Retry-After`` when admission control
-                                  rejects (queue full); 400 malformed;
+                                  rejects (queue full); 400 malformed or
+                                  refused params (``runner.job_params``);
                                   409 duplicate active id; 503 +
                                   ``Retry-After`` closed/closing service.
                                   An optional ``"shards"`` object turns the
@@ -32,7 +33,7 @@ POST      ``/jobs``               submit ``{"driver", "scan", "params",
                                   slice as halo-exchanged row stripes.  The
                                   201 body carries the *group* id, which the
                                   status/result/cancel routes below accept
-                                  like any job id.  Invalid shard specs → 400
+                                  like any job id.  Bad shards/params → 400
 GET       ``/jobs/<id>``          status snapshot (404 unknown, 410 evicted);
                                   group ids answer the aggregate snapshot
                                   (child count/progress/rounds + child ids)

@@ -29,10 +29,11 @@ a SIGKILL'd server rerun with the same queue directory completes every
 in-flight job bit-identically to an uninterrupted run.
 
 Bad specs never crash the serve loop.  A spec that cannot be submitted
-(unknown keys, unparseable JSON, an unreadable scan file) is *quarantined*:
-a terminal FAILED ``status.json`` naming the error is published for it and
-the loop moves on — and because FAILED is terminal, recovery skips it on
-every later restart instead of re-raising forever.  A spec rejected by
+(unknown keys, unparseable JSON, an unreadable scan file, bad params) is
+*quarantined* before any worker starts: a terminal FAILED ``status.json``
+naming the error is published for it and the loop moves on — and because
+FAILED is terminal, recovery skips it on every later restart instead of
+re-raising forever.  A spec rejected by
 admission control (the queue is full) is not an error at all: it stays
 accepted and is resubmitted on a later poll, once the backlog drains.
 Cancel sentinels are consumed once their job is terminal (renamed

@@ -8,7 +8,7 @@ A *job* is one reconstruction request flowing through the service: a
        │           ├──────▶ FAILED
        │           └──────▶ CANCELLED
        ├──────────────────▶ DONE        (duplicate served from the ResultCache)
-       ├──────────────────▶ FAILED      (spec rejected at run dispatch)
+       ├──────────────────▶ FAILED      (dispatch error before a worker starts)
        └──────────────────▶ CANCELLED   (cancelled before a worker picked it up)
 
 Every transition is validated against that machine (anything else raises the
@@ -132,8 +132,8 @@ class JobState(str, enum.Enum):
 TERMINAL_STATES = frozenset({JobState.DONE, JobState.FAILED, JobState.CANCELLED})
 
 _VALID_TRANSITIONS: dict[JobState, frozenset[JobState]] = {
-    # PENDING -> DONE is the cache-hit fast path; PENDING -> FAILED a spec
-    # rejected at dispatch; PENDING -> CANCELLED a cancel before pickup.
+    # PENDING -> DONE is the cache-hit fast path; PENDING -> FAILED a
+    # dispatch error; PENDING -> CANCELLED a cancel before pickup.
     JobState.PENDING: frozenset(
         {JobState.RUNNING, JobState.DONE, JobState.FAILED, JobState.CANCELLED}
     ),
@@ -172,10 +172,11 @@ class JobSpec:
         The measurements to reconstruct.
     params:
         Keyword arguments forwarded to the driver (``max_equits``, ``seed``,
-        ``sv_side``, ``kernel`` ...).  For ``gpu_icd``, keys naming
+        ``sv_side``, ``kernel`` ...): JSON values or numeric arrays, checked
+        at submit (:func:`repro.service.runner.job_params`).  For ``gpu_icd``
+        and ``multires`` over it, keys naming
         :class:`~repro.core.gpu_icd.GPUICDParams` fields are folded into a
-        ``params=`` object automatically.  Values must be
-        JSON-serialisable — they are part of the result-cache key.
+        ``params=`` object.  All but ``kernel`` enter the result-cache key.
     priority:
         Scheduling priority; **higher runs earlier**.  Jobs of equal
         priority run in submission (FIFO) order.

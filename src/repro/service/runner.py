@@ -1,7 +1,14 @@
-"""Job execution: dispatch a JobSpec to the right driver, resiliently.
+"""Job execution: check a JobSpec's params, then dispatch it resiliently.
 
-One function — :func:`run_job` — turns a spec into a driver call:
+One contract and one function turn a spec into a driver call:
 
+* :func:`job_params`, the job contract read from the driver signatures,
+  refuses a bad param at ``ReconstructionService.submit``, before a job is
+  queued, and resolves the params the job is keyed on and run with;
+* a spec that does not name ``stop_delta_hu`` runs with
+  :data:`DEFAULT_STOP_DELTA_HU`, so a job stops when it converges rather
+  than at ``max_equits``; an explicit ``None`` (JSON ``null``) turns the
+  rule off;
 * the system matrix is built once per acquisition geometry and shared
   across jobs through a process-wide cache (:func:`system_for` —
   :func:`~repro.ct.system_matrix.build_system_matrix` is deterministic and
@@ -11,12 +18,8 @@ One function — :func:`run_job` — turns a spec into a driver call:
   ``resume_from="latest"`` — a fresh job finds no checkpoint and starts
   clean, a job whose previous worker was killed resumes bit-identically
   from its last snapshot instead of recomputing from scratch;
-* a spec that does not name ``stop_delta_hu`` runs with
-  :data:`DEFAULT_STOP_DELTA_HU`, so a job stops when it converges rather
-  than at ``max_equits``; an explicit ``None`` (JSON ``null``) turns the
-  rule off;
-* for ``gpu_icd``, spec params naming :class:`GPUICDParams` fields are
-  folded into the ``params=`` object the driver expects;
+* spec params naming :class:`GPUICDParams` fields fold into the
+  ``params=`` object ``gpu_icd`` expects, under ``multires`` too;
 * the test-only ``fault`` hook arms an
   :class:`~repro.resilience.IntegritySentinel` with a kill-at-iteration
   injector — but only on the job's first life, so kill-and-resume drills
@@ -25,28 +28,34 @@ One function — :func:`run_job` — turns a spec into a driver call:
 
 from __future__ import annotations
 
-import dataclasses
+import functools
+import inspect
+import numbers
 import signal as signal_mod
 import threading
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args
+
+import numpy as np
 
 from repro.core.gpu_icd import GPUICDParams, gpu_icd_reconstruct
 from repro.core.icd import icd_reconstruct
+from repro.core.kernels import KERNELS
 from repro.core.psv_icd import psv_icd_reconstruct
 from repro.ct.geometry import ParallelBeamGeometry
 from repro.ct.system_matrix import SystemMatrix, build_system_matrix
-from repro.multires.pyramid import multires_reconstruct
+from repro.multires.pyramid import BASE_DRIVERS, multires_reconstruct
 from repro.resilience import FaultInjector, IntegritySentinel
 from repro.service.faults import DegradingCheckpointManager
 from repro.service.jobs import JobSpec
 
 __all__ = [
     "DEFAULT_STOP_DELTA_HU",
+    "UNKEYED_PARAMS",
     "system_for",
     "clear_system_cache",
+    "job_params",
     "run_job",
-    "cache_key_defaults",
 ]
 
 #: The service's ``stop_delta_hu`` when a spec does not name one: mean
@@ -62,7 +71,36 @@ _DRIVER_FNS = {
     "multires": multires_reconstruct,
 }
 
-_GPU_PARAM_FIELDS = frozenset(f.name for f in dataclasses.fields(GPUICDParams))
+#: Driver kwargs :func:`run_job` passes itself; a job may not name them.
+_SERVICE_KWARGS = frozenset("metrics checkpoint checkpoint_every resume_from sentinel".split())
+#: Driver kwargs that take objects a JSON job cannot carry.
+_OBJECT_KWARGS = frozenset("prior grid neighborhood level_systems params".split())
+#: Params that choose how a job runs, not what it computes (both kernels
+#: are bit-identical), so they stay out of the result-cache key.
+UNKEYED_PARAMS = frozenset({"kernel"})
+#: The names a string-valued param may take.
+_CHOICES = {"kernel": (*KERNELS, "auto"), "init": ("fbp", "zero")}
+
+
+def _is_numeric_array(value) -> bool:
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nested lists
+        return False
+    return arr.ndim > 0 and arr.dtype.kind in "biuf"
+
+
+#: What a value must be to pass as each annotated type; an unannotated
+#: parameter takes any value, and a type not listed (a Generator) none.
+_ADMITS = {
+    inspect.Parameter.empty: lambda v: True,
+    type(None): lambda v: v is None,
+    bool: lambda v: isinstance(v, (bool, np.bool_)),
+    int: lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+    np.ndarray: _is_numeric_array,
+}
 
 # -- system-matrix cache ------------------------------------------------
 _system_lock = threading.Lock()
@@ -100,37 +138,62 @@ def clear_system_cache() -> None:
 
 
 # -- dispatch -----------------------------------------------------------
-def cache_key_defaults(driver: str, params: dict[str, Any]) -> dict[str, Any]:
-    """The defaults :func:`run_job` resolves for a job, as cache-key entries.
+def _keywords(fn) -> dict[str, tuple]:
+    """``fn``'s parameters that have defaults, each with its annotated types."""
+    params = inspect.signature(fn, eval_str=True).parameters.values()
+    return {
+        p.name: get_args(p.annotation) or (p.annotation,)
+        for p in params
+        if p.default is not p.empty
+    }
 
-    ``multires`` folds its resolved ``base_driver`` default into the key:
-    an explicit ``base_driver="icd"`` and an omitted one run the identical
-    pyramid, so they must share a cache entry — while
-    ``base_driver="psv_icd"``, whose iterates validly differ, must not.
-    Pyramid/shard params that arrive explicitly (``levels``,
-    ``coarse_equits``, ``voxel_subset``, ndarray ``init`` seeds, ...) are
-    spec params and therefore keyed already —
-    :func:`repro.service.cache.cache_key` hashes ndarray values by content.
 
-    The resolved ``stop_delta_hu`` is folded in the same way: an omitted
-    one and an explicit :data:`DEFAULT_STOP_DELTA_HU` run the same job and
-    share a key, while ``None`` (rule off) runs to the budget and does not.
+@functools.lru_cache(maxsize=None)
+def _contract(driver: str, base_driver: str | None = None) -> dict[str, tuple]:
+    """What a ``driver`` job may pass: each param with the types it admits.
+    ``gpu_icd`` adds the GPUICDParams fields, ``multires`` its base driver's."""
+    table = _keywords(_DRIVER_FNS[driver])
+    if base_driver is not None:
+        table.update(_contract(base_driver))
+    elif driver == "gpu_icd":
+        table.update(_keywords(GPUICDParams))
+    return {k: v for k, v in table.items() if k not in _SERVICE_KWARGS | _OBJECT_KWARGS}
+
+
+def job_params(driver: str, params: dict[str, Any]) -> dict[str, Any]:
+    """A job's params, checked against its driver's contract, with defaults.
+
+    Raises ``ValueError`` naming the first param the driver cannot take: an
+    unknown or service-set name, a value its annotation does not admit, or
+    an unknown ``kernel``/``init`` choice.  Returns ``params`` plus the
+    defaults the service resolves (:data:`DEFAULT_STOP_DELTA_HU`, multires'
+    ``base_driver="icd"``), so an omitted default and an explicit one share
+    a cache key.
     """
-    defaults: dict[str, Any] = {}
-    if "stop_delta_hu" not in params:
-        defaults["stop_delta_hu"] = DEFAULT_STOP_DELTA_HU
-    if driver == "multires" and "base_driver" not in params:
-        defaults["base_driver"] = "icd"
-    return defaults
-
-
-def _split_gpu_params(params: dict[str, Any]) -> dict[str, Any]:
-    """Fold GPUICDParams-field keys into a ``params=`` object."""
-    fields = {k: v for k, v in params.items() if k in _GPU_PARAM_FIELDS}
-    rest = {k: v for k, v in params.items() if k not in _GPU_PARAM_FIELDS}
-    if fields:
-        rest["params"] = GPUICDParams(**fields)
-    return rest
+    if driver not in _DRIVER_FNS:
+        raise ValueError(f"unknown driver {driver!r}; use one of {sorted(_DRIVER_FNS)}")
+    resolved = {"stop_delta_hu": DEFAULT_STOP_DELTA_HU, **params}
+    base = None
+    if driver == "multires":
+        base = resolved.setdefault("base_driver", "icd")
+        if not isinstance(base, str) or base not in BASE_DRIVERS:
+            raise ValueError(
+                f"param 'base_driver' must be one of {sorted(BASE_DRIVERS)}, got {base!r}"
+            )
+    contract = _contract(driver, base)
+    for name, value in params.items():
+        if name in _SERVICE_KWARGS:
+            raise ValueError(f"param {name!r} is set by the service, not by a job")
+        if name not in contract:
+            over = f" over {base}" if base else ""
+            raise ValueError(f"{driver}{over} takes no param {name!r}")
+        kinds = contract[name]
+        if not any(_ADMITS.get(kind, lambda v: False)(value) for kind in kinds):
+            wanted = " or ".join(kind.__name__ for kind in kinds)
+            raise ValueError(f"param {name!r} must be {wanted}, got {type(value).__name__}")
+        if isinstance(value, str) and value not in _CHOICES.get(name, (value,)):
+            raise ValueError(f"param {name!r} must be one of {_CHOICES[name]}, got {value!r}")
+    return resolved
 
 
 def fault_sentinel(fault: dict[str, Any] | None) -> IntegritySentinel | None:
@@ -170,15 +233,17 @@ def run_job(
     iterations and always resumes from the newest valid snapshot there
     (none yet = fresh start).  Returns the driver's result object.
 
-    A spec without a ``stop_delta_hu`` param runs with
-    :data:`DEFAULT_STOP_DELTA_HU`; the spec's own value, ``None`` included,
-    always wins.
+    The driver runs with :func:`job_params`' result: a spec without a
+    ``stop_delta_hu`` param runs with :data:`DEFAULT_STOP_DELTA_HU`; the
+    spec's own value, ``None`` included, always wins.
     """
+    kwargs = job_params(spec.driver, spec.params)
+    if kwargs.get("base_driver", spec.driver) == "gpu_icd":
+        fields = {k: kwargs.pop(k) for k in _keywords(GPUICDParams) if k in kwargs}
+        if fields:
+            kwargs["params"] = GPUICDParams(**fields)
     driver_fn = _DRIVER_FNS[spec.driver]
     system = system_for(spec.scan.geometry)
-    kwargs = {"stop_delta_hu": DEFAULT_STOP_DELTA_HU, **spec.params}
-    if spec.driver == "gpu_icd":
-        kwargs = _split_gpu_params(kwargs)
 
     # Degrading manager: a disk fault on the checkpoint directory suspends
     # checkpointing (CHECKPOINT_DEGRADED on the job, periodic re-probe)

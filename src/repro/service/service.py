@@ -43,7 +43,7 @@ from repro.service.jobs import (
 from repro.service.progress import ProgressEvent
 from repro.service.queue import JobQueue
 from repro.service.reaper import JobReaper
-from repro.service.runner import cache_key_defaults
+from repro.service.runner import UNKEYED_PARAMS, job_params
 from repro.service.scheduler import Scheduler
 
 __all__ = ["ReconstructionService"]
@@ -200,18 +200,20 @@ class ReconstructionService:
     ) -> str:
         """Enqueue a reconstruction; returns its job id.
 
-        Raises :class:`~repro.service.queue.AdmissionError` when the
-        pending queue is at capacity (the job is *not* registered).
+        Raises ``ValueError`` naming a param the driver cannot take, and
+        :class:`~repro.service.queue.AdmissionError` when the pending
+        queue is at capacity (the job is *not* registered either way).
         """
         if self._closed:
             raise RuntimeError("service is closed")
+        params = job_params(spec.driver, spec.params)
         job_id = spec.job_id if spec.job_id is not None else uuid.uuid4().hex[:12]
         with self._jobs_lock:
             if job_id in self._jobs and not self._jobs[job_id].terminal:
                 raise JobStateError(f"job id {job_id!r} is already active")
         # The key covers everything that determines iterates: the spec,
         # plus the defaults run_job resolves for what it omits.
-        key_params = {**cache_key_defaults(spec.driver, spec.params), **spec.params}
+        key_params = {k: v for k, v in params.items() if k not in UNKEYED_PARAMS}
         job = Job(
             job_id,
             spec,

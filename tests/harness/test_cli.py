@@ -194,6 +194,19 @@ class TestServiceCommands:
         assert doc["priority"] == 7
         assert doc["params"] == {"max_equits": 2.0}
 
+    def test_submit_takes_every_driver(self, tmp_path, capsys):
+        import json
+
+        assert main([
+            "submit", str(tmp_path), "--driver", "multires",
+            "--scan", "scan.npz", "--params", '{"levels": [16, 32]}',
+            "--job-id", "mr",
+        ]) == EXIT_OK
+        doc = json.loads((tmp_path / "incoming" / "mr.json").read_text())
+        assert doc["driver"] == "multires"
+        args = build_parser().parse_args(["loadtest", "http://x", "--driver", "multires"])
+        assert args.driver == "multires"
+
     def test_cancel_drops_sentinel(self, tmp_path, capsys):
         assert main(["cancel", str(tmp_path), "jobx"]) == EXIT_OK
         assert (tmp_path / "jobs" / "jobx" / "cancel").exists()

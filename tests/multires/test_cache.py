@@ -13,7 +13,7 @@ import pytest
 
 from repro.service import JobSpec, ReconstructionService
 from repro.service.cache import cache_key
-from repro.service.runner import cache_key_defaults
+from repro.service.runner import job_params
 
 PARAMS = {"max_equits": 1.0, "coarse_equits": 1.0, "seed": 0, "track_cost": False}
 
@@ -36,29 +36,18 @@ class TestCacheKey:
         """Omitted and explicit ``base_driver="icd"`` run the identical
         pyramid, so with the resolved default folded in the keys match."""
         params = {**PARAMS, "levels": [16, 32]}
-        omitted = cache_key(
-            "multires", mr_scan,
-            {**cache_key_defaults("multires", params), **params},
-        )
+        omitted = cache_key("multires", mr_scan, job_params("multires", params))
         explicit_params = {**params, "base_driver": "icd"}
         explicit = cache_key(
-            "multires", mr_scan,
-            {**cache_key_defaults("multires", explicit_params),
-             **explicit_params},
+            "multires", mr_scan, job_params("multires", explicit_params)
         )
         assert omitted == explicit
 
     def test_non_default_base_driver_partitions_the_key(self, mr_scan):
         params = {**PARAMS, "levels": [16, 32]}
-        icd = cache_key(
-            "multires", mr_scan,
-            {**cache_key_defaults("multires", params), **params},
-        )
+        icd = cache_key("multires", mr_scan, job_params("multires", params))
         psv_params = {**params, "base_driver": "psv_icd", "sv_side": 8}
-        psv = cache_key(
-            "multires", mr_scan,
-            {**cache_key_defaults("multires", psv_params), **psv_params},
-        )
+        psv = cache_key("multires", mr_scan, job_params("multires", psv_params))
         assert icd != psv
 
     def test_ndarray_params_keyed_by_content(self, mr_scan):
@@ -110,3 +99,23 @@ class TestPersistentCachePartition:
             job_id = svc.submit(multires_spec(mr_scan))
             via_service = svc.result(job_id, timeout=300)
         np.testing.assert_array_equal(via_service.image, direct.image)
+
+    def test_gpu_icd_base_takes_gpu_params_fields(self, mr_scan, mr_system):
+        """GPUICDParams fields fold into ``params=`` under multires over
+        gpu_icd exactly as they do for a plain gpu_icd job."""
+        from repro.core.gpu_icd import GPUICDParams
+        from repro.multires import multires_reconstruct
+        from repro.service.runner import DEFAULT_STOP_DELTA_HU
+
+        direct = multires_reconstruct(
+            mr_scan, mr_system, levels=[16, 32], base_driver="gpu_icd",
+            params=GPUICDParams(sv_side=8, batch_size=8),
+            stop_delta_hu=DEFAULT_STOP_DELTA_HU, **PARAMS,
+        )
+        with ReconstructionService(n_workers=1) as svc:
+            job_id = svc.submit(
+                multires_spec(mr_scan, base_driver="gpu_icd", sv_side=8, batch_size=8)
+            )
+            via_service = svc.result(job_id, timeout=300)
+            assert svc.status(job_id)["state"] == "DONE"
+        assert np.array_equal(via_service.image, direct.image)

@@ -181,6 +181,22 @@ class TestInvalidShardSpecs:
         assert code == 400
         assert "error" in doc
 
+    @pytest.mark.parametrize(
+        "scan,shards",
+        [("volume.npz", {"mode": "slices"}), ("scan.npz", {"mode": "rows"})],
+        ids=["slices", "rows"],
+    )
+    def test_refused_params_leave_no_group(self, gateway, scan, shards):
+        code, _, doc = http_json(
+            gateway, "POST", "/jobs",
+            {"driver": "icd", "scan": scan, "params": {"max_equit": 2},
+             "shards": shards, "job_id": "grp-refused"},
+        )
+        assert code == 400
+        assert "max_equit" in doc["error"]
+        code, _, _ = http_json(gateway, "GET", "/jobs/grp-refused")
+        assert code == 404
+
     def test_slices_mode_needs_a_volume_container(self, gateway):
         code, _, doc = http_json(
             gateway, "POST", "/jobs",

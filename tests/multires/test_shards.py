@@ -106,7 +106,7 @@ class TestSliceGroups:
     def test_child_failure_fails_the_group(self, service, mr_scan):
         coord = ShardCoordinator(service)
         gid = coord.submit_volume(
-            [mr_scan], params={"no_such_option": True}  # rejected by the driver
+            [mr_scan], params={"init": np.zeros((3, 3))}  # rejected by the driver
         )
         with pytest.raises(GroupFailedError, match="failed"):
             coord.result(gid, timeout=120)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.service import (
@@ -81,35 +82,38 @@ class TestAdmissionControl:
             svc.result(job_id, timeout=120)
 
 
+def wrong_shape_spec(scan):
+    """Params the job contract accepts and the driver rejects: the ``init``
+    image does not match the 16² geometry."""
+    return JobSpec(driver="icd", scan=scan,
+                   params={"max_equits": 1.0, "init": np.zeros((3, 3))})
+
+
 class TestFailure:
     def test_driver_error_marks_job_failed_with_message(self, scan16):
         from repro.service import JobFailedError
 
-        bad = JobSpec(driver="icd", scan=scan16,
-                      params={"max_equits": 1.0, "init": "not-an-init"})
         with ReconstructionService(n_workers=1) as svc:
-            job_id = svc.submit(bad)
+            job_id = svc.submit(wrong_shape_spec(scan16))
             with pytest.raises(JobFailedError):
                 svc.result(job_id, timeout=60)
             status = svc.status(job_id)
             assert status["state"] == "FAILED"
-            assert status["error"]
+            assert "init image shape" in status["error"]
             assert svc.report()["counters"]["service.jobs_failed"] == 1
 
     def test_failed_job_does_not_poison_the_service(self, scan16):
-        bad = JobSpec(driver="icd", scan=scan16,
-                      params={"max_equits": 1.0, "init": "not-an-init"})
         with ReconstructionService(n_workers=1) as svc:
-            svc.submit(bad)
+            svc.submit(wrong_shape_spec(scan16))
             good = svc.submit(icd_spec(scan16))
             assert svc.result(good, timeout=120).image.shape == (16, 16)
 
-    def test_unknown_param_fails_cleanly(self, scan16):
+    def test_unknown_param_refused_at_submit(self, scan16):
         bad = JobSpec(driver="icd", scan=scan16, params={"no_such_kwarg": 1})
         with ReconstructionService(n_workers=1) as svc:
-            job_id = svc.submit(bad)
-            svc.job(job_id).wait(60)
-            assert svc.status(job_id)["state"] == "FAILED"
+            with pytest.raises(ValueError, match="no_such_kwarg"):
+                svc.submit(bad)
+            assert svc.jobs == []
 
 
 class TestSpecValidation:

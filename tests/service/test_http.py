@@ -123,10 +123,12 @@ class TestLifecycle:
         assert doc["state"] == "CANCELLED"
 
     def test_failed_job_result_is_500(self, gateway):
+        # The contract takes any numeric init array; the driver rejects a
+        # 2x2 image for the 16² scan, so the job is accepted and fails.
         code, _, doc = submit(
-            gateway, params={"max_equits": 1.0, "init": "not-an-init"}
+            gateway, params={"max_equits": 1.0, "init": [[0.0, 0.0], [0.0, 0.0]]}
         )
-        assert code == 201  # validation happens in the worker, not at submit
+        assert code == 201
         job_id = doc["job_id"]
         code, _, doc = http_json(
             gateway, "GET", f"/jobs/{job_id}/result?timeout=120"

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.service import JobSpec, JobState, ReconstructionService
-from repro.service.runner import DEFAULT_STOP_DELTA_HU, cache_key_defaults, run_job
+from repro.service.runner import DEFAULT_STOP_DELTA_HU, job_params, run_job
 
 BUDGET = 30.0
 
@@ -53,9 +53,9 @@ class TestDefault:
 
 class TestCacheKey:
     def test_defaults_fold_the_resolved_value(self):
-        assert cache_key_defaults("icd", {}) == {"stop_delta_hu": DEFAULT_STOP_DELTA_HU}
-        assert cache_key_defaults("icd", {"stop_delta_hu": None}) == {}
-        assert cache_key_defaults("multires", {})["stop_delta_hu"] == DEFAULT_STOP_DELTA_HU
+        assert job_params("icd", {}) == {"stop_delta_hu": DEFAULT_STOP_DELTA_HU}
+        assert job_params("icd", {"stop_delta_hu": None}) == {"stop_delta_hu": None}
+        assert job_params("multires", {})["stop_delta_hu"] == DEFAULT_STOP_DELTA_HU
 
     def test_omitted_and_explicit_share_a_key_and_null_does_not(self, scan16):
         with ReconstructionService(n_workers=1, start=False) as svc:
