@@ -17,8 +17,8 @@ stable) and each must reproduce the oracle's image and error sinogram
 **bit-for-bit** before its timing counts.
 
 The compiled kernel runs the oracle's operations without the interpreter:
-at 64² on a 2-vCPU host (BENCH_3.json) it measured 20x the oracle on the
-sweep and 14x in SV waves; we hard-assert >= 6x the oracle in both modes.
+at 64² on a 2-vCPU host (BENCH_3.json) it measured 17x the oracle on the
+sweep and 17x in SV waves; we hard-assert >= 6x the oracle in both modes.
 
 Emit mode: set ``REPRO_BENCH_JSON=path.json`` to additionally write the
 measured numbers as a machine-readable report (CI uploads it as the
@@ -155,8 +155,8 @@ def bench_kernels(ctx):
     grid = SuperVoxelGrid(system, max(8, n // 8))
     stale = 8
     wave_contenders = ["python", *compiled]
-    # Every wave contender must reproduce the oracle's pass bit-for-bit (the
-    # first pass also validates each SV's c arguments, outside the timings).
+    # Every wave contender must reproduce the oracle's pass bit-for-bit (each
+    # SV's tables were checked when the grid was built, outside the timings).
     x_wref, e_wref = _sv_wave_pass("python", updater, grid, x0, e0, stale)[1:]
     for c in wave_contenders:
         _, x_c, e_c = _sv_wave_pass(c, updater, grid, x0, e0, stale)

@@ -30,7 +30,7 @@ from repro.core.psv_icd import (
     psv_icd_reconstruct,
 )
 from repro.core.selection import SVSelector
-from repro.core.supervoxel import SuperVoxel, SuperVoxelGrid
+from repro.core.supervoxel import SuperVoxel, SuperVoxelGrid, shared_grid
 from repro.core.sv_engine import SVUpdateStats, process_supervoxel
 from repro.core.voxel_update import (
     SliceUpdater,
@@ -67,6 +67,7 @@ __all__ = [
     "initial_image",
     "SuperVoxel",
     "SuperVoxelGrid",
+    "shared_grid",
     "SVSelector",
     "SVUpdateStats",
     "process_supervoxel",

@@ -40,7 +40,7 @@ from repro.core.icd import ICDResult, default_prior, run_iterations
 from repro.core.kernels import resolve_kernel
 from repro.core.prior import Neighborhood, Prior, shared_neighborhood
 from repro.core.selection import SVSelector
-from repro.core.supervoxel import SuperVoxelGrid
+from repro.core.supervoxel import SuperVoxelGrid, shared_grid
 from repro.core.sv_engine import SVUpdateStats, run_sv_batch
 from repro.core.voxel_update import SliceUpdater
 from repro.ct.sinogram import ScanData
@@ -167,7 +167,11 @@ def gpu_icd_reconstruct(
     (``"auto"``/``"python"``/``"c"``, resolved as in
     :func:`repro.core.icd.icd_reconstruct`); both kernels produce
     bit-identical iterates.  ``neighborhood`` optionally passes a
-    prebuilt table (defaults to the process-wide shared instance).
+    prebuilt table (defaults to the process-wide shared instance), and
+    ``grid`` a prebuilt :class:`SuperVoxelGrid` over ``system``'s matrix
+    (defaults to ``system``'s own grid for ``(params.sv_side,
+    params.overlap)``, built once per matrix by
+    :func:`~repro.core.supervoxel.shared_grid`).
 
     ``metrics`` optionally passes a
     :class:`~repro.observability.MetricsRecorder`: each outer iteration
@@ -202,7 +206,8 @@ def gpu_icd_reconstruct(
     rng = resolve_rng(seed)
 
     if grid is None:
-        grid = SuperVoxelGrid(system, params.sv_side, overlap=params.overlap)
+        # A miss builds through this module's name, where a tracer wraps it.
+        grid = shared_grid(system, params.sv_side, params.overlap, build=SuperVoxelGrid)
     elif grid.geometry != geometry:
         raise ValueError(
             f"grid was built for {grid.geometry}, but the system matrix is for {geometry}"

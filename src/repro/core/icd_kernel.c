@@ -2,7 +2,9 @@
  * The ``c`` kernel: Alg. 1's per-voxel chain (footprint gather, theta1 dot,
  * surrogate solve, delta scatter) for the full-image ICD sweep and for one
  * SuperVoxel visit.  repro/core/kernels.py compiles this file on first use
- * and calls it through ctypes; it validates every array it passes here.
+ * and calls it through ctypes; it validates every array it passes here,
+ * except a SuperVoxel's tables, which repro/core/supervoxel.py checks
+ * against the matrix when it builds the SuperVoxel.
  *
  * The arithmetic is the ``python`` oracle's, operation for operation (the
  * bit-exactness contract in kernels.py): every sum runs strictly left to
@@ -27,6 +29,7 @@ struct repro_ctx {
     const int64_t *nb_idx;  /* (n_voxels, 8) neighbours, padded with the voxel itself */
     const double *nb_w;     /* (n_voxels, 8) neighbour weights, 0.0 in padded slots */
     const double *theta2;   /* per-voxel sum w * A^2 */
+    uint64_t view_recip;    /* ceil(2^40 / n_channels), see svb_cell */
     int32_t kind;           /* KIND_QUADRATIC or KIND_QGGMRF */
     int32_t positivity;
     double tsig, c0, hq, p; /* QGGMRFPrior.surrogate_coeffs() */
@@ -45,29 +48,68 @@ static int skip_voxel(const struct repro_ctx *c, const double *x, int64_t j)
     return 1;
 }
 
-/* theta1 = -sum wa * buf over voxel j's footprint, whose buffer positions
- * are idx32[0..ln) or idx64[0..ln) (whichever is not NULL). */
-static double theta1(const struct repro_ctx *c, int64_t j, const int32_t *idx32,
-                     const int64_t *idx64, int64_t ln, const double *buf)
+/* theta1 = -sum wa * e over voxel j's footprint in the global error
+ * sinogram e, where each entry sits at its own row. */
+static double theta1(const struct repro_ctx *c, int64_t j, const double *e)
 {
     const float *wa = c->wa + c->indptr[j];
+    const int32_t *rows = c->indices + c->indptr[j];
+    int64_t ln = c->indptr[j + 1] - c->indptr[j];
     double acc;
     if (ln == 0)
         return 0.0;
-    acc = (double)wa[0] * buf[idx32 ? idx32[0] : idx64[0]];
+    acc = (double)wa[0] * e[rows[0]];
     for (int64_t k = 1; k < ln; k++)
-        acc += (double)wa[k] * buf[idx32 ? idx32[k] : idx64[k]];
+        acc += (double)wa[k] * e[rows[k]];
     return -acc;
 }
 
-/* buf -= A_j * delta over voxel j's footprint (same addressing as theta1). */
-static void scatter(const struct repro_ctx *c, int64_t j, const int32_t *idx32,
-                    const int64_t *idx64, int64_t ln, double *buf, double delta)
+/* e -= A_j * delta over voxel j's footprint (same addressing as theta1). */
+static void scatter(const struct repro_ctx *c, int64_t j, double *e, double delta)
 {
     const float *a = c->a + c->indptr[j];
+    const int32_t *rows = c->indices + c->indptr[j];
+    int64_t ln = c->indptr[j + 1] - c->indptr[j];
+    for (int64_t k = 0; k < ln; k++)
+        e[rows[k]] = e[rows[k]] - (double)a[k] * delta;
+}
+
+/* A row's cell in an SV's flat SVB: the row minus its view's shift, the
+ * view found as (row * recip) >> 40, which kernels.py checks equals
+ * row / n_channels over every row of the matrix. */
+static inline int64_t svb_cell(int64_t row, const int64_t *shift, uint64_t recip)
+{
+    return row - shift[((uint64_t)row * recip) >> 40];
+}
+
+/* theta1 over voxel j's footprint in an SVB with view shifts `shift`. */
+static double theta1_svb(const struct repro_ctx *c, int64_t j, const int64_t *shift,
+                         const double *svb)
+{
+    const float *wa = c->wa + c->indptr[j];
+    const int32_t *rows = c->indices + c->indptr[j];
+    int64_t ln = c->indptr[j + 1] - c->indptr[j];
+    uint64_t recip = c->view_recip;
+    double acc;
+    if (ln == 0)
+        return 0.0;
+    acc = (double)wa[0] * svb[svb_cell(rows[0], shift, recip)];
+    for (int64_t k = 1; k < ln; k++)
+        acc += (double)wa[k] * svb[svb_cell(rows[k], shift, recip)];
+    return -acc;
+}
+
+/* svb -= A_j * delta over voxel j's footprint (same addressing as theta1_svb). */
+static void scatter_svb(const struct repro_ctx *c, int64_t j, const int64_t *shift,
+                        double *svb, double delta)
+{
+    const float *a = c->a + c->indptr[j];
+    const int32_t *rows = c->indices + c->indptr[j];
+    int64_t ln = c->indptr[j + 1] - c->indptr[j];
+    uint64_t recip = c->view_recip;
     for (int64_t k = 0; k < ln; k++) {
-        int64_t i = idx32 ? idx32[k] : idx64[k];
-        buf[i] = buf[i] - (double)a[k] * delta;
+        int64_t i = svb_cell(rows[k], shift, recip);
+        svb[i] = svb[i] - (double)a[k] * delta;
     }
 }
 
@@ -113,18 +155,16 @@ int64_t repro_sweep(const struct repro_ctx *c, const int64_t *order, int64_t n,
             return -1;
     for (int64_t i = 0; i < n; i++) {
         int64_t j = order[i];
-        const int32_t *fp = c->indices + c->indptr[j];
-        int64_t ln = c->indptr[j + 1] - c->indptr[j];
         double v, u, delta;
         if (zero_skip && skip_voxel(c, x, j))
             continue;
         v = x[j];
-        u = solve(c, j, v, theta1(c, j, fp, NULL, ln, e), x);
+        u = solve(c, j, v, theta1(c, j, e), x);
         updates++;
         delta = u - v;
         if (delta != 0.0) {
             x[j] = u;
-            scatter(c, j, fp, NULL, ln, e, delta);
+            scatter(c, j, e, delta);
         }
     }
     return updates;
@@ -133,12 +173,13 @@ int64_t repro_sweep(const struct repro_ctx *c, const int64_t *order, int64_t n,
 /* Visit a SuperVoxel's members order[0..n) against its flat SVB in
  * bulk-synchronous waves of `width`: every member of a wave proposes from
  * the pre-wave x and SVB, then the proposals apply in wave order.  Member m
- * is voxel voxels[m], whose footprint sits at svb_idx[offsets[m]..offsets[m+1]).
+ * is voxel voxels[m]; its column's row r of view v sits at SVB cell
+ * r - shift[v] (the SV's view shift table, n_views entries).
  * Returns the number of updates and stores the skipped count and the sum of
  * |delta| (in apply order); -1 if width < 1 or an order entry is out of
  * range (nothing touched), -2 if scratch memory ran out. */
 int64_t repro_sv_visit(const struct repro_ctx *c, const int64_t *voxels,
-                       const int64_t *offsets, const int64_t *svb_idx, int64_t n_members,
+                       const int64_t *shift, int64_t n_members,
                        const int64_t *order, int64_t n, double *x, double *svb,
                        int32_t zero_skip, int64_t width, int64_t *skipped,
                        double *total_abs_delta)
@@ -165,13 +206,11 @@ int64_t repro_sv_visit(const struct repro_ctx *c, const int64_t *voxels,
         int64_t n_kept = 0;
         for (int64_t i = start; i < stop; i++) {
             int64_t m = order[i], j = voxels[m];
-            const int64_t *fp = svb_idx + offsets[m];
-            int64_t ln = offsets[m + 1] - offsets[m];
             if (zero_skip && skip_voxel(c, x, j)) {
                 skips++;
                 continue;
             }
-            prop[n_kept] = solve(c, j, x[j], theta1(c, j, NULL, fp, ln, svb), x);
+            prop[n_kept] = solve(c, j, x[j], theta1_svb(c, j, shift, svb), x);
             kept[n_kept++] = m;
         }
         for (int64_t i = 0; i < n_kept; i++) {
@@ -181,8 +220,7 @@ int64_t repro_sv_visit(const struct repro_ctx *c, const int64_t *voxels,
             updates++;
             if (delta != 0.0) {
                 x[j] = prop[i];
-                scatter(c, j, NULL, svb_idx + offsets[m], offsets[m + 1] - offsets[m], svb,
-                        delta);
+                scatter_svb(c, j, shift, svb, delta);
             }
         }
     }

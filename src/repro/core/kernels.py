@@ -132,6 +132,7 @@ class _CContext(ctypes.Structure):
         ("nb_idx", ctypes.c_void_p),
         ("nb_w", ctypes.c_void_p),
         ("theta2", ctypes.c_void_p),
+        ("view_recip", ctypes.c_uint64),
         ("kind", ctypes.c_int32),
         ("positivity", ctypes.c_int32),
         ("tsig", ctypes.c_double),
@@ -174,7 +175,7 @@ def _build_c_library() -> ctypes.CDLL:
     lib.repro_sweep.argtypes = [ctx_p, ptr, i64, ptr, ptr, i32]
     lib.repro_sweep.restype = i64
     lib.repro_sv_visit.argtypes = [
-        ctx_p, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr, i32, i64,
+        ctx_p, ptr, ptr, i64, ptr, i64, ptr, ptr, i32, i64,
         ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double),
     ]
     lib.repro_sv_visit.restype = i64
@@ -254,6 +255,21 @@ def _require(arr, dtype, size: int, name: str, *, writeable: bool = False) -> np
     return arr
 
 
+#: A row's view is ``(row * view_reciprocal(n_channels)) >> VIEW_BITS``; the
+#: ``c`` kernel's ``svb_cell`` shifts by the same 40 bits.
+VIEW_BITS = 40
+
+
+def view_reciprocal(n_channels: int) -> int:
+    """``ceil(2**VIEW_BITS / n_channels)``, the ``c`` kernel's divisor for a row's view.
+
+    ``(row * it) >> VIEW_BITS`` equals ``row // n_channels`` while ``row``
+    stays below ``2**VIEW_BITS / n_channels``; :func:`build_c_struct`
+    checks it over every row of the matrix it runs on.
+    """
+    return -(-(1 << VIEW_BITS) // n_channels)
+
+
 def build_c_struct(updater) -> _CContext:
     """Validate ``updater``'s arrays and point a ``_CContext`` at them.
 
@@ -275,6 +291,13 @@ def build_c_struct(updater) -> _CContext:
         raise ValueError("c kernel: a CSC row index is out of range")
     if nb_idx.min() < 0 or nb_idx.max() >= n:
         raise ValueError("c kernel: a neighbour index is out of range")
+    # An SV visit finds each row's view by a multiply-shift; it must be the
+    # floor division over every row this matrix can hold.
+    n_chan = updater.system.geometry.n_channels
+    recip = view_reciprocal(n_chan)
+    rows = np.arange(matrix.shape[0], dtype=np.int64)
+    if not np.array_equal((rows * recip) >> VIEW_BITS, rows // n_chan):
+        raise ValueError(f"c kernel: the view reciprocal of {n_chan} channels is not exact")
     prior = updater.prior
     c = _CContext(
         n_voxels=n,
@@ -285,6 +308,7 @@ def build_c_struct(updater) -> _CContext:
         nb_idx=nb_idx.ctypes.data,
         nb_w=_require(updater.nb_w, np.float64, 8 * n, "nb_w").ctypes.data,
         theta2=_require(updater.theta2, np.float64, n, "theta2").ctypes.data,
+        view_recip=recip,
         kind=_C_PRIOR_KINDS[type(prior)],
         positivity=int(bool(updater.positivity)),
     )
@@ -293,31 +317,6 @@ def build_c_struct(updater) -> _CContext:
     else:
         c.qc = prior.influence_ratio_scalar(0.0)
     return c
-
-
-def build_c_sv_args(updater, sv) -> tuple:
-    """The ``c`` kernel's arguments for SuperVoxel ``sv``, validated.
-
-    ``(voxels, offsets, svb_indices)`` addresses, the member count and the
-    SVB size.  The addresses point into ``sv``'s arrays, so whoever keeps
-    the tuple must keep ``sv`` too.
-    """
-    n_members = sv.n_voxels
-    voxels = _require(sv.voxels, np.int64, n_members, "sv.voxels")
-    offsets = _require(sv.member_offsets, np.int64, n_members + 1, "sv.member_offsets")
-    svb_idx = _require(sv.svb_indices, np.int64, int(offsets[-1]), "sv.svb_indices")
-    if n_members and (voxels.min() < 0 or voxels.max() >= updater.theta2.size):
-        raise ValueError(f"c kernel: SV {sv.index} has a voxel out of range")
-    # Each member's footprint must be exactly its CSC column, so the
-    # kernel's wa/A reads stay inside that column.
-    col_lens = np.diff(updater.indptr)[voxels]
-    if offsets[0] != 0 or not np.array_equal(np.diff(offsets), col_lens):
-        raise ValueError(f"c kernel: SV {sv.index} footprints do not match its columns")
-    if svb_idx.size and (svb_idx.min() < 0 or svb_idx.max() >= sv.svb_cells):
-        raise ValueError(f"c kernel: SV {sv.index} has an SVB index out of range")
-    return (
-        voxels.ctypes.data, offsets.ctypes.data, svb_idx.ctypes.data, n_members, sv.svb_cells,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -404,8 +403,13 @@ def run_sv_visit(
     and accumulation order of the per-voxel engine.  Mutates ``x`` and
     ``svb`` in place.  Members are visited in bulk-synchronous waves of
     ``stale_width``: every member of a wave proposes its update from the
-    same image and SVB state, then all of them apply.
+    same image and SVB state, then all of them apply.  ``sv`` must address
+    the updater's own system matrix: its footprints were checked against
+    that matrix when it was built.
     """
+    system = updater.system
+    if sv.matrix is not system.matrix or sv.n_channels != system.geometry.n_channels:
+        raise ValueError(f"SV {sv.index} was built over another system matrix")
     if kernel == "c":
         return _visit_c(updater, sv, order, x, svb, zero_skip, stale_width)
     if kernel == "python":
@@ -414,18 +418,21 @@ def run_sv_visit(
 
 
 def _visit_c(upd, sv, order, x, svb, zero_skip, stale_width):
-    """One ``repro_sv_visit`` call: every wave, proposals then applies."""
+    """One ``repro_sv_visit`` call: every wave, proposals then applies.
+
+    ``sv``'s tables are int64, C-contiguous, read-only and checked against
+    its matrix since it was built, so only the buffers are checked here.
+    """
     c = upd.c_struct
-    voxels, offsets, svb_idx, n_members, svb_cells = upd.c_sv_args(sv)
     order = np.ascontiguousarray(order, dtype=np.int64)
     _require(x, np.float64, c.n_voxels, "x", writeable=True)
-    _require(svb, np.float64, svb_cells, "svb", writeable=True)
+    _require(svb, np.float64, sv.svb_cells, "svb", writeable=True)
     skipped = ctypes.c_int64()
     tad = ctypes.c_double()
     updates = _C_LIBRARY.lib.repro_sv_visit(
-        ctypes.byref(c), voxels, offsets, svb_idx, n_members, order.ctypes.data, order.size,
-        x.ctypes.data, svb.ctypes.data, int(zero_skip), stale_width,
-        ctypes.byref(skipped), ctypes.byref(tad),
+        ctypes.byref(c), sv.voxels.ctypes.data, sv.view_shift.ctypes.data, sv.n_voxels,
+        order.ctypes.data, order.size, x.ctypes.data, svb.ctypes.data, int(zero_skip),
+        stale_width, ctypes.byref(skipped), ctypes.byref(tad),
     )
     if updates == -2:
         raise MemoryError("c kernel: no memory for the wave scratch")
@@ -446,9 +453,10 @@ def _visit_python(upd, sv, order, x, svb, zero_skip, stale_width):
             if zero_skip and upd.should_skip(j, x):
                 skipped += 1
                 continue
-            proposals.append((m, j, upd.propose_update(j, x, svb, sv.member_footprint(m))))
-        for m, j, u in proposals:
-            delta = upd.apply_update(j, u, x, svb, sv.member_footprint(m))
+            fp = sv.member_footprint(m)
+            proposals.append((j, fp, upd.propose_update(j, x, svb, fp)))
+        for j, fp, u in proposals:
+            delta = upd.apply_update(j, u, x, svb, fp)
             total_abs_delta += abs(delta)
             updates += 1
     return updates, skipped, total_abs_delta

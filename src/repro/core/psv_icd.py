@@ -36,7 +36,7 @@ from repro.core.icd import ICDResult, default_prior, run_iterations
 from repro.core.kernels import resolve_kernel
 from repro.core.prior import Neighborhood, Prior, shared_neighborhood
 from repro.core.selection import SVSelector
-from repro.core.supervoxel import SuperVoxelGrid
+from repro.core.supervoxel import SuperVoxelGrid, shared_grid
 from repro.core.sv_engine import SVUpdateStats, run_sv_batch
 from repro.core.voxel_update import SliceUpdater
 from repro.ct.sinogram import ScanData
@@ -124,10 +124,12 @@ def psv_icd_reconstruct(
     fraction:
         SV selection fraction after the first iteration (paper: 20 %).
     grid:
-        Optionally a prebuilt :class:`SuperVoxelGrid` (grids are geometry
-        -static, so sweeps over other parameters can share one).  It must be
-        built for ``system``'s geometry; its ``sv_side`` and ``overlap``
-        take the place of the arguments, also in the trace.
+        Optionally a prebuilt :class:`SuperVoxelGrid`.  By default the
+        driver takes ``system``'s own grid for ``(sv_side, overlap)``
+        (:func:`~repro.core.supervoxel.shared_grid`), built on the first call
+        and shared by every later one.  A grid passed here must be built
+        over ``system``'s matrix; its ``sv_side`` and ``overlap`` take the
+        place of the arguments, also in the trace.
     kernel:
         Inner-loop implementation (``"auto"``/``"python"``/``"c"``, resolved
         as in :func:`repro.core.icd.icd_reconstruct`); both kernels produce
@@ -159,7 +161,8 @@ def psv_icd_reconstruct(
     rng = resolve_rng(seed)
 
     if grid is None:
-        grid = SuperVoxelGrid(system, sv_side, overlap=overlap)
+        # A miss builds through this module's name, where a tracer wraps it.
+        grid = shared_grid(system, sv_side, overlap, build=SuperVoxelGrid)
     elif grid.geometry != geometry:
         raise ValueError(
             f"grid was built for {grid.geometry}, but the system matrix is for {geometry}"

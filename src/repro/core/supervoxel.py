@@ -8,6 +8,19 @@ SuperVoxel Buffer copies that band into a dense ``(n_views, W)`` rectangle
 "perfect rectangle" of the paper's Fig. 4b), which linearises the accesses
 that caching/prefetching (CPU) or coalescing (GPU) need.
 
+A member's footprint needs no table of its own: its column's CSC rows are
+sorted view-major, and a row ``r`` of view ``v = r // n_channels`` lands in
+SVB cell ``r - view_shift[v]``, with the per-view shift
+``v * (n_channels - W) + band_lo[v]``.  So an SV stores ``n_views`` shifts
+instead of one position per footprint entry, and both kernels address the
+SVB straight from the system matrix's row indices.
+
+A grid depends only on the system matrix, ``sv_side`` and ``overlap``, so
+:func:`shared_grid` keeps one per key on the matrix (see
+:meth:`~repro.ct.system_matrix.SystemMatrix.derived`): every slice of a
+volume, and every driver call on one geometry, shares it.  A grid is
+therefore read-only once built.
+
 This module is purely geometric/data-movement: it knows nothing about the
 ICD math.  The PSV-ICD and GPU-ICD drivers combine it with
 :class:`repro.core.voxel_update.SliceUpdater`, and the performance model
@@ -19,11 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.ct.system_matrix import SystemMatrix
 from repro.utils import check_positive
 
-__all__ = ["SuperVoxel", "SuperVoxelGrid"]
+__all__ = ["SuperVoxel", "SuperVoxelGrid", "shared_grid"]
+
+#: The integer tables of a SuperVoxel, stored C-contiguous int64 and read-only.
+_SV_TABLES = ("voxels", "band_lo", "band_width", "gather_idx", "view_shift")
 
 
 def member_entries(values: np.ndarray, indptr: np.ndarray, voxels: np.ndarray) -> np.ndarray:
@@ -39,9 +56,15 @@ def member_entries(values: np.ndarray, indptr: np.ndarray, voxels: np.ndarray) -
     return np.concatenate([values[indptr[a] : indptr[b + 1]] for a, b in zip(firsts, lasts)])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SuperVoxel:
     """One SuperVoxel: member voxels plus its SVB addressing tables.
+
+    Immutable and checked at construction: its tables become C-contiguous,
+    read-only int64 arrays, and every stored entry of every member's column
+    must address the SVB cell that holds that entry's own sinogram row.  So
+    a SuperVoxel is safe to share between solves and threads, and a kernel
+    that reads ``matrix``'s columns through it stays inside the SVB.
 
     Attributes
     ----------
@@ -61,12 +84,12 @@ class SuperVoxel:
     gather_idx:
         Flat global sinogram index for every SVB cell, ``-1`` for padding
         cells that fall off the detector; shape ``(n_views * W,)``.
-    svb_indices:
-        Concatenated per-member footprint positions *within the flat SVB*,
-        aligned with each member's CSC column order.
-    member_offsets:
-        CSR-style offsets into ``svb_indices``; member ``m`` owns
-        ``svb_indices[member_offsets[m]:member_offsets[m+1]]``.
+    view_shift:
+        Per-view shift ``v * (n_channels - W) + band_lo[v]``, shape
+        ``(n_views,)``: a member's stored row ``r`` of view
+        ``v = r // n_channels`` sits in SVB cell ``r - view_shift[v]``.
+    matrix:
+        The CSC system matrix whose columns are the members' footprints.
     """
 
     index: int
@@ -76,14 +99,24 @@ class SuperVoxel:
     band_width: np.ndarray
     width: int
     gather_idx: np.ndarray
-    svb_indices: np.ndarray
-    member_offsets: np.ndarray
+    view_shift: np.ndarray
+    matrix: sp.csc_matrix = field(repr=False)
+    n_channels: int = field(init=False, repr=False)
     _valid: np.ndarray = field(init=False, repr=False)
     _valid_gather: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._valid = self.gather_idx >= 0
-        self._valid_gather = np.ascontiguousarray(self.gather_idx[self._valid])
+        def store(name, value):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+        for name in _SV_TABLES:
+            store(name, np.ascontiguousarray(getattr(self, name), dtype=np.int64))
+        n_views = self.band_lo.size
+        store("n_channels", self.matrix.shape[0] // n_views)
+        store("_valid", self.gather_idx >= 0)
+        store("_valid_gather", np.ascontiguousarray(self.gather_idx[self._valid]))
         # The valid gather indices are unique by construction (within a view
         # the band channels strictly increase; across views the flat offsets
         # are disjoint), which is what lets the merge paths use plain fancy
@@ -93,6 +126,28 @@ class SuperVoxel:
         vg = self._valid_gather
         if not np.all(vg[1:] > vg[:-1]):
             raise AssertionError(f"SV {self.index}: valid gather indices must strictly increase")
+        # Both addressing tables follow from the band, so a row inside the
+        # band sits in SVB cell row - view_shift[view], which holds that row.
+        n_chan, width = self.n_channels, self.width
+        views = np.arange(n_views)
+        chan = self.band_lo[:, None] + np.arange(width)
+        gather = np.where(chan < n_chan, views[:, None] * n_chan + chan, -1).ravel()
+        if not (
+            n_views * n_chan == self.matrix.shape[0]
+            and np.array_equal(self.view_shift, views * (n_chan - width) + self.band_lo)
+            and np.array_equal(self.gather_idx, gather)
+        ):
+            raise ValueError(f"SV {self.index}: its addressing tables disagree with its band")
+        # So the kernels stay inside the SVB, and read the right cells, when
+        # every member's stored rows lie inside the band.
+        voxels = self.voxels
+        if voxels.size and (voxels.min() < 0 or voxels.max() >= self.matrix.shape[1]):
+            raise ValueError(f"SV {self.index} has a voxel out of range")
+        if voxels.size:
+            inside = np.zeros(self.matrix.shape[0], dtype=bool)
+            inside[vg] = True
+            if not inside[member_entries(self.matrix.indices, self.matrix.indptr, voxels)].all():
+                raise ValueError(f"SV {self.index}: a member footprint falls outside its SVB")
 
     @property
     def n_voxels(self) -> int:
@@ -109,10 +164,11 @@ class SuperVoxel:
         return self.svb_cells * bytes_per_entry
 
     def member_footprint(self, member: int) -> np.ndarray:
-        """SVB-flat footprint indices of the ``member``-th voxel."""
-        lo = self.member_offsets[member]
-        hi = self.member_offsets[member + 1]
-        return self.svb_indices[lo:hi]
+        """SVB-flat footprint indices of the ``member``-th voxel, in CSC column order."""
+        j = self.voxels[member]
+        indptr = self.matrix.indptr
+        rows = self.matrix.indices[indptr[j] : indptr[j + 1]]
+        return rows - self.view_shift[rows // self.n_channels]
 
     # ------------------------------------------------------------------
     # Data movement (the "create SVB" and "write back" kernels of Alg. 3)
@@ -163,7 +219,9 @@ class SuperVoxelGrid:
             raise ValueError(f"overlap must be >= 0, got {overlap}")
         if overlap >= sv_side:
             raise ValueError(f"overlap ({overlap}) must be smaller than sv_side ({sv_side})")
-        self.system = system
+        # The CSC matrix, not the SystemMatrix: a grid shared through
+        # SystemMatrix.derived must not refer back to its owner.
+        self.matrix = system.matrix
         self.geometry = system.geometry
         self.sv_side = int(sv_side)
         self.overlap = int(overlap)
@@ -189,14 +247,12 @@ class SuperVoxelGrid:
 
         n_views = self.geometry.n_views
         n_chan = self.geometry.n_channels
-        indptr = self.system.matrix.indptr
+        indptr = self.matrix.indptr
         counts = indptr[voxels + 1] - indptr[voxels]
-        offsets = np.zeros(voxels.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
 
         # One gather of every member's CSC rows, in member order.
         # Temporaries keep the CSC index dtype.
-        entries = member_entries(self.system.matrix.indices, indptr, voxels)
+        entries = member_entries(self.matrix.indices, indptr, voxels)
         views = entries // n_chan
 
         # Split the entries into (member, view) runs.  A column's rows are
@@ -230,10 +286,8 @@ class SuperVoxelGrid:
         gather = np.where(valid, np.arange(n_views)[:, None] * n_chan + chan, -1)
         gather_idx = gather.ravel().astype(np.int64)
 
-        # Per-member footprint positions within the flat SVB: entry
-        # (v, c) = v * n_chan + c lands in cell v * width + c - band_lo[v].
-        shift = np.arange(n_views) * (n_chan - width) + band_lo
-        svb_indices = np.subtract(entries, shift.astype(entries.dtype)[views], dtype=np.int64)
+        # Entry (v, c) = v * n_chan + c lands in cell v * width + c - band_lo[v].
+        view_shift = np.arange(n_views) * (n_chan - width) + band_lo
         return SuperVoxel(
             index=index,
             grid_pos=(bi, bj),
@@ -242,8 +296,8 @@ class SuperVoxelGrid:
             band_width=band_width,
             width=width,
             gather_idx=gather_idx,
-            svb_indices=svb_indices,
-            member_offsets=offsets,
+            view_shift=view_shift,
+            matrix=self.matrix,
         )
 
     # ------------------------------------------------------------------
@@ -282,3 +336,18 @@ class SuperVoxelGrid:
     def mean_svb_cells(self) -> float:
         """Average SVB size in cells — the quantity the L2 model cares about."""
         return float(np.mean([sv.svb_cells for sv in self.svs]))
+
+
+def shared_grid(
+    system: SystemMatrix, sv_side: int, overlap: int = 1, *, build=SuperVoxelGrid
+) -> SuperVoxelGrid:
+    """``system``'s grid for ``(sv_side, overlap)``, built once per matrix.
+
+    The grid is kept on ``system`` (:meth:`SystemMatrix.derived`), so it
+    lives as long as the matrix, and every later call with the same key
+    returns the same grid.  On a miss it is ``build(system, sv_side,
+    overlap=overlap)``: the drivers pass the ``SuperVoxelGrid`` name they
+    look up, so a wrapper patched over that name sees every build.
+    """
+    key = (int(sv_side), int(overlap))
+    return system.derived(key, lambda: build(system, sv_side, overlap=overlap))

@@ -18,7 +18,6 @@ import numpy as np
 from repro.core.gpu_icd import GPUICDParams, gpu_icd_reconstruct
 from repro.core.icd import ICDResult, icd_reconstruct
 from repro.core.psv_icd import psv_icd_reconstruct
-from repro.core.supervoxel import SuperVoxelGrid
 from repro.ct.sinogram import ScanData, simulate_scan
 from repro.ct.system_matrix import SystemMatrix
 from repro.utils import check_positive, resolve_rng
@@ -117,8 +116,9 @@ def reconstruct_volume(
 ) -> VolumeResult:
     """Reconstruct a stack of slices with one driver.
 
-    Heavy geometry-static state (the SuperVoxel grid) is built once and
-    shared across slices.
+    Every slice shares one geometry, so the SV drivers build each
+    SuperVoxel grid once, on the first slice, and share it through the
+    system matrix (:func:`~repro.core.supervoxel.shared_grid`).
 
     Parameters
     ----------
@@ -135,24 +135,20 @@ def reconstruct_volume(
         raise ValueError("scans must be non-empty")
     n = system.geometry.n_pixels
     results: list[ICDResult] = []
-    grid = None
     if method == "gpu":
         params = params if params is not None else GPUICDParams(
             sv_side=max(4, n // 8), threadblocks_per_sv=4, batch_size=8
         )
-        grid = SuperVoxelGrid(system, params.sv_side, overlap=params.overlap)
     elif method == "psv":
         sv_side = sv_side if sv_side is not None else max(3, n // 10)
-        grid = SuperVoxelGrid(system, sv_side)
     elif method != "seq":
         raise ValueError(f"unknown method {method!r}; use 'gpu', 'psv' or 'seq'")
 
     for k, scan in enumerate(scans):
         if method == "gpu":
-            res: ICDResult = gpu_icd_reconstruct(scan, system, params=params, grid=grid,
-                                                 **kwargs)
+            res: ICDResult = gpu_icd_reconstruct(scan, system, params=params, **kwargs)
         elif method == "psv":
-            res = psv_icd_reconstruct(scan, system, sv_side=sv_side, grid=grid, **kwargs)
+            res = psv_icd_reconstruct(scan, system, sv_side=sv_side, **kwargs)
         else:
             res = icd_reconstruct(scan, system, **kwargs)
         results.append(res)

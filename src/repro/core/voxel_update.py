@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import build_c_struct, build_c_sv_args
+from repro.core.kernels import build_c_struct
 from repro.core.prior import Neighborhood, Prior
 from repro.ct.sinogram import ScanData
 from repro.ct.system_matrix import SystemMatrix
@@ -191,12 +191,10 @@ class SliceUpdater:
 
         # What only one kernel reads is built on its first use, under one
         # lock with double-checked reads, so the built path is one attribute
-        # read: the python kernel's footprint views, the c kernel's struct
-        # and its per-SV arguments.
+        # read: the python kernel's footprint views and the c kernel's struct.
         self._lock = threading.Lock()
         self._fp_views = None
         self._c_struct = None
-        self._c_sv_args: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     def column_slice(self, voxel: int) -> slice:
@@ -312,22 +310,6 @@ class SliceUpdater:
                 if self._c_struct is None:
                     self._c_struct = build_c_struct(self)
         return self._c_struct
-
-    def c_sv_args(self, sv) -> tuple:
-        """The ``c`` kernel's arguments for SuperVoxel ``sv`` (validated once per SV).
-
-        Cached by SV index and kept with ``sv`` itself: the arguments are
-        addresses into ``sv``'s arrays, and a different grid's SV of the
-        same index gets its own.
-        """
-        cached = self._c_sv_args.get(sv.index)
-        if cached is None or cached[0] is not sv:
-            with self._lock:
-                cached = self._c_sv_args.get(sv.index)
-                if cached is None or cached[0] is not sv:
-                    cached = (sv, build_c_sv_args(self, sv))
-                    self._c_sv_args[sv.index] = cached
-        return cached[1]
 
     def should_skip(self, voxel: int, x_flat: np.ndarray) -> bool:
         """Zero-skipping test (§2.1): voxel and all its neighbors are zero."""

@@ -18,14 +18,24 @@ sinogram in view-major order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.ct.geometry import ParallelBeamGeometry
 
-__all__ = ["trapezoid_cdf", "build_system_matrix", "SystemMatrix"]
+__all__ = ["trapezoid_cdf", "build_system_matrix", "SystemMatrix", "DERIVED_LIMIT"]
+
+#: Derived tables one matrix keeps (see :meth:`SystemMatrix.derived`); past
+#: this many, the least recently used one goes.  A solve uses one SuperVoxel
+#: grid, and slice-solve's two SV drivers use two.
+DERIVED_LIMIT = 4
+
+_T = TypeVar("_T")
 
 
 def trapezoid_cdf(t: np.ndarray, w1: float, w2: float, h: float) -> np.ndarray:
@@ -153,6 +163,33 @@ class SystemMatrix:
 
     geometry: ParallelBeamGeometry
     matrix: sp.csc_matrix
+    _derived: OrderedDict = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False
+    )
+    _derived_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """The table ``build()`` derives from this matrix for ``key``, built once.
+
+        A table that depends only on the matrix and ``key`` (a SuperVoxel
+        grid, keyed by ``(sv_side, overlap)``; see
+        :func:`repro.core.supervoxel.shared_grid`) is kept on the matrix, so
+        it lives exactly as long as the matrix, or until
+        :data:`DERIVED_LIMIT` more recently used keys evict it.  Builds run
+        under the matrix's lock: concurrent callers of one key build it
+        once.  A kept table is shared, so it must not be mutated.
+        """
+        with self._derived_lock:
+            table = self._derived.get(key)
+            if table is None:
+                table = build()
+                self._derived[key] = table
+            self._derived.move_to_end(key)
+            while len(self._derived) > DERIVED_LIMIT:
+                self._derived.popitem(last=False)
+        return table
 
     # ------------------------------------------------------------------
     # Projection operators

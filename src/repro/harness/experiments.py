@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.gpu_icd import GPUICDParams, GPUICDResult, gpu_icd_reconstruct
 from repro.core.icd import icd_reconstruct
 from repro.core.psv_icd import PSVICDResult, psv_icd_reconstruct
-from repro.core.supervoxel import SuperVoxelGrid
+from repro.core.supervoxel import shared_grid
 from repro.ct.geometry import ParallelBeamGeometry, paper_geometry, scaled_geometry
 from repro.ct.sinogram import ScanData
 from repro.ct.system_matrix import SystemMatrix, build_system_matrix
@@ -228,8 +228,6 @@ def run_table1(ctx: ExperimentContext) -> Table1Result:
     """Reproduce Table 1 over the synthetic ensemble."""
     psv_side = scaled_psv_side(ctx.n_pixels)
     gpu_params = scaled_gpu_params(ctx.n_pixels)
-    grid_psv = SuperVoxelGrid(ctx.system, psv_side)
-    grid_gpu = SuperVoxelGrid(ctx.system, gpu_params.sv_side)
 
     per_case = []
     for case in ctx.cases:
@@ -238,8 +236,8 @@ def run_table1(ctx: ExperimentContext) -> Table1Result:
         common = dict(golden=golden, stop_rmse=ctx.stop_rmse, max_equits=ctx.max_equits,
                       seed=ctx.seed, track_cost=False)
         seq = icd_reconstruct(scan, ctx.system, **common)
-        psv = psv_icd_reconstruct(scan, ctx.system, sv_side=psv_side, grid=grid_psv, **common)
-        gpu = gpu_icd_reconstruct(scan, ctx.system, params=gpu_params, grid=grid_gpu, **common)
+        psv = psv_icd_reconstruct(scan, ctx.system, sv_side=psv_side, **common)
+        gpu = gpu_icd_reconstruct(scan, ctx.system, params=gpu_params, **common)
 
         eq_seq = ctx.equits_of(seq.history)
         eq_psv = ctx.equits_of(psv.history)
@@ -407,7 +405,7 @@ def run_table2(
     stream fits 4x more entries, so its hit rate is markedly higher.
     """
     base = GPUKernelConfig()
-    grid = SuperVoxelGrid(ctx.system, scaled_gpu_params(ctx.n_pixels).sv_side)
+    grid = shared_grid(ctx.system, scaled_gpu_params(ctx.n_pixels).sv_side)
     sv = grid.svs[len(grid.svs) // 2]
     members = np.arange(min(sv.n_voxels, 48))
 
@@ -507,7 +505,7 @@ def _threshold_slowdown(ctx: ExperimentContext, cfg: GPUKernelConfig) -> float:
     params = scaled_gpu_params(ctx.n_pixels)
     # Choose a batch just below the expected per-group selection so that
     # remainder launches actually occur — the regime the threshold governs.
-    grid = SuperVoxelGrid(ctx.system, params.sv_side)
+    grid = shared_grid(ctx.system, params.sv_side)
     per_group = params.fraction * grid.n_svs / 4.0
     batch = max(4, int(round(0.75 * per_group)))
     times = {}
@@ -518,7 +516,7 @@ def _threshold_slowdown(ctx: ExperimentContext, cfg: GPUKernelConfig) -> float:
         )
         res = gpu_icd_reconstruct(
             scan, ctx.system, params=p, golden=golden, stop_rmse=ctx.stop_rmse,
-            max_equits=ctx.max_equits, seed=ctx.seed, track_cost=False, grid=grid,
+            max_equits=ctx.max_equits, seed=ctx.seed, track_cost=False,
         )
         # Cost each kernel at full size with the same fill ratio.
         total = 0.0

@@ -17,7 +17,6 @@ import numpy as np
 from repro.core.gpu_icd import gpu_icd_reconstruct
 from repro.core.icd import icd_reconstruct
 from repro.core.psv_icd import psv_icd_reconstruct
-from repro.core.supervoxel import SuperVoxelGrid
 from repro.harness.experiments import (
     PAPER_GPU_PARAMS,
     PAPER_PSV_SV_SIDE,
@@ -108,8 +107,6 @@ def run_suite(
 
     psv_side = scaled_psv_side(ctx.n_pixels)
     gpu_params = scaled_gpu_params(ctx.n_pixels)
-    grid_psv = SuperVoxelGrid(ctx.system, psv_side)
-    grid_gpu = SuperVoxelGrid(ctx.system, gpu_params.sv_side)
 
     equits: dict[str, list[float]] = {m: [] for m in methods}
     times: dict[str, list[float]] = {m: [] for m in methods}
@@ -138,18 +135,14 @@ def run_suite(
                 eq = ctx.equits_of(res.history)
                 t = eq * ctx.cpu_model.sequential_equit_time()
             elif m == "psv":
-                res = psv_icd_reconstruct(
-                    scan, ctx.system, sv_side=psv_side, grid=grid_psv, **common
-                )
+                res = psv_icd_reconstruct(scan, ctx.system, sv_side=psv_side, **common)
                 eq = ctx.equits_of(res.history)
                 t = ctx.cpu_model.reconstruction_time(
                     eq, PAPER_PSV_SV_SIDE,
                     zero_skip_fraction=ctx.skip_fraction(res.trace),
                 )
             elif m == "gpu":
-                res = gpu_icd_reconstruct(
-                    scan, ctx.system, params=gpu_params, grid=grid_gpu, **common
-                )
+                res = gpu_icd_reconstruct(scan, ctx.system, params=gpu_params, **common)
                 eq = ctx.equits_of(res.history)
                 t = ctx.gpu_model.reconstruction_time(
                     eq, PAPER_GPU_PARAMS,

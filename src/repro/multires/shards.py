@@ -168,7 +168,10 @@ class ShardCoordinator:
 
         Returns the group id.  The group result's image has shape
         ``(n_slices, n, n)``; each slice is bit-identical to an unsharded
-        reconstruction of that slice with the same driver/params.
+        reconstruction of that slice with the same driver/params.  A child
+        the service refuses (a duplicate id, backpressure, a closed queue)
+        refuses the whole group: the children already submitted are
+        cancelled, no group record stays, and the service's error is raised.
         """
         job_params(driver, params or {})
         if not scans:
@@ -204,9 +207,10 @@ class ShardCoordinator:
                 )
                 with group._lock:
                     group.child_ids.append(cid)
-        except Exception as exc:
+        except Exception:
             self._cancel_children(group)
-            group._finish("failed", error=f"submission failed: {exc}")
+            with self._lock:
+                del self._groups[gid]
             raise
         threading.Thread(
             target=self._run_slices,

@@ -492,6 +492,8 @@ class _Handler(BaseHTTPRequestHandler):
             return self._send_error_json(
                 429, str(exc), headers={"Retry-After": f"{gw.retry_after_s:g}"}
             )
+        except JobStateError as exc:  # a child id is already active
+            return self._send_error_json(409, str(exc))
         except (QueueClosedError, RuntimeError) as exc:
             gw.rec.count("http.jobs_rejected_503")
             return self._send_error_json(

@@ -35,7 +35,15 @@ from repro.core import (
     rmse_hu,
     shared_neighborhood,
 )
-from repro.core.kernels import KERNELS, load_c_kernel, resolve_kernel, run_sv_visit, run_sweep
+from repro.core.kernels import (
+    KERNELS,
+    VIEW_BITS,
+    load_c_kernel,
+    resolve_kernel,
+    run_sv_visit,
+    run_sweep,
+    view_reciprocal,
+)
 from repro.ct import SystemMatrix, simulate_scan
 
 #: Whether the compiled kernel builds and loads on this host.
@@ -310,3 +318,28 @@ class TestCKernelGuards:
         with pytest.raises(TypeError, match="svb must be"):
             run_sv_visit(upd, sv, np.arange(2), x, svb[:-1], **kwargs)
 
+
+# ----------------------------------------------------------------------
+# SVB addressing: the view reciprocal and the SV's matrix.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("n_channels", [4, 16, 255, 256, 1023])
+def test_view_reciprocal_is_floor_division_over_every_row(n_channels):
+    rows = np.arange(2048 * n_channels, dtype=np.int64)
+    views = (rows * view_reciprocal(n_channels)) >> VIEW_BITS
+    np.testing.assert_array_equal(views, rows // n_channels)
+
+
+@pytest.mark.parametrize("kernel", RUNNABLE_KERNELS)
+def test_sv_visit_refuses_an_sv_over_another_matrix(scan32, system32, kernel):
+    """An SV was checked against the matrix it was built over, so a visit
+    through an updater of an equal but distinct matrix is refused."""
+    updater = _updater(scan32, system32)
+    twin = SystemMatrix(system32.geometry, system32.matrix.copy())
+    sv = SuperVoxelGrid(twin, 8).svs[0]
+    x = np.full(32 * 32, 0.01)
+    svb = sv.extract(updater.initial_error(x))
+    with pytest.raises(ValueError, match="another system matrix"):
+        run_sv_visit(
+            updater, sv, np.arange(sv.n_voxels), x, svb,
+            zero_skip=False, stale_width=2, kernel=kernel,
+        )

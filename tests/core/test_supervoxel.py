@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -13,15 +14,37 @@ from repro.core import (
     gpu_icd_reconstruct,
     psv_icd_reconstruct,
 )
+from repro.core.kernels import load_c_kernel
 from repro.core.supervoxel import SuperVoxel
-from repro.ct import ParallelBeamGeometry, build_system_matrix, scaled_geometry
+from repro.ct import (
+    ParallelBeamGeometry,
+    build_system_matrix,
+    scaled_geometry,
+    shepp_logan,
+    simulate_scan,
+)
+
+#: Whether the compiled kernel builds and loads on this host.
+NEEDS_C = pytest.mark.skipif(
+    load_c_kernel() is not None, reason="the c kernel does not build on this host"
+)
 
 #: Every array a grid hands its consumers.
-SV_ARRAYS = ("voxels", "band_lo", "band_width", "gather_idx", "svb_indices", "member_offsets")
+SV_ARRAYS = ("voxels", "band_lo", "band_width", "gather_idx", "view_shift")
 
 
 class ReferenceGrid(SuperVoxelGrid):
-    """The original per-voxel band build: the oracle for the array build."""
+    """The original per-voxel band build: the oracle for the array build.
+
+    It also keeps every member's SVB positions, ``v * W + (c - band_lo[v])``
+    per stored entry ``(v, c)``, in ``footprints[sv_index][member]``: the
+    table the compact grid no longer stores and must reproduce through
+    ``member_footprint``.
+    """
+
+    def __init__(self, system, sv_side, *, overlap=1):
+        self.footprints: list[list[np.ndarray]] = []
+        super().__init__(system, sv_side, overlap=overlap)
 
     def _build_sv(self, index: int, bi: int, bj: int) -> SuperVoxel:
         n = self.geometry.n_pixels
@@ -35,8 +58,8 @@ class ReferenceGrid(SuperVoxelGrid):
 
         n_views = self.geometry.n_views
         n_chan = self.geometry.n_channels
-        indptr = self.system.matrix.indptr
-        all_rows = self.system.matrix.indices
+        indptr = self.matrix.indptr
+        all_rows = self.matrix.indices
 
         band_lo = np.full(n_views, n_chan, dtype=np.int64)
         band_hi = np.zeros(n_views, dtype=np.int64)
@@ -60,13 +83,15 @@ class ReferenceGrid(SuperVoxelGrid):
         gather = np.where(valid, np.arange(n_views)[:, None] * n_chan + chan, -1)
         gather_idx = gather.ravel().astype(np.int64)
 
-        offsets = np.zeros(len(member_rows) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([r.size for r in member_rows])
-        svb_indices = np.empty(int(offsets[-1]), dtype=np.int64)
-        for m, r in enumerate(member_rows):
+        view_shift = np.empty(n_views, dtype=np.int64)
+        for v in range(n_views):
+            view_shift[v] = v * (n_chan - width) + band_lo[v]
+        footprints = []
+        for r in member_rows:
             v = r // n_chan
             c = r % n_chan
-            svb_indices[offsets[m] : offsets[m + 1]] = v * width + (c - band_lo[v])
+            footprints.append(v * width + (c - band_lo[v]))
+        self.footprints.append(footprints)
         return SuperVoxel(
             index=index,
             grid_pos=(bi, bj),
@@ -75,13 +100,14 @@ class ReferenceGrid(SuperVoxelGrid):
             band_width=band_width,
             width=width,
             gather_idx=gather_idx,
-            svb_indices=svb_indices,
-            member_offsets=offsets,
+            view_shift=view_shift,
+            matrix=self.matrix,
         )
 
 
-def assert_grids_equal(grid: SuperVoxelGrid, ref: SuperVoxelGrid) -> None:
-    """Same SVs with the same arrays, equal in value and dtype."""
+def assert_grids_equal(grid: SuperVoxelGrid, ref: ReferenceGrid) -> None:
+    """Same SVs with the same arrays, equal in value and dtype, and every
+    member's footprint at the reference's SVB positions."""
     assert grid.shape == ref.shape
     assert grid.n_svs == ref.n_svs
     for sv, rsv in zip(grid.svs, ref.svs):
@@ -91,6 +117,22 @@ def assert_grids_equal(grid: SuperVoxelGrid, ref: SuperVoxelGrid) -> None:
             got, want = getattr(sv, name), getattr(rsv, name)
             assert got.dtype == want.dtype, (sv.index, name)
             np.testing.assert_array_equal(got, want, err_msg=f"SV {sv.index} {name}")
+        footprints = ref.footprints[sv.index]
+        assert len(footprints) == sv.n_voxels
+        for m, want in enumerate(footprints):
+            got = sv.member_footprint(m)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want, err_msg=f"SV {sv.index} member {m}")
+
+
+def grid_nbytes(grid: SuperVoxelGrid) -> int:
+    """Bytes of every array the grid's SVs hold."""
+    return sum(
+        value.nbytes
+        for sv in grid.svs
+        for value in vars(sv).values()
+        if isinstance(value, np.ndarray)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +207,71 @@ class TestMatchesReferenceBuild:
         b = gpu_icd_reconstruct(scan32, system32, grid=ReferenceGrid(system32, 8), **kw)
         np.testing.assert_array_equal(a.image, b.image)
         np.testing.assert_array_equal(a.error_sinogram, b.error_sinogram)
+
+
+class TestCompactLayout:
+    """A grid stores a per-view shift table, not a position per footprint entry."""
+
+    def test_64_grid_is_a_fifth_of_the_matrix(self, system64):
+        m = system64.matrix
+        ratio = grid_nbytes(SuperVoxelGrid(system64, 13)) / (m.data.nbytes + m.indices.nbytes)
+        assert ratio <= 0.2, ratio
+
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_TEST_LARGE"),
+        reason="the 256^2 system matrix takes about 10 s to build; set REPRO_TEST_LARGE=1",
+    )
+    def test_256_grid_fits_100_mb(self):
+        system = build_system_matrix(scaled_geometry(256))
+        assert grid_nbytes(SuperVoxelGrid(system, 13)) <= 100e6
+
+    def test_shift_table_disagreeing_with_the_band_rejected(self, grid):
+        sv = grid.svs[0]
+        view_shift = sv.view_shift.copy()
+        view_shift[0] -= sv.width  # view 0's entries would land in view 1's row
+        with pytest.raises(ValueError, match="disagree with its band"):
+            dataclasses.replace(sv, view_shift=view_shift)
+
+    def test_footprint_outside_the_svb_rejected(self, grid):
+        """A band one channel narrower than its members' footprints, with
+        tables that agree with it, still leaves a footprint outside."""
+        sv = grid.svs[0]
+        band_lo = sv.band_lo.copy()
+        band_lo[0] += 1
+        n_chan, width = sv.n_channels, sv.width
+        views = np.arange(band_lo.size)
+        chan = band_lo[:, None] + np.arange(width)
+        gather_idx = np.where(chan < n_chan, views[:, None] * n_chan + chan, -1).ravel()
+        with pytest.raises(ValueError, match="outside its SVB"):
+            dataclasses.replace(
+                sv, band_lo=band_lo, gather_idx=gather_idx,
+                view_shift=views * (n_chan - width) + band_lo,
+            )
+
+    def test_voxel_out_of_range_rejected(self, grid, geom32):
+        sv = grid.svs[0]
+        voxels = sv.voxels.copy()
+        voxels[-1] = geom32.n_voxels
+        with pytest.raises(ValueError, match="voxel out of range"):
+            dataclasses.replace(sv, voxels=voxels)
+
+    @NEEDS_C
+    @pytest.mark.parametrize("n_views, n_channels", [(24, 16), (12, 4)])
+    def test_c_matches_python_on_clipped_detectors(self, n_views, n_channels):
+        """Views with empty bands, and (on 4 channels) a voxel's last view
+        that is the next voxel's first: both SV drivers, bit for bit."""
+        system = clipped_system(n_views, n_channels)
+        scan = simulate_scan(shepp_logan(32), system, dose=1e5, seed=3)
+        params = GPUICDParams(sv_side=8, threadblocks_per_sv=4, batch_size=4)
+        for driver, kw in (
+            (psv_icd_reconstruct, dict(sv_side=8, n_cores=4)),
+            (gpu_icd_reconstruct, dict(params=params)),
+        ):
+            kw.update(max_equits=2, seed=0, track_cost=False)
+            ref = driver(scan, system, kernel="python", **kw)
+            res = driver(scan, system, kernel="c", **kw)
+            assert np.array_equal(res.image, ref.image), driver.__name__
+            assert np.array_equal(res.error_sinogram, ref.error_sinogram), driver.__name__
 
 
 class TestGridStructure:

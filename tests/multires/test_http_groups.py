@@ -197,6 +197,36 @@ class TestInvalidShardSpecs:
         code, _, _ = http_json(gateway, "GET", "/jobs/grp-refused")
         assert code == 404
 
+    def test_child_id_collision_is_409_and_leaves_no_group(self, gateway):
+        """A group whose second child id is taken by an active job is
+        refused like a plain duplicate id, and leaves nothing behind."""
+        long_run = dict(PARAMS, max_equits=500.0, stop_delta_hu=None)
+        code, _, doc = http_json(
+            gateway, "POST", "/jobs",
+            {"driver": "icd", "scan": "scan.npz", "params": long_run,
+             "job_id": "grp-x-s001"},
+        )
+        assert code == 201
+        try:
+            code, _, doc = http_json(
+                gateway, "POST", "/jobs",
+                {"driver": "icd", "scan": "volume.npz", "params": long_run,
+                 "shards": {"mode": "slices"}, "job_id": "grp-x"},
+            )
+            assert code == 409
+            assert "grp-x-s001" in doc["error"]
+            code, _, _ = http_json(gateway, "GET", "/jobs/grp-x")
+            assert code == 404
+            # The child submitted before the collision was cancelled ...
+            code, _, _ = http(gateway, "GET", "/jobs/grp-x-s000/result?timeout=60",
+                              timeout=80.0)
+            assert code == 410
+            # ... and the job that owned the id was left alone.
+            code, _, status = http_json(gateway, "GET", "/jobs/grp-x-s001")
+            assert status["state"] in ("PENDING", "RUNNING")
+        finally:
+            http(gateway, "DELETE", "/jobs/grp-x-s001")
+
     def test_slices_mode_needs_a_volume_container(self, gateway):
         code, _, doc = http_json(
             gateway, "POST", "/jobs",
