@@ -28,7 +28,8 @@ import scipy.sparse as sp
 
 from repro.ct.geometry import ParallelBeamGeometry
 
-__all__ = ["trapezoid_cdf", "build_system_matrix", "SystemMatrix", "DERIVED_LIMIT"]
+__all__ = ["trapezoid_cdf", "build_system_matrix", "shared_system", "clear_system_cache",
+           "SystemMatrix", "DERIVED_LIMIT"]
 
 #: Derived tables one matrix keeps (see :meth:`SystemMatrix.derived`); past
 #: this many, the least recently used one goes.  A solve uses one SuperVoxel
@@ -145,6 +146,39 @@ def build_system_matrix(
     csc = coo.tocsc()
     csc.sort_indices()
     return SystemMatrix(geometry=geometry, matrix=csc)
+
+
+# A matrix depends only on its geometry, whose hash covers exactly the
+# fields that shape it (``angles`` is derived and kept out), so one
+# process-wide table keyed by the frozen geometry serves every caller.
+_systems_lock = threading.Lock()
+_systems: dict[ParallelBeamGeometry, "SystemMatrix"] = {}
+
+
+def shared_system(
+    geometry: ParallelBeamGeometry, *, build: Callable[..., "SystemMatrix"] = build_system_matrix
+) -> "SystemMatrix":
+    """The process-wide system matrix for ``geometry``, built once.
+
+    On a miss it is ``build(geometry)``: callers pass the
+    ``build_system_matrix`` name they look up, so a wrapper patched over
+    that name sees every build.  The matrix is read-only and shared.
+    """
+    with _systems_lock:
+        system = _systems.get(geometry)
+    if system is not None:
+        return system
+    built = build(geometry)
+    with _systems_lock:
+        # A concurrent builder may have won the race; keep the first one so
+        # every caller sees the same instance.
+        return _systems.setdefault(geometry, built)
+
+
+def clear_system_cache() -> None:
+    """Drop every shared system matrix (tests, memory pressure)."""
+    with _systems_lock:
+        _systems.clear()
 
 
 @dataclass

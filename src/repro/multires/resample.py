@@ -36,13 +36,11 @@ image depicts the same physical slice at lower resolution.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.ct.geometry import ParallelBeamGeometry
 from repro.ct.sinogram import ScanData
-from repro.ct.system_matrix import SystemMatrix, build_system_matrix
+from repro.ct.system_matrix import SystemMatrix, shared_system
 
 __all__ = [
     "coarsen_geometry",
@@ -52,7 +50,6 @@ __all__ = [
     "restrict_image_adjoint",
     "prolong_image",
     "coarse_system_for",
-    "clear_coarse_system_cache",
 ]
 
 
@@ -220,40 +217,6 @@ def prolong_image(coarse: np.ndarray, n_fine: int) -> np.ndarray:
     return weights @ img @ weights.T
 
 
-# ----------------------------------------------------------------------
-# Coarse system-matrix cache
-# ----------------------------------------------------------------------
-# Building a SystemMatrix is deterministic and read-only but expensive, so
-# coarse-level matrices are shared process-wide — mirroring
-# repro.service.runner.system_for without importing the service package
-# (the service imports *us* for the multires driver).
-_coarse_lock = threading.Lock()
-_coarse_cache: dict[tuple, SystemMatrix] = {}
-
-
-def _geometry_key(geometry: ParallelBeamGeometry) -> tuple:
-    return (
-        geometry.n_pixels,
-        geometry.n_views,
-        geometry.n_channels,
-        geometry.pixel_size,
-        geometry.channel_spacing,
-    )
-
-
 def coarse_system_for(geometry: ParallelBeamGeometry) -> SystemMatrix:
     """The shared system matrix for a coarse-level geometry."""
-    key = _geometry_key(geometry)
-    with _coarse_lock:
-        system = _coarse_cache.get(key)
-    if system is not None:
-        return system
-    built = build_system_matrix(geometry)
-    with _coarse_lock:
-        return _coarse_cache.setdefault(key, built)
-
-
-def clear_coarse_system_cache() -> None:
-    """Drop cached coarse system matrices (tests, memory pressure)."""
-    with _coarse_lock:
-        _coarse_cache.clear()
+    return shared_system(geometry)

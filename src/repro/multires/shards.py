@@ -43,6 +43,8 @@ from repro.service.jobs import (
     JobCancelledError,
     JobFailedError,
     JobSpec,
+    JobStateError,
+    UnknownJobError,
 )
 from repro.service.runner import job_params
 
@@ -145,10 +147,18 @@ class ShardCoordinator:
                 raise KeyError(f"unknown shard group {group_id!r}") from None
 
     def _register(self, group: ShardGroup) -> None:
+        """Claim the group's id, which an active job must not hold either."""
+        gid = group.group_id
         with self._lock:
-            if group.group_id in self._groups:
-                raise ValueError(f"shard group id {group.group_id!r} already exists")
-            self._groups[group.group_id] = group
+            if gid in self._groups:
+                raise JobStateError(f"shard group id {gid!r} already exists")
+            try:
+                active = not self.service.job(gid).terminal
+            except UnknownJobError:  # never seen, or evicted
+                active = False
+            if active:
+                raise JobStateError(f"job id {gid!r} is already active")
+            self._groups[gid] = group
 
     @staticmethod
     def _new_group_id() -> str:

@@ -56,10 +56,11 @@ and a queue-close race — submissions fired concurrently with
 queue-closed/service-closed errors, never anything else.
 
 ``python -m repro chaos --campaigns N --seed S`` runs N campaigns and
-exits non-zero on any violation; ``benchmarks/bench_chaos.py`` times the
-same harness for BENCH_9.json.  Everything here is deterministic given
-the seed *except* scheduling interleavings — which is the point: the
-invariants must hold across interleavings, and CI runs many seeds.
+exits non-zero on any violation; its ``--report-json`` carries each
+campaign's duration and fault-kind counts.  Everything here is
+deterministic given the seed *except* scheduling interleavings — which
+is the point: the invariants must hold across interleavings, and CI
+runs many seeds.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ POST      ``/jobs``               submit ``{"driver", "scan", "params",
                                   429 + ``Retry-After`` when admission control
                                   rejects (queue full); 400 malformed or
                                   refused params (``runner.job_params``);
-                                  409 duplicate active id; 503 +
-                                  ``Retry-After`` closed/closing service.
+                                  409 id held by an active job or group;
+                                  503 + ``Retry-After`` closed/closing service.
                                   An optional ``"shards"`` object turns the
                                   submission into a *job group*
                                   (:mod:`repro.multires.shards`):
@@ -151,6 +151,9 @@ class HttpGateway:
         self._scan_cache: OrderedDict[tuple[str, int], ScanData] = OrderedDict()
         self._coord_lock = threading.Lock()
         self._coordinator = None  # lazy ShardCoordinator (first group submit)
+        #: Job and group ids share ``/jobs/<id>``: a POST checks that the
+        #: other kind does not hold its id and claims it under this lock.
+        self.id_lock = threading.Lock()
         handler = type("BoundHandler", (_Handler,), {"gateway": self})
         self.server = ThreadingHTTPServer((host, int(port)), handler)
         self.server.daemon_threads = True
@@ -402,7 +405,10 @@ class _Handler(BaseHTTPRequestHandler):
         except (OSError, ValueError, TypeError) as exc:
             return self._send_error_json(400, f"bad submission: {exc}")
         try:
-            job_id = gw.service.submit(spec)
+            with gw.id_lock:
+                if spec.job_id is not None and gw.has_group(spec.job_id):
+                    raise JobStateError(f"job id {spec.job_id!r} names a shard group")
+                job_id = gw.service.submit(spec)
         except AdmissionError as exc:
             gw.rec.count("http.jobs_rejected_429")
             return self._send_error_json(
@@ -460,13 +466,14 @@ class _Handler(BaseHTTPRequestHandler):
                         400, f"shards fields {sorted(extra)} only apply to mode 'rows'"
                     )
                 scans = gw.load_volume(scan_name)
-                gid = coord.submit_volume(
-                    scans,
-                    driver=driver,
-                    params=params,
-                    priority=priority,
-                    group_id=group_id,
-                )
+                with gw.id_lock:
+                    gid = coord.submit_volume(
+                        scans,
+                        driver=driver,
+                        params=params,
+                        priority=priority,
+                        group_id=group_id,
+                    )
             else:
                 if driver != "icd":
                     return self._send_error_json(
@@ -474,17 +481,19 @@ class _Handler(BaseHTTPRequestHandler):
                         f"rows-mode sharding runs sequential ICD children; "
                         f"driver must be 'icd', got {driver!r}",
                     )
-                gid = coord.submit_sharded(
-                    gw.load_scan(scan_name),
-                    params=params,
-                    n_shards=int(shards.get("n_shards", 2)),
-                    halo=int(shards.get("halo", 1)),
-                    rounds=int(shards.get("rounds", 2)),
-                    sweeps_per_round=int(shards.get("sweeps_per_round", 1)),
-                    seed=int(shards.get("seed", 0)),
-                    priority=priority,
-                    group_id=group_id,
-                )
+                scan = gw.load_scan(scan_name)
+                with gw.id_lock:
+                    gid = coord.submit_sharded(
+                        scan,
+                        params=params,
+                        n_shards=int(shards.get("n_shards", 2)),
+                        halo=int(shards.get("halo", 1)),
+                        rounds=int(shards.get("rounds", 2)),
+                        sweeps_per_round=int(shards.get("sweeps_per_round", 1)),
+                        seed=int(shards.get("seed", 0)),
+                        priority=priority,
+                        group_id=group_id,
+                    )
         except (OSError, ValueError, TypeError) as exc:
             return self._send_error_json(400, f"bad sharded submission: {exc}")
         except AdmissionError as exc:
@@ -492,7 +501,7 @@ class _Handler(BaseHTTPRequestHandler):
             return self._send_error_json(
                 429, str(exc), headers={"Retry-After": f"{gw.retry_after_s:g}"}
             )
-        except JobStateError as exc:  # a child id is already active
+        except JobStateError as exc:  # the group id or a child id is taken
             return self._send_error_json(409, str(exc))
         except (QueueClosedError, RuntimeError) as exc:
             gw.rec.count("http.jobs_rejected_503")

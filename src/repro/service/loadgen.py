@@ -118,7 +118,7 @@ class JobRecord:
 
 @dataclass
 class LoadReport:
-    """Aggregated outcome of one load run (the BENCH_7 measurement unit)."""
+    """Aggregated outcome of one load run (``loadtest --report-json``)."""
 
     mode: str
     n_jobs: int

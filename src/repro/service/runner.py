@@ -32,7 +32,6 @@ import functools
 import inspect
 import numbers
 import signal as signal_mod
-import threading
 from pathlib import Path
 from typing import Any, get_args
 
@@ -43,7 +42,12 @@ from repro.core.icd import icd_reconstruct
 from repro.core.kernels import KERNELS
 from repro.core.psv_icd import psv_icd_reconstruct
 from repro.ct.geometry import ParallelBeamGeometry
-from repro.ct.system_matrix import SystemMatrix, build_system_matrix
+from repro.ct.system_matrix import (
+    SystemMatrix,
+    build_system_matrix,
+    clear_system_cache,
+    shared_system,
+)
 from repro.multires.pyramid import BASE_DRIVERS, multires_reconstruct
 from repro.resilience import FaultInjector, IntegritySentinel
 from repro.service.faults import DegradingCheckpointManager
@@ -102,39 +106,10 @@ _ADMITS = {
     np.ndarray: _is_numeric_array,
 }
 
-# -- system-matrix cache ------------------------------------------------
-_system_lock = threading.Lock()
-_system_cache: dict[tuple, SystemMatrix] = {}
-
-
-def _geometry_key(geometry: ParallelBeamGeometry) -> tuple:
-    return (
-        geometry.n_pixels,
-        geometry.n_views,
-        geometry.n_channels,
-        geometry.pixel_size,
-        geometry.channel_spacing,
-    )
-
 
 def system_for(geometry: ParallelBeamGeometry) -> SystemMatrix:
     """The shared system matrix for ``geometry`` (built once, process-wide)."""
-    key = _geometry_key(geometry)
-    with _system_lock:
-        system = _system_cache.get(key)
-    if system is not None:
-        return system
-    built = build_system_matrix(geometry)
-    with _system_lock:
-        # A concurrent builder may have won the race; keep the first one so
-        # every job sees the same instance.
-        return _system_cache.setdefault(key, built)
-
-
-def clear_system_cache() -> None:
-    """Drop all cached system matrices (tests, memory pressure)."""
-    with _system_lock:
-        _system_cache.clear()
+    return shared_system(geometry, build=build_system_matrix)
 
 
 # -- dispatch -----------------------------------------------------------

@@ -302,3 +302,40 @@ class TestHttpCommands:
         assert report["server_errors_5xx"] == 0
         assert report["slo_violations"] == 0
         assert report["status_counts"]["201"] == 6
+
+    def test_open_loop_loadtest_sheds_load_with_429s(self, tmp_path, capsys, scan16):
+        """Open-loop arrivals at a full depth-2 queue get 429s, never a 5xx,
+        and every admitted job completes."""
+        import json
+        import threading
+        import time
+
+        from repro.io import save_scan
+        from repro.service import HttpGateway, ReconstructionService
+
+        save_scan(tmp_path / "scan.npz", scan16)
+        # Parked workers: the queue holds exactly its 2 admitted jobs.
+        service = ReconstructionService(n_workers=1, max_queue_depth=2, start=False)
+        counters = service.rec.counters
+
+        def start_workers_once_all_8_are_answered():
+            answers = ("service.jobs_submitted", "http.jobs_rejected_429")
+            deadline = time.monotonic() + 120
+            while sum(counters.get(k, 0) for k in answers) < 8 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            service.start()
+
+        starter = threading.Thread(target=start_workers_once_all_8_are_answered)
+        with HttpGateway(service, scan_root=tmp_path, own_service=True) as gw:
+            starter.start()
+            assert main([
+                "loadtest", gw.url, "--mode", "open", "--rate", "50", "--jobs", "8",
+                "--distinct-seeds", "8", "--params", '{"max_equits": 1.0, "track_cost": false}',
+                "--report-json", str(tmp_path / "load.json"),
+            ]) == EXIT_OK
+            starter.join()
+        assert "open-loop: 2/8 jobs" in capsys.readouterr().out
+        report = json.loads((tmp_path / "load.json").read_text())
+        assert report["status_counts"] == {"201": 2, "429": 6}
+        assert report["rejected_429"] == 6 and report["server_errors_5xx"] == 0
+        assert report["accepted"] == report["completed"] == 2

@@ -9,7 +9,10 @@ cancels the whole group.
 from __future__ import annotations
 
 import json
+import sys
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ import pytest
 from repro.core.icd import icd_reconstruct
 from repro.core.volume import ellipsoid_volume, simulate_volume_scan
 from repro.io import load_reconstruction, save_scan, save_volume_scan
-from repro.service import HttpGateway, ReconstructionService
+from repro.service import HttpGateway, ReconstructionService, UnknownJobError
 
 PARAMS = {"max_equits": 1.0, "seed": 0, "track_cost": False}
 
@@ -238,3 +241,63 @@ class TestInvalidShardSpecs:
     def test_unknown_group_id_404(self, gateway):
         code, _, _ = http_json(gateway, "GET", "/jobs/grp-missing")
         assert code == 404
+
+
+class TestOneIdNamespace:
+    """Job and group ids share ``/jobs/<id>``: neither kind takes the
+    other's id, and a refused POST registers nothing."""
+
+    def post(self, gateway, job_id, *, group, **params):
+        body = {"driver": "icd", "scan": "volume.npz" if group else "scan.npz",
+                "params": {**PARAMS, **params}, "job_id": job_id}
+        if group:
+            body["shards"] = {"mode": "slices"}
+        return http_json(gateway, "POST", "/jobs", body)
+
+    def test_taken_group_id_is_409(self, gateway):
+        assert self.post(gateway, "g1", group=True)[0] == 201
+        group, jobs = gateway.coordinator.group("g1"), gateway.service.jobs
+        code, _, doc = self.post(gateway, "g1", group=True)
+        assert code == 409 and "g1" in doc["error"], doc
+        assert gateway.coordinator.group("g1") is group
+        assert gateway.service.jobs == jobs
+
+    def test_group_cannot_take_an_active_job_id(self, gateway):
+        long_run = {"max_equits": 500.0, "stop_delta_hu": None}
+        assert self.post(gateway, "j1", group=False, **long_run)[0] == 201
+        try:
+            jobs = gateway.service.jobs
+            code, _, doc = self.post(gateway, "j1", group=True, **long_run)
+            assert code == 409 and "j1" in doc["error"], doc
+            assert not gateway.has_group("j1")
+            assert gateway.service.jobs == jobs
+            code, _, status = http_json(gateway, "GET", "/jobs/j1")
+            assert status["state"] in ("PENDING", "RUNNING") and "group" not in status
+        finally:
+            http(gateway, "DELETE", "/jobs/j1")
+
+    def test_job_cannot_take_a_group_id(self, gateway):
+        assert self.post(gateway, "g2", group=True)[0] == 201
+        code, _, doc = self.post(gateway, "g2", group=False)
+        assert code == 409 and "g2" in doc["error"], doc
+        with pytest.raises(UnknownJobError):
+            gateway.service.job("g2")
+        assert http_json(gateway, "GET", "/jobs/g2")[2]["group"]["mode"] == "slices"
+
+    def test_concurrent_posts_of_one_id_have_one_winner(self, gateway):
+        long_run = {"max_equits": 500.0, "stop_delta_hu": None}
+        start = threading.Barrier(8)
+
+        def post(group):
+            start.wait(timeout=30)
+            return self.post(gateway, "race", group=group, **long_run)[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                codes = sorted(pool.map(post, [True, False] * 4))
+        finally:
+            sys.setswitchinterval(interval)
+            http(gateway, "DELETE", "/jobs/race")
+        assert codes == [201] + [409] * 7

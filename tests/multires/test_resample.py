@@ -8,7 +8,9 @@ import pytest
 from repro.ct.geometry import ParallelBeamGeometry
 from repro.ct.phantoms import MU_WATER, from_hounsfield, shepp_logan, to_hounsfield
 from repro.ct.sinogram import simulate_scan
+from repro.ct.system_matrix import clear_system_cache
 from repro.multires.resample import (
+    coarse_system_for,
     coarsen_geometry,
     prolong_image,
     restrict_image,
@@ -53,6 +55,15 @@ class TestCoarsenGeometry:
         coarse_angles = np.linspace(0, np.pi, coarse.n_views, endpoint=False)
         np.testing.assert_array_equal(coarse_angles, fine_angles[::f])
 
+    def test_coarse_and_service_matrices_share_one_cache(self, mr_geom):
+        from repro.service.runner import system_for
+
+        coarse = coarsen_geometry(mr_geom, 2)
+        system = coarse_system_for(coarse)
+        # One matrix per geometry value, whoever asks for it.
+        assert system_for(coarse) is coarse_system_for(coarsen_geometry(mr_geom, 2)) is system
+        clear_system_cache()
+        assert system_for(coarse) is not system
 
 class TestRestrictSinogram:
     def test_shape_and_constant_preservation(self):

@@ -1,7 +1,7 @@
 """Chaos harness smoke tests.
 
-The full campaign battery runs in CI's ``chaos`` job (and in
-``benchmarks/bench_chaos.py``); here we pin down the harness *contract*:
+The full campaign battery runs in CI's ``chaos`` job
+(``python -m repro chaos``); here we pin down the harness *contract*:
 plans are deterministic functions of their seed, and a single campaign
 runs clean end-to-end.
 """

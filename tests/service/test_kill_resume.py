@@ -14,17 +14,21 @@ exactly, a reference run in a separate queue directory that was never
 killed — separate so the shared-directory result cache cannot leak the
 reference volume into the resumed run.
 
-CI runs this file under its "service" job with a pytest timeout.
+The last drill SIGKILLs a job's worker under a live ``serve-http``
+gateway, which respawns it; the job resumes to DONE over HTTP.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +36,8 @@ import pytest
 
 from repro.io import load_reconstruction, save_scan
 from repro.resilience import CheckpointManager
-from repro.service import DirectoryService, write_job_spec
+from repro.service import DirectoryService, JobSpec, run_job, write_job_spec
+from repro.service.worker import worker_result_path
 
 KILL_AFTER = 2
 FAULT = {"kill_at_iteration": KILL_AFTER, "signal": "SIGSTOP"}
@@ -169,3 +174,92 @@ def test_kill_drill_through_module_cli(queue_dirs):
     assert status.returncode == 0, status.stderr
     assert json.loads(status.stdout)["state"] == "DONE"
     assert (killed / "jobs" / "cli-drill" / "result.npz").exists()
+
+
+# -- the same crash under a live ``serve-http`` gateway --------------------
+#: Off the stop rule: the kill follows the first of about 60 checkpoints.
+LIVE_PARAMS = {"max_equits": 60.0, "seed": 7, "track_cost": False, "stop_delta_hu": None}
+
+
+def http(base: str, method: str, path: str, body=None) -> tuple[int, bytes]:
+    """One exchange with the gateway; a 5xx anywhere fails the drill."""
+    req = urllib.request.Request(base + path, body and json.dumps(body).encode(), method=method)
+    try:
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            assert exc.code < 500, f"{method} {path} -> {exc.code}"
+            return exc.code, exc.read()
+
+
+def wait_until(predicate, timeout: float = 120.0):
+    """Poll ``predicate`` until it returns something truthy, and return that."""
+    deadline = time.monotonic() + timeout
+    while not (value := predicate()):
+        assert time.monotonic() < deadline, f"not reached within {timeout} s"
+        time.sleep(0.01)
+    return value
+
+
+def test_killed_worker_under_live_gateway_resumes_bit_identical(tmp_path, scan32):
+    save_scan(tmp_path / "scan.npz", scan32)
+    ckpt_dir = tmp_path / "ckpt" / "drill" / "checkpoints"
+    gateway = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve-http", "--port", "0",
+         "--scan-root", str(tmp_path), "--workers", "1", "--job-ttl", "2",
+         "--checkpoint-root", str(tmp_path / "ckpt")],
+        env=_ENV, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True,
+    )
+
+    def status():
+        code, raw = http(base, "GET", "/jobs/drill")
+        return code, json.loads(raw)
+
+    try:
+        line = gateway.stdout.readline()
+        assert (match := re.search(r"listening on (http://\S+)", line)), line
+        base = match.group(1)
+        body = {"driver": "icd", "scan": "scan.npz", "params": LIVE_PARAMS, "job_id": "drill"}
+        assert http(base, "POST", "/jobs", body)[0] == 201
+        wait_until(lambda: status()[1]["state"] == "RUNNING" and any(ckpt_dir.glob("ckpt-*")))
+        # The job's worker; multiprocessing's resource tracker is not one.
+        pids = subprocess.run(["pgrep", "-P", str(gateway.pid)], capture_output=True, text=True)
+        (worker,) = [int(pid) for pid in pids.stdout.split()
+                     if b"resource_tracker" not in Path(f"/proc/{pid}/cmdline").read_bytes()]
+        # Frozen with the job RUNNING and no result written, the worker is
+        # mid-job when the SIGKILL lands.
+        os.kill(worker, signal.SIGSTOP)
+        stat = Path(f"/proc/{worker}/stat")
+        wait_until(lambda: stat.read_text().rsplit(")", 1)[1].split()[0] == "T")
+        assert status()[1]["state"] == "RUNNING"
+        assert not worker_result_path(ckpt_dir).exists()
+        os.kill(worker, signal.SIGKILL)
+
+        # The supervisor respawns the worker and the job resumes to DONE.
+        wait_until(lambda: status()[1]["state"] not in ("PENDING", "RUNNING"))
+        assert status()[1]["state"] == "DONE", status()
+        crashes = b'repro_counter_total{name="service.worker_crashes"} 1'
+        assert crashes in http(base, "GET", "/metrics")[1]
+        code, raw = http(base, "GET", "/jobs/drill/result")
+        assert code == 200
+        (tmp_path / "drill.npz").write_bytes(raw)
+        ref = run_job(JobSpec(driver="icd", scan=scan32, params=LIVE_PARAMS),
+                      checkpoint_dir=tmp_path / "reference")
+        assert np.array_equal(load_reconstruction(tmp_path / "drill.npz")[0], ref.image)
+
+        # Evicted after its TTL: the id answers 410, not 404.
+        wait_until(lambda: status()[0] != 200, timeout=60)
+        code, doc = status()
+        assert code == 410 and doc["evicted"] is True, (code, doc)
+        gateway.send_signal(signal.SIGINT)
+        assert gateway.wait(timeout=60) == 0
+        with pytest.raises(ProcessLookupError):  # no worker outlived the gateway
+            os.killpg(gateway.pid, 0)
+    finally:
+        try:
+            os.killpg(gateway.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        gateway.communicate(timeout=60)

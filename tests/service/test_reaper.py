@@ -166,3 +166,38 @@ class TestEviction:
         evicted = svc.reaper.reap_once()
         assert sorted(evicted) == sorted(ids)
         assert svc.tombstone_count == 5  # oldest tombstones dropped first
+
+
+class TestRegistryBound:
+    def test_registry_holds_exactly_the_live_and_recent_jobs(self, scan16, svc_and_clock):
+        """After every reap, wave after wave, the registry holds the jobs that
+        are unfinished or finished less than a TTL ago, and nothing else."""
+        svc, clock = svc_and_clock
+        ttl, jobs, parked = svc.reaper.job_ttl_s, {}, []
+
+        def reap_and_check():
+            svc.reaper.reap_once()
+            now = clock()
+            live = {i for i, job in jobs.items() if not job.terminal or now - job.finished_at < ttl}
+            assert {job.job_id for job in svc.jobs} == live
+
+        for wave in range(3):
+            svc.scheduler.start()
+            ids = [svc.submit(icd_spec(scan16, seed=10 * wave + i)) for i in range(3)]
+            for job_id in parked + ids:
+                svc.result(job_id, timeout=120)
+            svc.scheduler.stop(wait=True)
+            # PENDING until the next wave starts the workers again.
+            parked = [svc.submit(icd_spec(scan16, seed=10 * wave + 9))]
+            jobs.update((job_id, svc.job(job_id)) for job_id in ids + parked)
+            for dt in (ttl / 2, ttl / 2 + 0.01):  # the wave finished under, then over, a TTL ago
+                clock.advance(dt)
+                reap_and_check()
+
+        svc.scheduler.start()
+        svc.result(parked[0], timeout=120)
+        clock.advance(ttl + 0.01)
+        reap_and_check()
+        counters = svc.report()["counters"]
+        assert svc.jobs == [] and len(jobs) == 12
+        assert counters["service.jobs_evicted"] == counters["service.tombstones"] == 12
