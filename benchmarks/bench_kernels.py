@@ -20,6 +20,13 @@ The compiled kernel runs the oracle's operations without the interpreter:
 at 64² on a 2-vCPU host (BENCH_3.json) it measured 17x the oracle on the
 sweep and 17x in SV waves; we hard-assert >= 6x the oracle in both modes.
 
+It also times the three passes over the matrix that prepare a driver
+call, each on the ``c`` kernel and on the NumPy/scipy oracle that runs
+without it: the ``SliceUpdater`` build (``wa`` and theta2), the forward
+projection behind the initial error sinogram, and the FBP initial image.
+The two paths must give the same bits before their timings count; the
+timings are recorded, not gated.
+
 Emit mode: set ``REPRO_BENCH_JSON=path.json`` to additionally write the
 measured numbers as a machine-readable report (CI uploads it as the
 ``BENCH_3.json`` perf-trajectory artifact; the checked-in ``BENCH_3.json``
@@ -28,6 +35,7 @@ was produced this way).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import platform
@@ -36,10 +44,11 @@ import time
 import numpy as np
 from conftest import report
 
-from repro.core import SuperVoxelGrid, default_prior, initial_image
+from repro.core import SuperVoxelGrid, default_prior, initial_image, kernels
 from repro.core.kernels import load_c_kernel, run_sv_visit, run_sweep
 from repro.core.prior import shared_neighborhood
 from repro.core.voxel_update import SliceUpdater
+from repro.ct import fbp_reconstruct
 from repro.utils import resolve_rng
 
 #: Interleaved timing trials per contender; best-of is reported.
@@ -96,7 +105,52 @@ def _sv_wave_pass(contender, updater, grid, x0, e0, stale_width):
     return total / dt, x, e
 
 
-def _emit_json(path, n_pixels, sv_side, stale_width, best, wave_best):
+@contextlib.contextmanager
+def _oracle_paths():
+    """Run the preparation passes on their NumPy/scipy oracles, as without a compiler."""
+    compiled = kernels._C_LIBRARY
+    kernels._C_LIBRARY = kernels._CLibrary()
+    kernels._C_LIBRARY.error = "off for the oracle timing"
+    try:
+        yield
+    finally:
+        kernels._C_LIBRARY = compiled
+
+
+def _prep_steps(scan, system, neighborhood, x0):
+    """The three preparation passes, each a callable returning its output arrays."""
+    prior = default_prior()
+
+    def updater_build():
+        upd = SliceUpdater(system, scan, prior, neighborhood)
+        return upd.wa, upd.theta2
+
+    return {
+        "updater_build": updater_build,
+        "forward": lambda: (system.forward(x0),),
+        "fbp": lambda: (fbp_reconstruct(scan.sinogram, scan.geometry),),
+    }
+
+
+def _time_prep(steps, paths):
+    """Best-of-TRIALS seconds per step and path, after a bit-identity check."""
+    for name, step in steps.items():
+        with _oracle_paths():
+            want = step()
+        for got, ref in zip(step(), want):
+            assert np.array_equal(got, ref), f"{name}: the c pass is not bit-equal to the oracle"
+    best = {name: {path: float("inf") for path in paths} for name in steps}
+    for _ in range(TRIALS):
+        for name, step in steps.items():
+            for path in paths:
+                with _oracle_paths() if path == "numpy" else contextlib.nullcontext():
+                    t0 = time.perf_counter()
+                    step()
+                    best[name][path] = min(best[name][path], time.perf_counter() - t0)
+    return best
+
+
+def _emit_json(path, n_pixels, sv_side, stale_width, best, wave_best, prep):
     """Write the measured throughputs as the perf-trajectory JSON report."""
     oracle = best["python"]
     payload = {
@@ -115,6 +169,9 @@ def _emit_json(path, n_pixels, sv_side, stale_width, best, wave_best):
             "speedup_vs_python": {
                 k: round(v / wave_best["python"], 3) for k, v in wave_best.items()
             },
+        },
+        "prep_ms": {
+            step: {k: round(1e3 * v, 3) for k, v in times.items()} for step, times in prep.items()
         },
     }
     with open(path, "w") as f:
@@ -168,6 +225,10 @@ def bench_kernels(ctx):
             ups = _sv_wave_pass(c, updater, grid, x0, e0, stale)[0]
             wave_best[c] = max(wave_best[c], ups)
 
+    # Preparation passes, c vs the NumPy/scipy oracle (with a compiler).
+    prep_paths = ["numpy", *compiled]
+    prep = _time_prep(_prep_steps(scan, system, shared_neighborhood(n), x0), prep_paths)
+
     oracle = best["python"]
     lines = [f"{n}x{n} suite slice, full-image sweep (best of {TRIALS} interleaved trials)"]
     lines.append(f"{'kernel':12s} {'updates/s':>12s} {'vs python':>10s} {'vs baseline':>12s}")
@@ -181,11 +242,16 @@ def bench_kernels(ctx):
         lines.append(
             f"{c:12s} {wave_best[c]:12.0f} {wave_best[c] / wave_best['python']:9.2f}x"
         )
+    lines.append("")
+    lines.append("preparation passes, ms (best of interleaved trials)")
+    lines.append(f"{'step':14s}" + "".join(f" {p:>9s}" for p in prep_paths))
+    for step, times in prep.items():
+        lines.append(f"{step:14s}" + "".join(f" {1e3 * times[p]:9.2f}" for p in prep_paths))
     report("KERNELS — voxel-updates/sec per kernel", "\n".join(lines))
 
     emit_path = os.environ.get("REPRO_BENCH_JSON")
     if emit_path:
-        _emit_json(emit_path, n, grid.sv_side, stale, best, wave_best)
+        _emit_json(emit_path, n, grid.sv_side, stale, best, wave_best, prep)
 
     for mode, rates in (("sweep", best), ("SV waves", wave_best)):
         if compiled:

@@ -1,16 +1,19 @@
 /*
  * The ``c`` kernel: Alg. 1's per-voxel chain (footprint gather, theta1 dot,
  * surrogate solve, delta scatter) for the full-image ICD sweep and for one
- * SuperVoxel visit.  repro/core/kernels.py compiles this file on first use
- * and calls it through ctypes; it validates every array it passes here,
- * except a SuperVoxel's tables, which repro/core/supervoxel.py checks
- * against the matrix when it builds the SuperVoxel.
+ * SuperVoxel visit, and the three passes over the matrix that prepare a
+ * driver call (the updater's fused products, the forward projection and
+ * the FBP backprojection).  repro/core/kernels.py compiles this file on
+ * first use and calls it through ctypes; it validates every array it
+ * passes here, except a SuperVoxel's tables, which repro/core/supervoxel.py
+ * checks against the matrix when it builds the SuperVoxel.
  *
- * The arithmetic is the ``python`` oracle's, operation for operation (the
- * bit-exactness contract in kernels.py): every sum runs strictly left to
- * right from its first term, the q-GGMRF ratio calls libm ``pow`` one
- * scalar at a time, and float32 matrix values widen to double before each
- * product.  Built with -ffp-contract=off so no multiply-add is fused.
+ * The arithmetic is the NumPy or scipy code's it replaces, operation for
+ * operation (the bit-exactness contract in kernels.py): every sum runs
+ * strictly left to right from its first term, the q-GGMRF ratio calls libm
+ * ``pow`` one scalar at a time, and float32 matrix values widen to double
+ * before each product.  Built with -ffp-contract=off so no multiply-add is
+ * fused.
  */
 #include <math.h>
 #include <stdint.h>
@@ -229,4 +232,93 @@ int64_t repro_sv_visit(const struct repro_ctx *c, const int64_t *voxels,
     *skipped = skips;
     *total_abs_delta = tad;
     return updates;
+}
+
+/* ------------------------------------------------------------------ */
+/* Preparation: each pass reproduces the NumPy or scipy code that     */
+/* stays its oracle where this library does not run.                  */
+/* ------------------------------------------------------------------ */
+
+/* One column block of SliceUpdater's build over n stored entries (rows,
+ * a): p = w[row] * a, stored rounded to float32 as wa, and p * a, theta2's
+ * term, stored in prod.  Returns 0, or -1 at the first row outside
+ * w[0..n_rows) (the entries before it written). */
+int64_t repro_fill_products(const int32_t *rows, const float *a, int64_t n,
+                            const double *w, int64_t n_rows, float *wa, double *prod)
+{
+    for (int64_t k = 0; k < n; k++) {
+        double p;
+        if (rows[k] < 0 || rows[k] >= n_rows)
+            return -1;
+        p = w[rows[k]] * (double)a[k];
+        wa[k] = (float)p;
+        prod[k] = p * (double)a[k];
+    }
+    return 0;
+}
+
+/* y += A x for the CSC matrix (indptr, indices, a) of n_cols columns over
+ * n_rows rows and nnz stored entries: column by column, down each column,
+ * as scipy's csc_matvec runs over its float64 copy of a (y starts at
+ * zero).  Returns 0, or -1 at the first column whose offsets or rows fall
+ * outside the matrix (y then partly summed). */
+int64_t repro_csc_matvec(int64_t n_cols, int64_t n_rows, int64_t nnz,
+                         const int32_t *indptr, const int32_t *indices, const float *a,
+                         const double *x, double *y)
+{
+    for (int64_t j = 0; j < n_cols; j++) {
+        int64_t lo = indptr[j], hi = indptr[j + 1];
+        double xj = x[j];
+        if (lo < 0 || hi < lo || hi > nnz)
+            return -1;
+        for (int64_t k = lo; k < hi; k++) {
+            int32_t i = indices[k];
+            if (i < 0 || i >= n_rows)
+                return -1;
+            y[i] += (double)a[k] * xj;
+        }
+    }
+    return 0;
+}
+
+/* np.interp(c, arange(n), f, left=0.0, right=0.0) at one point, branch for
+ * branch as numpy's arr_interp runs it: on the integer grid every slope
+ * (f[j+1] - f[j]) / (j + 1 - j) is f[j+1] - f[j], and j = floor(c). */
+static double interp_grid(double c, const double *f, int64_t n)
+{
+    int64_t j;
+    double slope, r;
+    if (isnan(c))
+        return n == 1 ? f[0] : c; /* numpy's one-point grid compares instead */
+    if (c < 0.0 || c > (double)(n - 1))
+        return 0.0;
+    j = (int64_t)c;
+    if (j == n - 1 || (double)j == c)
+        return f[j];
+    slope = f[j + 1] - f[j];
+    r = slope * (c - (double)j) + f[j];
+    if (isnan(r)) {
+        r = slope * (c - (double)(j + 1)) + f[j + 1];
+        if (isnan(r) && f[j] == f[j + 1])
+            r = f[j];
+    }
+    return r;
+}
+
+/* fbp_reconstruct's backprojection: recon[p] is the sum, from 0.0 and in
+ * view order, of view v's filtered row (filtered + v * n_chan) interpolated
+ * at the pixel's channel coordinate (x[p] * cos_v[v] + y[p] * sin_v[v]) /
+ * spacing + center. */
+void repro_backproject(int64_t n_pix, const double *x, const double *y, int64_t n_views,
+                       const double *cos_v, const double *sin_v, const double *filtered,
+                       int64_t n_chan, double spacing, double center, double *recon)
+{
+    for (int64_t p = 0; p < n_pix; p++) {
+        double acc = 0.0;
+        for (int64_t v = 0; v < n_views; v++) {
+            double c = (x[p] * cos_v[v] + y[p] * sin_v[v]) / spacing + center;
+            acc += interp_grid(c, filtered + v * n_chan, n_chan);
+        }
+        recon[p] = acc;
+    }
 }

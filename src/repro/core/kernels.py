@@ -29,6 +29,18 @@ the updater, and to ``python`` otherwise (no compiler, a failed build, a
 generic prior, float64 storage).  Since both kernels compute the same
 bits, the choice never changes iterates, RNG draws or checkpoints.
 
+The library also runs the three passes over the matrix that prepare every
+driver call, wherever it loads and the matrix is float32 with int32
+indices: :func:`fill_products` (one column block of the
+:class:`~repro.core.voxel_update.SliceUpdater` build's ``wa`` and theta2
+terms), :func:`csc_matvec` (:meth:`~repro.ct.system_matrix.SystemMatrix.forward`,
+so the initial error sinogram, the simulated scan and the MAP cost) and
+:func:`backproject` (:func:`~repro.ct.fbp.fbp_reconstruct`).  Each is
+bit-identical to the NumPy or scipy code its caller keeps as the oracle,
+which runs where the library does not: no compiler, or a float64 or int64
+matrix.  So the library compiles on the first driver call, forward
+projection or FBP, whichever comes first.
+
 Bit-exactness contract
 ----------------------
 Cross-kernel bit-equality is only possible if both kernels perform the
@@ -56,6 +68,14 @@ this design, so that the compiled scalar kernel joins the contract):
 * The C source is compiled with ``-ffp-contract=off`` (no fused
   multiply-adds) and never with ``-ffast-math``/``-Ofast``; ``CFLAGS`` is
   not read, because the flags are part of this contract.
+* The preparation passes copy their oracles' orders: the forward
+  projection adds column by column into a zeroed sinogram, as scipy's
+  ``csc_matvec`` does over its float64 copy of the matrix; the
+  backprojection adds views in order from 0.0 and interpolates branch for
+  branch as ``np.interp`` does on the integer channel grid, from one NumPy
+  scalar ``cos``/``sin`` per view (a vectorised ``np.cos`` need not match
+  them); and theta2 still sums its terms with ``np.add.reduceat``, per
+  column block, whose segments are the columns as over the whole matrix.
 """
 
 from __future__ import annotations
@@ -77,6 +97,10 @@ from repro.observability import NULL_RECORDER
 
 __all__ = [
     "KERNELS",
+    "backproject",
+    "c_runs_matrix",
+    "csc_matvec",
+    "fill_products",
     "load_c_kernel",
     "resolve_kernel",
     "run_sweep",
@@ -179,6 +203,13 @@ def _build_c_library() -> ctypes.CDLL:
         ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double),
     ]
     lib.repro_sv_visit.restype = i64
+    lib.repro_fill_products.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr]
+    lib.repro_fill_products.restype = i64
+    lib.repro_csc_matvec.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr]
+    lib.repro_csc_matvec.restype = i64
+    f64 = ctypes.c_double
+    lib.repro_backproject.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr, i64, f64, f64, ptr]
+    lib.repro_backproject.restype = None
     return lib
 
 
@@ -223,18 +254,32 @@ def load_c_kernel() -> str | None:
     return _C_LIBRARY.load()
 
 
-def _c_unsupported(updater) -> str | None:
-    """Why the ``c`` kernel cannot run ``updater``'s solve, or None."""
-    if type(updater.prior) not in _C_PRIOR_KINDS:
-        return f"prior {type(updater.prior).__name__} is neither QGGMRFPrior nor QuadraticPrior"
-    matrix = updater.system.matrix
+def _matrix_unsupported(matrix) -> str | None:
+    """Why the ``c`` kernel cannot run over the CSC ``matrix``, or None."""
     if (
-        updater.wa.dtype != np.float32
+        matrix.format != "csc"
+        or matrix.data.dtype != np.float32
         or matrix.indices.dtype != np.int32
         or matrix.indptr.dtype != np.int32
     ):
         return "the system matrix is not float32 with int32 indices"
     return _C_LIBRARY.load()
+
+
+def _c_unsupported(updater) -> str | None:
+    """Why the ``c`` kernel cannot run ``updater``'s solve, or None."""
+    if type(updater.prior) not in _C_PRIOR_KINDS:
+        return f"prior {type(updater.prior).__name__} is neither QGGMRFPrior nor QuadraticPrior"
+    return _matrix_unsupported(updater.system.matrix)
+
+
+def c_runs_matrix(matrix) -> bool:
+    """Whether the ``c`` kernel runs the preparation passes over ``matrix``.
+
+    True when the library loads (building it on the first call) and
+    ``matrix`` is a float32 CSC matrix with int32 indices.
+    """
+    return _matrix_unsupported(matrix) is None
 
 
 def _require(arr, dtype, size: int, name: str, *, writeable: bool = False) -> np.ndarray:
@@ -460,3 +505,75 @@ def _visit_python(upd, sv, order, x, svb, zero_skip, stale_width):
             total_abs_delta += abs(delta)
             updates += 1
     return updates, skipped, total_abs_delta
+
+
+# ----------------------------------------------------------------------
+# Preparation passes: the updater build, forward projection, FBP
+# ----------------------------------------------------------------------
+def fill_products(rows, a, weights, wa, products) -> None:
+    """One column block of the updater build, in one pass over its entries.
+
+    For the block's stored entries (CSC ``rows`` and float32 values ``a``)
+    writes ``wa = float32(weights[rows] * a)`` and theta2's terms
+    ``products = (weights[rows] * a) * a``, the bits the NumPy build gets.
+    The caller checked :func:`c_runs_matrix` for the block's matrix.
+    """
+    n = rows.size
+    _require(rows, np.int32, n, "rows")
+    _require(a, np.float32, n, "a")
+    _require(weights, np.float64, weights.size, "weights")
+    _require(wa, np.float32, n, "wa", writeable=True)
+    _require(products, np.float64, n, "products", writeable=True)
+    if _C_LIBRARY.lib.repro_fill_products(
+        rows.ctypes.data, a.ctypes.data, n, weights.ctypes.data, weights.size,
+        wa.ctypes.data, products.ctypes.data,
+    ):
+        raise ValueError("c kernel: a CSC row index is out of range")
+
+
+def csc_matvec(matrix, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` for a float64 ``x``, bit for bit, without widening the matrix.
+
+    scipy's ``csc_matvec`` runs over a float64 copy of a float32 matrix;
+    this adds the same products in the same order over the float32 values.
+    The caller checked :func:`c_runs_matrix`.
+    """
+    n_rows, n_cols = matrix.shape
+    nnz = matrix.indices.size
+    indptr = _require(matrix.indptr, np.int32, n_cols + 1, "indptr")
+    indices = _require(matrix.indices, np.int32, nnz, "indices")
+    data = _require(matrix.data, np.float32, nnz, "data")
+    _require(x, np.float64, n_cols, "x")
+    y = np.zeros(n_rows)
+    if _C_LIBRARY.lib.repro_csc_matvec(
+        n_cols, n_rows, nnz, indptr.ctypes.data, indices.ctypes.data, data.ctypes.data,
+        x.ctypes.data, y.ctypes.data,
+    ):
+        raise ValueError("c kernel: a CSC column offset or row index is out of range")
+    return y
+
+
+def backproject(filtered, x, y, cos_v, sin_v, spacing: float, center: float) -> np.ndarray:
+    """FBP's backprojection of every view in one call.
+
+    ``filtered`` holds one filtered view per row; ``x``/``y`` are the pixel
+    centres and ``cos_v``/``sin_v`` each view's cosine and sine.  Returns
+    the flat image whose pixel ``p`` sums, in view order, ``np.interp`` of
+    the view's row at channel ``(x[p]*cos + y[p]*sin) / spacing + center``
+    (zero off the detector), the bits of the NumPy loop in
+    :func:`~repro.ct.fbp.fbp_reconstruct`.  The caller checked
+    :func:`load_c_kernel`.
+    """
+    n_views, n_chan = filtered.shape
+    n_pix = x.size
+    _require(filtered, np.float64, n_views * n_chan, "filtered")
+    _require(x, np.float64, n_pix, "x")
+    _require(y, np.float64, n_pix, "y")
+    _require(cos_v, np.float64, n_views, "cos_v")
+    _require(sin_v, np.float64, n_views, "sin_v")
+    recon = np.empty(n_pix)
+    _C_LIBRARY.lib.repro_backproject(
+        n_pix, x.ctypes.data, y.ctypes.data, n_views, cos_v.ctypes.data, sin_v.ctypes.data,
+        filtered.ctypes.data, n_chan, spacing, center, recon.ctypes.data,
+    )
+    return recon

@@ -39,6 +39,14 @@ iterates:
 * the fused products ``wa`` and the column values ``a_data`` are stored in
   the system matrix's dtype (float32 halves the hot-path working set) and
   every accumulation upcasts them entry-wise to float64.
+
+The build fills ``wa`` and theta2's terms ``(w*A)*A`` one column block of
+at most :data:`BUILD_BLOCK` stored entries at a time, in one pass of the
+``c`` kernel where it runs over the matrix and in NumPy where it does not
+(the oracle: no compiler, a float64 or int64 matrix), and sums each
+block's terms per column with ``np.add.reduceat``.  The segments are the
+columns either way, so the bits do not depend on the block size, and the
+build's one float64 temporary holds one block, not the whole matrix.
 """
 
 from __future__ import annotations
@@ -48,12 +56,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import build_c_struct
+from repro.core.kernels import build_c_struct, c_runs_matrix, fill_products
 from repro.core.prior import Neighborhood, Prior
 from repro.ct.sinogram import ScanData
 from repro.ct.system_matrix import SystemMatrix
 
 __all__ = ["compute_thetas", "solve_surrogate", "solve_surrogate_scalar", "SliceUpdater"]
+
+#: Stored entries per column block of the updater build (a longer column is
+#: a block of its own); the build's one float64 temporary holds one block.
+BUILD_BLOCK = 1 << 17
 
 
 def compute_thetas(
@@ -132,6 +144,54 @@ def solve_surrogate_scalar(
     return u
 
 
+def _column_blocks(indptr: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive column ranges of at most BUILD_BLOCK stored entries, or one column."""
+    blocks = []
+    c0, n_cols = 0, indptr.size - 1
+    while c0 < n_cols:
+        c1 = int(np.searchsorted(indptr, indptr[c0] + BUILD_BLOCK, side="right")) - 1
+        blocks.append((c0, max(c1, c0 + 1)))
+        c0 = blocks[-1][1]
+    return blocks
+
+
+def _fused_products(A, weights: np.ndarray, store_dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``(wa, theta2)`` for the CSC matrix ``A``, one column block at a time.
+
+    Per stored entry the weight at its row (widened to float64 before the
+    gather, so float32 weights upcast exactly) times the entry gives ``wa``,
+    rounded to ``store_dtype``, and that product times the entry again
+    gives the theta2 term; ``np.add.reduceat`` sums a block's terms over
+    its nonempty columns, and an empty column's theta2 stays 0.
+    """
+    indptr = A.indptr
+    w = np.asarray(weights.ravel(), dtype=np.float64)
+    wa = np.empty(A.nnz, dtype=store_dtype)
+    theta2 = np.zeros(A.shape[1], dtype=np.float64)
+    blocks = _column_blocks(indptr)
+    # The c kernel fills each block's terms into one buffer sized by the
+    # largest block; NumPy allocates a block's terms as it goes.
+    buf = None
+    if c_runs_matrix(A):
+        buf = np.empty(max((int(indptr[c1] - indptr[c0]) for c0, c1 in blocks), default=0))
+    for c0, c1 in blocks:
+        lo, hi = int(indptr[c0]), int(indptr[c1])
+        rows, a = A.indices[lo:hi], A.data[lo:hi]
+        if buf is not None:
+            terms = buf[: hi - lo]
+            fill_products(rows, a, w, wa[lo:hi], terms)
+        else:
+            terms = w[rows]
+            terms *= a
+            wa[lo:hi] = terms
+            terms *= a
+        cols = c0 + np.flatnonzero(indptr[c0 + 1 : c1 + 1] > indptr[c0:c1])
+        if cols.size:
+            theta2[cols] = np.add.reduceat(terms, indptr[cols] - lo)
+        del terms  # before the next block's NumPy terms exist
+    return wa, theta2
+
+
 @dataclass
 class SliceUpdater:
     """Precomputed per-slice state shared by all ICD drivers and both kernels.
@@ -162,22 +222,9 @@ class SliceUpdater:
         # to float64, and theta2 is computed from the full-precision
         # products *before* the storage rounding.
         store_dtype = A.data.dtype if A.data.dtype == np.float32 else np.float64
-        # The build's one matrix-sized float64 temporary: the weight at each
-        # stored entry's row (widened before the gather, so float32 weights
-        # upcast exactly), times A in place, then times A again for theta2.
-        products = np.asarray(self.scan.weights.ravel(), dtype=np.float64)[A.indices]
-        products *= A.data
-        #: fused w*A products, aligned with the CSC storage of ``A``.
-        self.wa = products.astype(store_dtype)
-        products *= A.data
+        #: fused w*A products, aligned with the CSC storage of ``A``, and
         #: per-voxel theta2 = sum w * A^2 (constant across the run).
-        if A.nnz == 0:
-            self.theta2 = np.zeros(A.shape[1], dtype=np.float64)
-        else:
-            # reduceat with an empty segment repeats the next value (and an
-            # out-of-bounds start raises); clamp starts and mask empties to 0.
-            starts = np.minimum(A.indptr[:-1], A.nnz - 1)
-            self.theta2 = np.add.reduceat(products, starts) * (np.diff(A.indptr) > 0)
+        self.wa, self.theta2 = _fused_products(A, self.scan.weights, store_dtype)
         self.indptr = A.indptr
         self.a_data = A.data if A.data.dtype == store_dtype else A.data.astype(store_dtype)
 

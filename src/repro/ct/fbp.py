@@ -7,6 +7,14 @@ frequency domain followed by pixel-driven backprojection with linear
 interpolation.  It is used by the examples (to show the image-quality gap at
 low dose / sparse views that motivates MBIR) and by the harness to quantify
 the paper's "up to two orders of magnitude more compute operations" claim.
+It is also every driver's default initial image, so it runs once per
+driver call.
+
+The backprojection of every view runs in one call of the ``c`` kernel
+(:func:`repro.core.kernels.backproject`) where the library builds, and in
+the NumPy loop below, its bit-identical oracle, where it does not.  Each
+view's cosine and sine stay one NumPy scalar call on both paths, because a
+vectorised ``np.cos`` need not match them.
 """
 
 from __future__ import annotations
@@ -73,17 +81,28 @@ def fbp_reconstruct(
     filtered = filtered[:, :n_chan]
 
     x, y = geometry.pixel_centers()
-    recon = np.zeros_like(x)
-    # Continuous channel coordinate of each pixel centre per view, then
-    # linear interpolation of the filtered view.
-    chan_coords = np.arange(n_chan)
-    for view in range(geometry.n_views):
-        theta = geometry.angles[view]
-        t = x * np.cos(theta) + y * np.sin(theta)
-        c = t / spacing + (n_chan - 1) / 2.0
-        recon += np.interp(c.ravel(), chan_coords, filtered[view], left=0.0, right=0.0).reshape(
-            x.shape
-        )
+    # One NumPy scalar call per view: a vectorised np.cos need not match it.
+    cos_v = np.array([np.cos(theta) for theta in geometry.angles])
+    sin_v = np.array([np.sin(theta) for theta in geometry.angles])
+    center = (n_chan - 1) / 2.0
+    # Function-local: repro.core imports repro.ct at module load.
+    from repro.core.kernels import backproject, load_c_kernel
+
+    if load_c_kernel() is None:
+        recon = backproject(
+            np.ascontiguousarray(filtered), x.ravel(), y.ravel(), cos_v, sin_v, spacing, center
+        ).reshape(x.shape)
+    else:
+        recon = np.zeros_like(x)
+        # Continuous channel coordinate of each pixel centre per view, then
+        # linear interpolation of the filtered view.
+        chan_coords = np.arange(n_chan)
+        for view in range(geometry.n_views):
+            t = x * cos_v[view] + y * sin_v[view]
+            c = t / spacing + center
+            recon += np.interp(
+                c.ravel(), chan_coords, filtered[view], left=0.0, right=0.0
+            ).reshape(x.shape)
     recon *= np.pi / geometry.n_views * spacing
     if clip_negative:
         np.clip(recon, 0.0, None, out=recon)

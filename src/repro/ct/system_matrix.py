@@ -229,13 +229,24 @@ class SystemMatrix:
     # Projection operators
     # ------------------------------------------------------------------
     def forward(self, image: np.ndarray) -> np.ndarray:
-        """Forward-project ``image`` (``(n, n)`` or flat) to a sinogram."""
+        """Forward-project ``image`` (``(n, n)`` or flat) to a sinogram.
+
+        The ``c`` kernel's ``csc_matvec`` runs it where it runs over this
+        matrix; scipy's ``matrix @ flat`` (the same bits, over a float64
+        copy of a float32 matrix) where it does not.
+        """
+        # Function-local: repro.core imports repro.ct at module load.
+        from repro.core.kernels import c_runs_matrix, csc_matvec
+
         flat = np.asarray(image, dtype=np.float64).ravel()
         if flat.size != self.geometry.n_voxels:
             raise ValueError(
                 f"image has {flat.size} voxels, geometry expects {self.geometry.n_voxels}"
             )
-        sino = self.matrix @ flat
+        if c_runs_matrix(self.matrix):
+            sino = csc_matvec(self.matrix, flat)
+        else:
+            sino = self.matrix @ flat
         return sino.reshape(self.geometry.sinogram_shape)
 
     def back(self, sinogram: np.ndarray) -> np.ndarray:

@@ -208,9 +208,6 @@ class ReconstructionService:
             raise RuntimeError("service is closed")
         params = job_params(spec.driver, spec.params)
         job_id = spec.job_id if spec.job_id is not None else uuid.uuid4().hex[:12]
-        with self._jobs_lock:
-            if job_id in self._jobs and not self._jobs[job_id].terminal:
-                raise JobStateError(f"job id {job_id!r} is already active")
         # The key covers everything that determines iterates: the spec,
         # plus the defaults run_job resolves for what it omits.
         key_params = {k: v for k, v in params.items() if k not in UNKEYED_PARAMS}
@@ -221,8 +218,13 @@ class ReconstructionService:
             cache_key=cache_key(spec.driver, spec.scan, key_params),
             clock=self._clock,
         )
-        self.queue.put(job)  # Admission/QueueClosed errors propagate before registration
+        # Check, enqueue and register under one hold, so two submits of one
+        # id cannot both pass the check; put() never blocks (it raises at
+        # capacity or after close, before enqueueing or registering).
         with self._jobs_lock:
+            if job_id in self._jobs and not self._jobs[job_id].terminal:
+                raise JobStateError(f"job id {job_id!r} is already active")
+            self.queue.put(job)
             self._jobs[job_id] = job
             # A resubmitted id supersedes its tombstone: the fresh job owns
             # the id again (stable-id crash recovery relies on this).

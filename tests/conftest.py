@@ -44,6 +44,12 @@ def system32(geom32):
 
 
 @pytest.fixture(scope="session")
+def system64():
+    """System matrix at 64^2 (1.0 M stored entries)."""
+    return build_system_matrix(scaled_geometry(64))
+
+
+@pytest.fixture(scope="session")
 def phantom16():
     """Shepp-Logan at 16^2."""
     return shepp_logan(16)

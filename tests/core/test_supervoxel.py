@@ -140,11 +140,6 @@ def grid(system32):
     return SuperVoxelGrid(system32, sv_side=8, overlap=1)
 
 
-@pytest.fixture(scope="module")
-def system64():
-    return build_system_matrix(scaled_geometry(64))
-
-
 def clipped_system(n_views: int, n_channels: int):
     """A detector narrower than the image: some voxels miss whole views."""
     geom = ParallelBeamGeometry(

@@ -10,6 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import (
     GPUICDParams,
@@ -20,8 +21,9 @@ from repro.core import (
     map_cost,
     solve_surrogate,
 )
+from repro.core import voxel_update
 from repro.core.icd import default_prior
-from repro.ct import SystemMatrix, noiseless_scan
+from repro.ct import SystemMatrix, noiseless_scan, shepp_logan, simulate_scan
 
 
 @pytest.fixture(scope="module")
@@ -156,15 +158,35 @@ def _with_dtypes(system, scan, matrix_dtype, weights_dtype):
 
 
 def _unfused_build(system, scan):
-    """``(wa, theta2, a_data)`` by the formula that held four float64 temporaries."""
+    """``(wa, theta2, a_data)`` by the formula that held four float64 temporaries.
+
+    theta2 sums each nonempty column's segment with ``np.add.reduceat``
+    over the whole matrix; an empty column's theta2 is 0.
+    """
     A = system.matrix
     a64 = A.data.astype(np.float64)
     w_at_rows = scan.weights.ravel()[A.indices]
     wa64 = w_at_rows * a64
     store_dtype = A.data.dtype if A.data.dtype == np.float32 else np.float64
-    starts = np.minimum(A.indptr[:-1], A.nnz - 1)
-    theta2 = np.add.reduceat(wa64 * a64, starts) * (np.diff(A.indptr) > 0)
+    nonempty = np.diff(A.indptr) > 0
+    theta2 = np.zeros(A.shape[1])
+    theta2[nonempty] = np.add.reduceat(wa64 * a64, A.indptr[:-1][nonempty])
     return wa64.astype(store_dtype), theta2, A.data if store_dtype == np.float32 else a64
+
+
+@pytest.fixture(scope="module")
+def scan64(system64):
+    return simulate_scan(shepp_logan(64), system64, dose=1e5, seed=7)
+
+
+#: Build block sizes: the default (one block at 32²), blocks of several
+#: columns, and a block shorter than every column (one column per block).
+_BLOCKS = [
+    pytest.param(None, id="default-block"),
+    pytest.param(1000, id="several-columns"),
+    pytest.param(16, id="column-longer-than-block"),
+]
+_MATRIX_DTYPES = [pytest.param(np.float32, id="float32"), pytest.param(np.float64, id="float64")]
 
 
 class TestUpdaterBuild:
@@ -184,11 +206,46 @@ class TestUpdaterBuild:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("matrix_dtype", [np.float32, np.float64])
-    def test_peak_is_one_float64_temporary(self, system32, scan32, matrix_dtype):
-        """The build's traced peak is what it keeps plus 8 bytes per stored entry."""
+    @pytest.mark.parametrize("block", _BLOCKS[1:])
+    @pytest.mark.parametrize("matrix_dtype", _MATRIX_DTYPES)
+    def test_block_size_keeps_the_bits(self, monkeypatch, system32, scan32, matrix_dtype, block):
+        """wa and theta2 do not depend on the block size, on the compiled
+        pass (a float32 matrix, where it builds) or the NumPy one."""
+        monkeypatch.setattr(voxel_update, "BUILD_BLOCK", block)
         system, scan = _with_dtypes(system32, scan32, matrix_dtype, np.float64)
-        neighborhood = Neighborhood(32)
+        assert np.diff(system.matrix.indptr).min() > 16  # every column straddles 16
+        upd = SliceUpdater(system, scan, default_prior(), Neighborhood(32))
+        for got, want in zip((upd.wa, upd.theta2), _unfused_build(system, scan)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", _BLOCKS)
+    @pytest.mark.parametrize("matrix_dtype", _MATRIX_DTYPES)
+    def test_empty_columns(self, monkeypatch, system32, scan32, matrix_dtype, block):
+        """Empty columns, the last two included, get theta2 0, and the column
+        before them sums all its entries."""
+        if block is not None:
+            monkeypatch.setattr(voxel_update, "BUILD_BLOCK", block)
+        A = system32.matrix.astype(matrix_dtype)
+        empty = sp.csc_matrix((A.shape[0], 1), dtype=A.dtype)
+        cut = sp.hstack([A[:, :500], empty, A[:, 501:-2], empty, empty], format="csc")
+        system = SystemMatrix(system32.geometry, cut)
+        upd = SliceUpdater(system, scan32, default_prior(), Neighborhood(32))
+        assert np.flatnonzero(np.diff(cut.indptr) == 0).tolist() == [500, 1022, 1023]
+        for got, want in zip((upd.wa, upd.theta2), _unfused_build(system, scan32)):
+            assert np.array_equal(got, want)
+        assert upd.theta2[[500, 1022, 1023]].tolist() == [0.0, 0.0, 0.0]
+        rows, vals = system.column(1021)
+        terms = scan32.weights.ravel()[rows] * vals.astype(np.float64) ** 2
+        assert upd.theta2[1021] == pytest.approx(terms.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("matrix_dtype", [np.float32, np.float64])
+    def test_peak_is_one_float64_temporary(
+        self, monkeypatch, system64, scan64, matrix_dtype
+    ):
+        """The build's traced peak is what it keeps plus one block of float64 terms."""
+        monkeypatch.setattr(voxel_update, "BUILD_BLOCK", 2**14)
+        system, scan = _with_dtypes(system64, scan64, matrix_dtype, np.float64)
+        neighborhood = Neighborhood(64)
         prior = default_prior()
         tracemalloc.start()
         try:
@@ -204,7 +261,10 @@ class TestUpdaterBuild:
             for value in vars(upd).values()
             if isinstance(value, np.ndarray) and value is not A.data and value is not A.indptr
         )
-        assert peak <= kept + 8 * A.nnz + 2**20, (peak, kept, A.nnz)
+        # A block holds BUILD_BLOCK entries, or one longer column.
+        block = 8 * max(voxel_update.BUILD_BLOCK, int(np.diff(A.indptr).max()))
+        assert 8 * A.nnz > 4 * (block + 2**20)  # the bound excludes a whole-matrix temporary
+        assert peak <= kept + block + 2**20, (peak, kept, block)
         assert upd.a_data is A.data
 
 

@@ -5,9 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ct import fbp_reconstruct, ramp_filter, scaled_geometry, shepp_logan
+from repro.core import kernels
+from repro.ct import (
+    ParallelBeamGeometry,
+    fbp_reconstruct,
+    ramp_filter,
+    scaled_geometry,
+    shepp_logan,
+)
 from repro.ct.fbp import fbp_flop_estimate, mbir_flop_estimate
 from repro.ct.phantoms import disk_phantom
+
+#: Whether the compiled kernel builds and loads on this host.
+C_LOADS = kernels.load_c_kernel() is None
 
 
 class TestRampFilter:
@@ -56,6 +66,42 @@ class TestFBPReconstruct:
     def test_shape_check(self, geom32):
         with pytest.raises(ValueError):
             fbp_reconstruct(np.zeros((3, 3)), geom32)
+
+
+@pytest.mark.skipif(not C_LOADS, reason="the c kernel does not build on this host")
+class TestCompiledBackprojection:
+    """The ``c`` kernel's backprojection equals the NumPy loop bit for bit."""
+
+    @staticmethod
+    def _numpy_path(monkeypatch, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "load_c_kernel", lambda: "disabled")
+            return fbp_reconstruct(*args, **kwargs)
+
+    @pytest.mark.parametrize("window", ["ramp", "hamming"])
+    @pytest.mark.parametrize("clip_negative", [True, False])
+    def test_matches_numpy_path(self, monkeypatch, system32, phantom32, window, clip_negative):
+        sino = system32.forward(phantom32)
+        kwargs = dict(window=window, clip_negative=clip_negative)
+        got = fbp_reconstruct(sino, system32.geometry, **kwargs)
+        want = self._numpy_path(monkeypatch, sino, system32.geometry, **kwargs)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("window", ["ramp", "hamming"])
+    @pytest.mark.parametrize("clip_negative", [True, False])
+    def test_detector_edges(self, monkeypatch, rng, window, clip_negative):
+        """An odd channel count, and pixels off both ends of the detector and
+        exactly on its channels, the last one included."""
+        geom = ParallelBeamGeometry(n_pixels=9, n_views=12, n_channels=7, channel_spacing=1.0)
+        x, _ = geom.pixel_centers()
+        # At view 0 (cos 1, sin 0) pixel column k lands on channel k - 1.
+        channels = x[0] / geom.channel_spacing + (geom.n_channels - 1) / 2.0
+        assert channels.tolist() == list(range(-1, 8))
+        sino = rng.standard_normal(geom.sinogram_shape)
+        kwargs = dict(window=window, clip_negative=clip_negative)
+        got = fbp_reconstruct(sino, geom, **kwargs)
+        want = self._numpy_path(monkeypatch, sino, geom, **kwargs)
+        assert np.array_equal(got, want)
 
 
 class TestFlopEstimates:

@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ct import build_system_matrix, disk_phantom, scaled_geometry, trapezoid_cdf
+from repro.core.kernels import load_c_kernel
+from repro.ct import (
+    ParallelBeamGeometry,
+    SystemMatrix,
+    build_system_matrix,
+    disk_phantom,
+    scaled_geometry,
+    trapezoid_cdf,
+)
+
+#: Whether the compiled kernel builds and loads on this host.
+C_LOADS = load_c_kernel() is None
 
 
 class TestTrapezoidCDF:
@@ -133,3 +146,43 @@ class TestSystemMatrix:
         loose = build_system_matrix(geom32, tol=1e-3)
         tight = build_system_matrix(geom32, tol=1e-12)
         assert loose.nnz <= tight.nnz
+
+
+class TestForward:
+    """``forward`` runs the ``c`` kernel's csc_matvec where it builds, and
+    returns scipy's ``matrix @ x`` bit for bit either way."""
+
+    def test_matches_scipy(self, system32, geom32, rng):
+        x = rng.random(geom32.n_voxels) * (rng.random(geom32.n_voxels) > 0.3)
+        sino = system32.forward(x.reshape(32, 32))
+        assert sino.shape == geom32.sinogram_shape
+        assert np.array_equal(sino.ravel(), system32.matrix @ x)
+
+    def test_matches_scipy_with_empty_columns(self, rng):
+        """A detector narrower than the image leaves whole columns empty."""
+        geom = ParallelBeamGeometry(n_pixels=32, n_views=4, n_channels=8, channel_spacing=1.0)
+        system = build_system_matrix(geom)
+        assert np.any(system.column_nnz() == 0)
+        x = rng.standard_normal(geom.n_voxels)
+        assert np.array_equal(system.forward(x).ravel(), system.matrix @ x)
+
+    def test_float64_matrix_runs_scipy(self, system32, geom32, rng):
+        system = SystemMatrix(geom32, system32.matrix.astype(np.float64))
+        x = rng.random(geom32.n_voxels)
+        assert np.array_equal(system.forward(x).ravel(), system.matrix @ x)
+
+    @pytest.mark.skipif(not C_LOADS, reason="the c kernel does not build on this host")
+    def test_peak_is_the_output(self, system64, rng):
+        """No copy of the matrix: the traced peak is the sinogram plus 1 MiB."""
+        x = rng.random(system64.geometry.n_voxels)
+        system64.forward(x)  # the library is loaded before tracing
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sino = system64.forward(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert 8 * system64.nnz > 4 * 2**20  # scipy's float64 copy would break the bound
+        assert peak <= sino.nbytes + 2**20, (peak, sino.nbytes)

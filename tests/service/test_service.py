@@ -9,6 +9,7 @@ cache without recomputation, and every job must finish DONE.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -71,6 +72,33 @@ class TestLifecycle:
             svc.submit(icd_spec(scan16, job_id="same"))
             with pytest.raises(JobStateError):
                 svc.submit(icd_spec(scan16, seed=1, job_id="same"))
+
+    def test_concurrent_submits_of_one_id_accept_one(self, scan16):
+        """8 threads submitting one id to a parked service: one job is accepted."""
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between check and register
+        try:
+            for trial in range(30):
+                with ReconstructionService(n_workers=1, start=False) as svc:
+                    barrier = threading.Barrier(8)
+                    accepted, refused = [], []
+
+                    def submit(seed):
+                        spec = icd_spec(scan16, seed=seed, job_id="same")
+                        barrier.wait()
+                        try:
+                            accepted.append(svc.submit(spec))
+                        except JobStateError:
+                            refused.append(seed)
+
+                    threads = [threading.Thread(target=submit, args=(s,)) for s in range(8)]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join()
+                    assert (len(accepted), len(refused), svc.queue.depth) == (1, 7, 1), trial
+        finally:
+            sys.setswitchinterval(old)
 
 
 class TestAcceptance:
