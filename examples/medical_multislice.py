@@ -143,20 +143,19 @@ def main(argv: list[str] | None = None) -> None:
 
     if args.shards is not None:
         # Sharded path: the same stack as a job group — one ordinary
-        # service job per slice, stitched back by the coordinator.
-        from repro.multires import ShardCoordinator
+        # service job per slice, stitched back by the group's own job.
+        from repro.multires import submit_volume
         from repro.service.service import ReconstructionService
 
         print(f"\n== sharded job group ({args.shards} workers) ==")
         service = ReconstructionService(n_workers=args.shards)
         try:
-            coord = ShardCoordinator(service)
-            gid = coord.submit_volume(
-                scans, driver="icd",
+            gid = submit_volume(
+                service, scans, driver="icd",
                 params={"max_equits": 4, "seed": 0, "track_cost": False},
             )
-            group = coord.result(gid, timeout=600)
-            status = coord.status(gid)
+            group = service.result(gid, timeout=600)
+            status = service.status(gid)
             print(f"   group {gid}: {status['state']}, "
                   f"{status['group']['children_done']} children done")
             print(f"   stitched stack shape: {group.image.shape}, "

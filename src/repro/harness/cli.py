@@ -468,14 +468,14 @@ def _run_profile(args) -> None:
 
     if args.shards is not None:
         from repro.core.convergence import rmse_hu
-        from repro.multires.shards import ShardCoordinator
+        from repro.multires.shards import submit_sharded
         from repro.service.service import ReconstructionService
 
         service = ReconstructionService(n_workers=2)
         try:
-            coord = ShardCoordinator(service)
             t0 = time.perf_counter()
-            gid = coord.submit_sharded(
+            gid = submit_sharded(
+                service,
                 scan,
                 n_shards=args.shards,
                 halo=args.halo,
@@ -483,7 +483,7 @@ def _run_profile(args) -> None:
                 seed=args.seed,
                 params={"track_cost": False},
             )
-            stitched = coord.result(gid, timeout=3600).image
+            stitched = service.result(gid, timeout=3600).image
             sharded_s = time.perf_counter() - t0
         finally:
             service.close()

@@ -18,7 +18,6 @@ layer imports service types — the lazy hop keeps that graph acyclic.
 
 from repro.multires.halo import (
     Stripe,
-    plan_slices,
     plan_stripes,
     stitch_stripes,
     stripe_voxel_indices,
@@ -41,7 +40,6 @@ from repro.multires.resample import (
 
 __all__ = [
     "Stripe",
-    "plan_slices",
     "plan_stripes",
     "stitch_stripes",
     "stripe_voxel_indices",
@@ -56,18 +54,12 @@ __all__ = [
     "restrict_image_adjoint",
     "restrict_scan",
     "restrict_sinogram",
-    "ShardCoordinator",
     "ShardGroup",
-    "GroupFailedError",
-    "GroupCancelledError",
+    "submit_volume",
+    "submit_sharded",
 ]
 
-_LAZY_SHARDS = {
-    "ShardCoordinator",
-    "ShardGroup",
-    "GroupFailedError",
-    "GroupCancelledError",
-}
+_LAZY_SHARDS = {"ShardGroup", "submit_volume", "submit_sharded"}
 
 
 def __getattr__(name: str):

@@ -1,6 +1,6 @@
-"""Shard planning: row stripes with halos, slice ranges, and stitching.
+"""Shard planning: row stripes with halos, and stitching.
 
-Two sharding shapes feed the coordinator in :mod:`repro.multires.shards`:
+Two sharding shapes feed the shard groups in :mod:`repro.multires.shards`:
 
 * **Slice shards** — a multi-slice volume splits into per-slice jobs.
   Parallel-beam slices are independent (no z-coupling in this library's
@@ -12,7 +12,7 @@ Two sharding shapes feed the coordinator in :mod:`repro.multires.shards`:
   rows on each side (restricted-additive-Schwarz style): the halo rows
   give border voxels a correct q-GGMRF neighborhood and let information
   flow across the cut, while stitching keeps only the owned rows.
-  Between rounds the coordinator re-seeds every stripe with the full
+  Between rounds the group re-seeds every stripe with the full
   stitched image — that re-seeding *is* the halo exchange: each shard's
   next round sees its neighbors' latest owned rows.
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Stripe", "plan_stripes", "plan_slices", "stripe_voxel_indices", "stitch_stripes"]
+__all__ = ["Stripe", "plan_stripes", "stripe_voxel_indices", "stitch_stripes"]
 
 
 @dataclass(frozen=True)
@@ -89,32 +89,6 @@ def plan_stripes(n_rows: int, n_shards: int, halo: int) -> list[Stripe]:
         )
         lo = hi
     return stripes
-
-
-def plan_slices(n_slices: int, n_shards: int | None = None) -> list[tuple[int, int]]:
-    """Contiguous slice ranges ``[(lo, hi), ...]`` for a volume split.
-
-    ``n_shards=None`` (default) gives one shard per slice — the finest
-    schedulable unit.  Slices are independent, so there is no halo.
-    """
-    if n_slices < 1:
-        raise ValueError(f"n_slices must be >= 1, got {n_slices}")
-    if n_shards is None:
-        n_shards = n_slices
-    if n_shards < 1 or n_shards > n_slices:
-        raise ValueError(
-            f"n_shards must be in [1, {n_slices}] for a {n_slices}-slice volume, "
-            f"got {n_shards}"
-        )
-    base = n_slices // n_shards
-    remainder = n_slices % n_shards
-    ranges = []
-    lo = 0
-    for index in range(n_shards):
-        hi = lo + base + (1 if index < remainder else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
 
 
 def stripe_voxel_indices(n_pixels: int, stripe: Stripe) -> np.ndarray:

@@ -21,7 +21,11 @@ invariants** — the properties that must hold no matter which faults fired:
   (503 + ``Retry-After`` during the close race is sanctioned backpressure;
   result fetches are only issued for DONE jobs);
 * TTL eviction leaves tombstones, not holes: an evicted id answers
-  **410 Gone**, and the tombstone set stays bounded.
+  **410 Gone**, and the tombstone set stays bounded;
+* every campaign also POSTs one slices-mode shard group (a 2-slice
+  volume on the campaign geometry) over HTTP: it reaches exactly one
+  terminal state, as do its children, and a DONE stack equals the
+  per-slice references bit for bit.
 
 Fault vocabulary (per job, chosen by the campaign's seeded RNG):
 
@@ -49,11 +53,13 @@ kind            injection
                 the service
 ==============  ========================================================
 
-Campaign-level injections (seeded coin flips, after the drain): TTL
-eviction via ``evict_terminal(older_than_s=0)`` with an HTTP 410 probe,
-and a queue-close race — submissions fired concurrently with
-``service.close()`` must either land or fail with the typed
-queue-closed/service-closed errors, never anything else.
+Campaign-level injections (seeded coin flips): a ``DELETE`` of the
+shard group right after its POST (CANCELLED or a DONE photo-finish are
+both legal); after the drain, TTL eviction via
+``evict_terminal(older_than_s=0)`` with HTTP 410 probes of an evicted job
+and of the evicted group; and a queue-close race — submissions fired
+concurrently with ``service.close()`` must either land or fail with the
+typed queue-closed/service-closed errors, never anything else.
 
 ``python -m repro chaos --campaigns N --seed S`` runs N campaigns and
 exits non-zero on any violation; its ``--report-json`` carries each
@@ -79,8 +85,9 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.core.volume import ellipsoid_volume, simulate_volume_scan
 from repro.ct import build_system_matrix, scaled_geometry, shepp_logan, simulate_scan
-from repro.io import save_scan
+from repro.io import save_scan, save_volume_scan
 from repro.service.faults import arm_disk_fault, disarm_disk_fault
 from repro.service.http import HttpGateway
 from repro.service.jobs import JobSpec, JobState
@@ -112,35 +119,44 @@ FAULT_KINDS = (
 
 _TERMINAL_KINDS = frozenset(s.value for s in (JobState.DONE, JobState.FAILED, JobState.CANCELLED))
 
-# Campaigns reuse one small scan (16^2, fixed seed) — chaos exercises the
-# service's fault domains, not the numerics, and a shared scan lets the
-# per-spec reference reconstructions amortise across every campaign.
+# Campaigns reuse one small scan and one 2-slice volume (16^2, fixed
+# seeds) — chaos exercises the service's fault domains, not the numerics,
+# and shared inputs let the per-spec reference reconstructions amortise
+# across every campaign.
 _SCAN_LOCK = threading.Lock()
-_SCAN = None
+_INPUTS = None
 _REFERENCES: dict[str, np.ndarray] = {}
+#: What each campaign's shard group runs per slice.
+GROUP_PARAMS = {"max_equits": 3.0, "seed": 0, "track_cost": False}
 
 
-def _campaign_scan():
-    global _SCAN
+def _campaign_inputs():
+    """The campaign scan and the campaign volume's per-slice scans."""
+    global _INPUTS
     with _SCAN_LOCK:
-        if _SCAN is None:
-            geom = scaled_geometry(16)
-            _SCAN = simulate_scan(
-                shepp_logan(16), build_system_matrix(geom), dose=1e5, seed=7
+        if _INPUTS is None:
+            system = build_system_matrix(scaled_geometry(16))
+            _INPUTS = (
+                simulate_scan(shepp_logan(16), system, dose=1e5, seed=7),
+                simulate_volume_scan(ellipsoid_volume(2, 16, seed=7), system, seed=7),
             )
-        return _SCAN
+        return _INPUTS
 
 
-def _reference_image(params: dict[str, Any]) -> np.ndarray:
-    """Uninterrupted single-process reconstruction for ``params`` (cached)."""
-    key = json.dumps(params, sort_keys=True)
+def _reference_image(params: dict[str, Any], slice_index: int | None = None) -> np.ndarray:
+    """Uninterrupted single-process reconstruction for ``params`` (cached)
+    of the campaign scan, or of one slice of the campaign volume."""
+    key = json.dumps([slice_index, params], sort_keys=True)
     with _SCAN_LOCK:
         cached = _REFERENCES.get(key)
     if cached is not None:
         return cached
+    scan, volume = _campaign_inputs()
+    if slice_index is not None:
+        scan = volume[slice_index]
     with tempfile.TemporaryDirectory(prefix="chaos-ref-") as tmp:
         result = run_job(
-            JobSpec(driver="icd", scan=_campaign_scan(), params=dict(params)),
+            JobSpec(driver="icd", scan=scan, params=dict(params)),
             checkpoint_dir=Path(tmp) / "checkpoints",
         )
     image = np.array(result.image, copy=True)
@@ -172,6 +188,7 @@ class ChaosPlan:
     jobs: tuple[ChaosJob, ...]
     evict_after_drain: bool
     close_race_submissions: int
+    cancel_group: bool = False
 
     @classmethod
     def generate(cls, seed: int, *, n_jobs: int = 6) -> "ChaosPlan":
@@ -220,11 +237,14 @@ class ChaosPlan:
                     via_http=kind in ("none", "dup"),
                 )
             )
+        # Keyword arguments evaluate in order: the group's coin is drawn
+        # after every older draw, so a seed keeps its job plan.
         return cls(
             seed=seed,
             jobs=tuple(jobs),
             evict_after_drain=rng.random() < 0.5,
             close_race_submissions=rng.choice((0, 2, 3)),
+            cancel_group=rng.random() < 0.5,
         )
 
 
@@ -240,6 +260,7 @@ class CampaignResult:
     duration_s: float = 0.0
     violations: list[str] = field(default_factory=list)
     job_states: dict[str, str] = field(default_factory=dict)
+    group_state: str | None = None
     kind_counts: dict[str, int] = field(default_factory=dict)
     http_codes: dict[str, int] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
@@ -256,6 +277,7 @@ class CampaignResult:
             "ok": self.ok,
             "violations": list(self.violations),
             "job_states": dict(self.job_states),
+            "group_state": self.group_state,
             "kind_counts": dict(self.kind_counts),
             "http_codes": dict(self.http_codes),
             "counters": dict(self.counters),
@@ -302,10 +324,12 @@ def run_campaign(
         tmp = tempfile.TemporaryDirectory(prefix="chaos-")
         root = tmp.name
     root = Path(root)
-    scan = _campaign_scan()
+    scan, volume = _campaign_inputs()
     scan_dir = root / "scans"
     scan_dir.mkdir(parents=True, exist_ok=True)
     save_scan(scan_dir / "scan.npz", scan)
+    save_volume_scan(scan_dir / "volume.npz", volume)
+    group_id = f"chaos-{plan.seed}-grp"
     ckpt_root = root / "ckpts"
     cache_dir = root / "cache"
 
@@ -380,6 +404,14 @@ def run_campaign(
             if planned.kind == "cancel":
                 service.cancel(planned.job_id)
 
+        body = {"driver": "icd", "scan": "volume.npz", "params": GROUP_PARAMS,
+                "shards": {"mode": "slices"}, "job_id": group_id}
+        group_submitted = checked_http("POST", "/jobs", body)[0] == 201
+        if not group_submitted:
+            violate(f"{group_id} (group): HTTP submit refused")
+        elif plan.cancel_group and checked_http("DELETE", f"/jobs/{group_id}")[0] != 202:
+            violate(f"{group_id} (group): DELETE refused")
+
         if not service.drain(timeout=drain_timeout_s):
             violate(f"drain did not finish within {drain_timeout_s:g}s")
 
@@ -426,23 +458,30 @@ def run_campaign(
                 if not np.array_equal(np.asarray(job.result.image), reference):
                     violate(f"{label}: DONE image not bit-identical to reference")
 
+        if group_submitted:
+            _check_group(service, group_id, plan.cancel_group, res, violate)
+
         if cache_faulted and service.cache.disk_write_failures < 1:
             violate("cache_fault campaign recorded no cache disk_write_failures")
 
         # -- gateway reads: statuses, health, metrics ------------------
-        for planned in plan.jobs:
-            code, _ = checked_http("GET", f"/jobs/{planned.job_id}")
+        read_ids = [p.job_id for p in plan.jobs] + ([group_id] if group_submitted else [])
+        for job_id in read_ids:
+            code, _ = checked_http("GET", f"/jobs/{job_id}")
             if code != 200:
-                violate(f"{planned.job_id}: status read -> {code}")
+                violate(f"{job_id}: status read -> {code}")
         done_http = [
             p
             for p in plan.jobs
             if res.job_states.get(p.job_id) == "DONE" and p.kind != "cancel"
         ]
-        for planned in done_http[:2]:
-            code, payload = checked_http("GET", f"/jobs/{planned.job_id}/result")
+        fetch_ids = [p.job_id for p in done_http[:2]]
+        if res.group_state == "DONE":
+            fetch_ids.append(group_id)
+        for job_id in fetch_ids:
+            code, payload = checked_http("GET", f"/jobs/{job_id}/result")
             if code != 200 or not payload:
-                violate(f"{planned.job_id}: result fetch -> {code}, {len(payload)}B")
+                violate(f"{job_id}: result fetch -> {code}, {len(payload)}B")
         code, payload = checked_http("GET", "/healthz")
         try:
             health = json.loads(payload)
@@ -460,10 +499,10 @@ def run_campaign(
         # -- campaign-level injections ---------------------------------
         if plan.evict_after_drain:
             evicted = service.evict_terminal(older_than_s=0.0)
-            if evicted:
-                code, _ = checked_http("GET", f"/jobs/{evicted[0]}")
-                if code != 410:
-                    violate(f"evicted id {evicted[0]} answered {code}, want 410")
+            for job_id in evicted[:1] + [group_id]:  # one job and the group
+                code, _ = checked_http("GET", f"/jobs/{job_id}")
+                if job_id in evicted and code != 410:
+                    violate(f"evicted id {job_id} answered {code}, want 410")
         report = service.report()
         res.counters = {
             k: int(v)
@@ -513,6 +552,24 @@ def run_campaign(
             tmp.cleanup()
     res.duration_s = time.monotonic() - started
     return res
+
+
+def _check_group(service, group_id, cancelled, res, violate) -> None:
+    """The shard group's invariants after the drain."""
+    group = service.job(group_id)
+    res.group_state = group.state.value
+    label = f"{group_id} (group)"
+    for job in [group] + [service.job(cid) for cid in group.child_ids]:
+        terminal = [e.kind for e in job.events if e.kind in _TERMINAL_KINDS]
+        if len(terminal) != 1:
+            violate(f"{label}: {job.job_id} has terminal events {terminal}")
+    legal = ("CANCELLED", "DONE") if cancelled else ("DONE",)
+    if res.group_state not in legal:
+        violate(f"{label}: expected {'/'.join(legal)}, got {res.group_state} ({group.error!r})")
+    if group.state is JobState.DONE:
+        for k, image in enumerate(group.result.image):
+            if not np.array_equal(image, _reference_image(GROUP_PARAMS, k)):
+                violate(f"{label}: DONE slice {k} not bit-identical to reference")
 
 
 def run_campaigns(

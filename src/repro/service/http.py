@@ -23,29 +23,28 @@ POST      ``/jobs``               submit ``{"driver", "scan", "params",
                                   409 id held by an active job or group;
                                   503 + ``Retry-After`` closed/closing service.
                                   An optional ``"shards"`` object turns the
-                                  submission into a *job group*
-                                  (:mod:`repro.multires.shards`):
-                                  ``{"mode": "slices"}`` fans a volume-scan
-                                  file (``repro.io.save_volume_scan``) out as
-                                  one child per slice; ``{"mode": "rows",
+                                  submission into a *shard group*
+                                  (:mod:`repro.multires.shards`), itself a
+                                  job: ``{"mode": "slices"}`` fans a
+                                  volume-scan file
+                                  (``repro.io.save_volume_scan``) out as one
+                                  child per slice; ``{"mode": "rows",
                                   "n_shards", "halo"?, "rounds"?,
                                   "sweeps_per_round"?}`` runs one oversized
                                   slice as halo-exchanged row stripes.  The
-                                  201 body carries the *group* id, which the
-                                  status/result/cancel routes below accept
-                                  like any job id.  Bad shards/params → 400
+                                  201 body adds ``"group": true``; bad
+                                  shards/params → 400
 GET       ``/jobs/<id>``          status snapshot (404 unknown, 410 evicted);
-                                  group ids answer the aggregate snapshot
-                                  (child count/progress/rounds + child ids)
+                                  a group's adds its child count/progress/
+                                  rounds and child ids
 GET       ``/jobs/<id>/result``   the reconstruction as ``result.npz`` bytes
                                   (``application/octet-stream``); optional
                                   ``?timeout=S`` blocks for a finish; 409 +
                                   ``Retry-After`` while PENDING/RUNNING,
-                                  410 if CANCELLED, 500 if FAILED.  Group ids
-                                  stream the *stitched* volume in the same
-                                  container
+                                  410 if CANCELLED, 500 if FAILED.  A
+                                  group's is the *stitched* volume
 DELETE    ``/jobs/<id>``          request cancellation → 202 (404 unknown);
-                                  group ids cancel every child
+                                  a group cancels every child too
 GET       ``/metrics``            Prometheus text format: every recorder
                                   counter + span total, plus live gauges
                                   (queue depth, known jobs)
@@ -79,6 +78,7 @@ import re
 import tempfile
 import threading
 from collections import OrderedDict
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
@@ -149,11 +149,6 @@ class HttpGateway:
         self._own_service = own_service
         self._scan_lock = threading.Lock()
         self._scan_cache: OrderedDict[tuple[str, int], ScanData] = OrderedDict()
-        self._coord_lock = threading.Lock()
-        self._coordinator = None  # lazy ShardCoordinator (first group submit)
-        #: Job and group ids share ``/jobs/<id>``: a POST checks that the
-        #: other kind does not hold its id and claims it under this lock.
-        self.id_lock = threading.Lock()
         handler = type("BoundHandler", (_Handler,), {"gateway": self})
         self.server = ThreadingHTTPServer((host, int(port)), handler)
         self.server.daemon_threads = True
@@ -208,28 +203,6 @@ class HttpGateway:
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
-
-    # -- shard groups ----------------------------------------------------
-    @property
-    def coordinator(self):
-        """The gateway's :class:`~repro.multires.shards.ShardCoordinator`.
-
-        Built on first use so gateways that never see a sharded submission
-        pay nothing; imported lazily to keep the service import graph free
-        of the shards module at start-up.
-        """
-        with self._coord_lock:
-            if self._coordinator is None:
-                from repro.multires.shards import ShardCoordinator
-
-                self._coordinator = ShardCoordinator(self.service)
-            return self._coordinator
-
-    def has_group(self, job_id: str) -> bool:
-        """Whether ``job_id`` names a shard group (never touches the service)."""
-        with self._coord_lock:
-            coord = self._coordinator
-        return coord is not None and coord.has(job_id)
 
     # -- scan resolution -------------------------------------------------
     def _resolve(self, scan: str) -> Path:
@@ -392,23 +365,23 @@ class _Handler(BaseHTTPRequestHandler):
         unknown = set(doc) - {"driver", "scan", "params", "priority", "job_id", "shards"}
         if unknown:
             return self._send_error_json(400, f"unknown fields {sorted(unknown)}")
-        if doc.get("shards") is not None:
-            return self._post_group(doc, driver, scan_name)
+        group = doc.get("shards") is not None
         try:
-            spec = JobSpec(
-                driver=driver,
-                scan=gw.load_scan(scan_name),
-                params=dict(doc.get("params") or {}),
-                priority=int(doc.get("priority") or 0),
-                job_id=doc.get("job_id"),
-            )
+            if group:
+                submit = self._group_submission(doc, driver, scan_name)
+            else:
+                spec = JobSpec(
+                    driver=driver,
+                    scan=gw.load_scan(scan_name),
+                    params=dict(doc.get("params") or {}),
+                    priority=int(doc.get("priority") or 0),
+                    job_id=doc.get("job_id"),
+                )
+                submit = partial(gw.service.submit, spec)
         except (OSError, ValueError, TypeError) as exc:
             return self._send_error_json(400, f"bad submission: {exc}")
         try:
-            with gw.id_lock:
-                if spec.job_id is not None and gw.has_group(spec.job_id):
-                    raise JobStateError(f"job id {spec.job_id!r} names a shard group")
-                job_id = gw.service.submit(spec)
+            job_id = submit()
         except AdmissionError as exc:
             gw.rec.count("http.jobs_rejected_429")
             return self._send_error_json(
@@ -418,105 +391,68 @@ class _Handler(BaseHTTPRequestHandler):
                 depth=exc.depth,
                 max_depth=exc.max_depth,
             )
-        except QueueClosedError as exc:
+        except JobStateError as exc:  # the id, or a group child's id, is active
+            return self._send_error_json(409, str(exc))
+        except (TypeError, ValueError) as exc:  # unserialisable params etc.
+            return self._send_error_json(400, f"bad submission: {exc}")
+        except (QueueClosedError, RuntimeError) as exc:  # closed queue or service
             gw.rec.count("http.jobs_rejected_503")
             # 503 is backpressure too (drain/restart windows): give clients
             # the same Retry-After hint the 429 path sends.
             return self._send_error_json(
                 503, str(exc), headers={"Retry-After": f"{gw.retry_after_s:g}"}
             )
-        except JobStateError as exc:
-            return self._send_error_json(409, str(exc))
-        except (TypeError, ValueError) as exc:  # unserialisable params etc.
-            return self._send_error_json(400, f"bad submission: {exc}")
-        except RuntimeError as exc:  # service closed
-            return self._send_error_json(
-                503, str(exc), headers={"Retry-After": f"{gw.retry_after_s:g}"}
-            )
-        self._send_json(
-            201,
-            {"job_id": job_id, "state": gw.service.status(job_id)["state"]},
-            headers={"Location": f"/jobs/{job_id}"},
-        )
+        body = {"job_id": job_id, "state": gw.service.status(job_id)["state"]}
+        if group:
+            body["group"] = True
+        self._send_json(201, body, headers={"Location": f"/jobs/{job_id}"})
 
-    def _post_group(self, doc: dict[str, Any], driver: str, scan_name: str) -> None:
-        """Submit a shard group (``"shards"`` object present in the body)."""
+    def _group_submission(self, doc: dict[str, Any], driver: str, scan_name: str):
+        """The call that submits the shard group a ``"shards"`` object asks for.
+
+        Raises ``ValueError`` (HTTP 400) for a shards object it cannot run.
+        Imported lazily: the shards module imports service types.
+        """
+        from repro.multires.shards import submit_sharded, submit_volume
+
         gw = self.gateway
         shards = doc["shards"]
         if not isinstance(shards, dict):
-            return self._send_error_json(400, "shards must be a JSON object")
+            raise ValueError("shards must be a JSON object")
         known = {"mode", "n_shards", "halo", "rounds", "sweeps_per_round", "seed"}
         unknown = set(shards) - known
         if unknown:
-            return self._send_error_json(400, f"unknown shards fields {sorted(unknown)}")
+            raise ValueError(f"unknown shards fields {sorted(unknown)}")
+        common = {
+            "params": dict(doc.get("params") or {}),
+            "priority": int(doc.get("priority") or 0),
+            "group_id": doc.get("job_id"),
+        }
         mode = shards.get("mode")
-        if mode not in ("slices", "rows"):
-            return self._send_error_json(
-                400, f"shards.mode must be 'slices' or 'rows', got {mode!r}"
-            )
-        params = dict(doc.get("params") or {})
-        priority = int(doc.get("priority") or 0)
-        group_id = doc.get("job_id")
-        coord = gw.coordinator
-        try:
-            if mode == "slices":
-                extra = set(shards) - {"mode"}
-                if extra:
-                    return self._send_error_json(
-                        400, f"shards fields {sorted(extra)} only apply to mode 'rows'"
-                    )
-                scans = gw.load_volume(scan_name)
-                with gw.id_lock:
-                    gid = coord.submit_volume(
-                        scans,
-                        driver=driver,
-                        params=params,
-                        priority=priority,
-                        group_id=group_id,
-                    )
-            else:
-                if driver != "icd":
-                    return self._send_error_json(
-                        400,
-                        f"rows-mode sharding runs sequential ICD children; "
-                        f"driver must be 'icd', got {driver!r}",
-                    )
-                scan = gw.load_scan(scan_name)
-                with gw.id_lock:
-                    gid = coord.submit_sharded(
-                        scan,
-                        params=params,
-                        n_shards=int(shards.get("n_shards", 2)),
-                        halo=int(shards.get("halo", 1)),
-                        rounds=int(shards.get("rounds", 2)),
-                        sweeps_per_round=int(shards.get("sweeps_per_round", 1)),
-                        seed=int(shards.get("seed", 0)),
-                        priority=priority,
-                        group_id=group_id,
-                    )
-        except (OSError, ValueError, TypeError) as exc:
-            return self._send_error_json(400, f"bad sharded submission: {exc}")
-        except AdmissionError as exc:
-            gw.rec.count("http.jobs_rejected_429")
-            return self._send_error_json(
-                429, str(exc), headers={"Retry-After": f"{gw.retry_after_s:g}"}
-            )
-        except JobStateError as exc:  # the group id or a child id is taken
-            return self._send_error_json(409, str(exc))
-        except (QueueClosedError, RuntimeError) as exc:
-            gw.rec.count("http.jobs_rejected_503")
-            return self._send_error_json(
-                503, str(exc), headers={"Retry-After": f"{gw.retry_after_s:g}"}
-            )
-        self._send_json(
-            201,
-            {"job_id": gid, "state": coord.status(gid)["state"], "group": True},
-            headers={"Location": f"/jobs/{gid}"},
-        )
+        if mode == "slices":
+            extra = set(shards) - {"mode"}
+            if extra:
+                raise ValueError(f"shards fields {sorted(extra)} only apply to mode 'rows'")
+            scans = gw.load_volume(scan_name)
+            return partial(submit_volume, gw.service, scans, driver=driver, **common)
+        if mode == "rows":
+            if driver != "icd":
+                raise ValueError(
+                    f"rows-mode sharding runs sequential ICD children; "
+                    f"driver must be 'icd', got {driver!r}"
+                )
+            plan = {
+                "n_shards": int(shards.get("n_shards", 2)),
+                "halo": int(shards.get("halo", 1)),
+                "rounds": int(shards.get("rounds", 2)),
+                "sweeps_per_round": int(shards.get("sweeps_per_round", 1)),
+                "seed": int(shards.get("seed", 0)),
+            }
+            scan = gw.load_scan(scan_name)
+            return partial(submit_sharded, gw.service, scan, **plan, **common)
+        raise ValueError(f"shards.mode must be 'slices' or 'rows', got {mode!r}")
 
     def _get_status(self, job_id: str) -> None:
-        if self.gateway.has_group(job_id):
-            return self._send_json(200, self.gateway.coordinator.status(job_id))
         try:
             snap = self.gateway.service.status(job_id)
         except EvictedJobError as exc:
@@ -527,8 +463,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _get_result(self, job_id: str) -> None:
         gw = self.gateway
-        if gw.has_group(job_id):
-            return self._get_group_result(job_id)
         try:
             job = gw.service.job(job_id)
         except EvictedJobError as exc:
@@ -563,11 +497,7 @@ class _Handler(BaseHTTPRequestHandler):
                 path,
                 job.result.image,
                 getattr(job.result, "history", None),
-                metadata={
-                    "job_id": job_id,
-                    "driver": job.spec.driver,
-                    "from_cache": job.from_cache,
-                },
+                metadata=job.result_metadata(),
             )
             body = path.read_bytes()
         self._send_bytes(
@@ -580,50 +510,7 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
-    def _get_group_result(self, job_id: str) -> None:
-        """Stream a group's stitched volume (same npz container as jobs)."""
-        gw = self.gateway
-        group = gw.coordinator.group(job_id)
-        timeout = self._query().get("timeout")
-        if timeout is not None:
-            try:
-                group.wait(min(max(0.0, float(timeout)), 300.0))
-            except ValueError:
-                return self._send_error_json(400, f"bad timeout {timeout!r}")
-        snap = group.snapshot()
-        state = snap["state"]
-        if state == "FAILED":
-            return self._send_error_json(500, f"group failed: {group.error}", state=state)
-        if state == "CANCELLED":
-            return self._send_error_json(410, "group was cancelled", state=state)
-        if state != "DONE" or group.result is None:
-            return self._send_error_json(
-                409,
-                f"group is {state}; stitched result not available yet",
-                headers={"Retry-After": f"{gw.retry_after_s:g}"},
-                state=state,
-            )
-        entry = group.result
-        with tempfile.TemporaryDirectory(prefix="repro-http-") as tmp:
-            path = Path(tmp) / "result.npz"
-            save_reconstruction(
-                path,
-                entry.image,
-                entry.history,
-                metadata={"job_id": job_id, **entry.metadata},
-            )
-            body = path.read_bytes()
-        self._send_bytes(
-            200,
-            body,
-            "application/octet-stream",
-            headers={"Content-Disposition": f'attachment; filename="{job_id}.npz"'},
-        )
-
     def _delete_job(self, job_id: str) -> None:
-        if self.gateway.has_group(job_id):
-            cancelled = self.gateway.coordinator.cancel(job_id)
-            return self._send_json(202, {"job_id": job_id, "cancel_requested": cancelled})
         try:
             cancelled = self.gateway.service.cancel(job_id)
         except EvictedJobError as exc:

@@ -40,7 +40,9 @@ Cancel sentinels are consumed once their job is terminal (renamed
 ``cancel.done``), so a finished job is not re-cancelled on every poll.
 
 Only the serve loop writes ``status.json`` (single-writer, temp-file +
-``os.replace``), so readers never observe a torn snapshot.
+``os.replace``), so readers never observe a torn snapshot.  It rewrites a
+job's status only when the job's snapshot changed since the last
+successful write; a failed write is retried on the next poll.
 """
 
 from __future__ import annotations
@@ -165,6 +167,9 @@ class DirectoryService:
         #: status/result writes that failed with OSError (retried next poll)
         self.status_write_failures = 0
         self.result_write_failures = 0
+        #: the snapshot last written per job id, and the ids whose result
+        #: was written; both forget ids the TTL reaper evicted
+        self._published: dict[str, dict[str, Any]] = {}
         self._persisted: set[str] = set()
         self._deferred: dict[str, Path] = {}  # admission-rejected, retry next poll
         self._recover()
@@ -304,13 +309,24 @@ class DirectoryService:
         return True
 
     def _publish_status(self, job: Job) -> None:
+        """Write the job's status if its snapshot changed since the last write.
+
+        A failed write is not recorded, so the next poll retries it.
+        """
         snap = job.snapshot()
-        snap["updated_at"] = time.time()
-        self._write_status(job.job_id, snap)
+        if self._published.get(job.job_id) == snap:
+            return
+        if self._write_status(job.job_id, {**snap, "updated_at": time.time()}):
+            self._published[job.job_id] = snap
 
     def publish(self) -> None:
-        """Write every job's current status; persist newly finished results."""
-        for job in self.service.jobs:
+        """Write changed job statuses; persist newly finished results."""
+        jobs = self.service.jobs
+        known = {job.job_id for job in jobs}
+        for job_id in self._published.keys() - known:
+            del self._published[job_id]
+        self._persisted &= known
+        for job in jobs:
             self._publish_status(job)
             if (
                 job.state is JobState.DONE
@@ -323,11 +339,7 @@ class DirectoryService:
                         self.jobs_dir / job.job_id / "result.npz",
                         job.result.image,
                         getattr(job.result, "history", None),
-                        metadata={
-                            "job_id": job.job_id,
-                            "driver": job.spec.driver,
-                            "from_cache": job.from_cache,
-                        },
+                        metadata=job.result_metadata(),
                     )
                 except OSError:
                     # The in-memory result is intact; not marking the job

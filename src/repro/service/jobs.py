@@ -219,7 +219,8 @@ class Job:
 
     Workers mutate it through :meth:`transition` / :meth:`note_iteration` /
     :meth:`note_checkpoint`; any thread may read :meth:`snapshot` or block
-    on :meth:`wait`.
+    on :meth:`wait`.  A shard group (:class:`repro.multires.shards.ShardGroup`)
+    is a job too: its own thread, not a worker, files its terminal state.
     """
 
     def __init__(
@@ -344,6 +345,14 @@ class Job:
         """
         history = getattr(self.result, "history", None)
         return None if history is None else history.stop_reason
+
+    def result_metadata(self) -> dict[str, Any]:
+        """What a ``result.npz`` written for this job records beside the image."""
+        return {
+            "job_id": self.job_id,
+            "driver": self.spec.driver,
+            "from_cache": self.from_cache,
+        }
 
     def snapshot(self) -> dict[str, Any]:
         """A JSON-ready status snapshot (what ``status.json`` persists)."""

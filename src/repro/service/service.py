@@ -120,7 +120,8 @@ class ReconstructionService:
         start: bool = True,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        self._clock = clock
+        #: stamps every job the service registers (a fake one drives TTL tests)
+        self.clock = clock
         self._tmpdir: tempfile.TemporaryDirectory | None = None
         if checkpoint_root is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-service-")
@@ -200,12 +201,11 @@ class ReconstructionService:
     ) -> str:
         """Enqueue a reconstruction; returns its job id.
 
-        Raises ``ValueError`` naming a param the driver cannot take, and
+        Raises ``ValueError`` naming a param the driver cannot take,
+        :class:`JobStateError` when an active job holds the id, and
         :class:`~repro.service.queue.AdmissionError` when the pending
         queue is at capacity (the job is *not* registered either way).
         """
-        if self._closed:
-            raise RuntimeError("service is closed")
         params = job_params(spec.driver, spec.params)
         job_id = spec.job_id if spec.job_id is not None else uuid.uuid4().hex[:12]
         # The key covers everything that determines iterates: the spec,
@@ -214,26 +214,50 @@ class ReconstructionService:
         job = Job(
             job_id,
             spec,
-            seq=next(self._seq),
             cache_key=cache_key(spec.driver, spec.scan, key_params),
-            clock=self._clock,
+            clock=self.clock,
         )
-        # Check, enqueue and register under one hold, so two submits of one
-        # id cannot both pass the check; put() never blocks (it raises at
-        # capacity or after close, before enqueueing or registering).
-        with self._jobs_lock:
-            if job_id in self._jobs and not self._jobs[job_id].terminal:
-                raise JobStateError(f"job id {job_id!r} is already active")
-            self.queue.put(job)
-            self._jobs[job_id] = job
-            # A resubmitted id supersedes its tombstone: the fresh job owns
-            # the id again (stable-id crash recovery relies on this).
-            self._evicted.pop(job_id, None)
+        self.register(job, enqueue=True)
         if on_progress is not None:
             self._subscribers[job_id] = on_progress
         self.rec.count("service.jobs_submitted")
         self.rec.count_max("service.queue_depth_peak", self.queue.depth)
         return job_id
+
+    def register(self, job: Job, *, enqueue: bool = False) -> None:
+        """Claim ``job.job_id`` for ``job``: the service's one id rule.
+
+        An id is free when no job holds it or its holder is terminal; an
+        active holder raises :class:`JobStateError`.  The id is checked,
+        enqueued and claimed under one hold of the registry lock, so two
+        claims of one id cannot both pass; ``put`` never blocks (it raises
+        at capacity or after close, before anything is claimed).
+        :meth:`submit` registers its jobs enqueued for a worker; a shard
+        group (:mod:`repro.multires.shards`) registers itself un-queued
+        and files its own terminal state.
+        """
+        with self._jobs_lock:
+            if self._closed:
+                raise RuntimeError("service is closed")
+            held = self._jobs.get(job.job_id)
+            if held is not None and not held.terminal:
+                raise JobStateError(f"job id {job.job_id!r} is already active")
+            job.seq = next(self._seq)
+            if enqueue:
+                self.queue.put(job)
+            self._jobs[job.job_id] = job
+            # A resubmitted id supersedes its tombstone: the fresh job owns
+            # the id again (stable-id crash recovery relies on this).
+            self._evicted.pop(job.job_id, None)
+
+    def withdraw(self, job: Job) -> None:
+        """Forget a job refused after :meth:`register`; its id answers 404.
+
+        A later holder of the id is left alone.
+        """
+        with self._jobs_lock:
+            if self._jobs.get(job.job_id) is job:
+                del self._jobs[job.job_id]
 
     def job(self, job_id: str) -> Job:
         """The live :class:`Job` for ``job_id``.
@@ -281,7 +305,7 @@ class ReconstructionService:
         return self.job(job_id).request_cancel()
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Block until every submitted job is terminal; False on timeout."""
+        """Block until every registered job (groups too) is terminal; False on timeout."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._jobs_lock:
             jobs = list(self._jobs.values())
@@ -303,7 +327,7 @@ class ReconstructionService:
         subscribers are dropped, and ``service.jobs_evicted`` counts the
         evictions.  Returns the evicted ids.
         """
-        now = self._clock()
+        now = self.clock()
         evicted: list[str] = []
         with self._jobs_lock:
             for job_id, job in list(self._jobs.items()):

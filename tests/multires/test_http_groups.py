@@ -21,7 +21,8 @@ import pytest
 from repro.core.icd import icd_reconstruct
 from repro.core.volume import ellipsoid_volume, simulate_volume_scan
 from repro.io import load_reconstruction, save_scan, save_volume_scan
-from repro.service import HttpGateway, ReconstructionService, UnknownJobError
+from repro.multires.shards import ShardGroup
+from repro.service import HttpGateway, ReconstructionService
 
 PARAMS = {"max_equits": 1.0, "seed": 0, "track_cost": False}
 
@@ -256,10 +257,10 @@ class TestOneIdNamespace:
 
     def test_taken_group_id_is_409(self, gateway):
         assert self.post(gateway, "g1", group=True)[0] == 201
-        group, jobs = gateway.coordinator.group("g1"), gateway.service.jobs
+        group, jobs = gateway.service.job("g1"), gateway.service.jobs
         code, _, doc = self.post(gateway, "g1", group=True)
         assert code == 409 and "g1" in doc["error"], doc
-        assert gateway.coordinator.group("g1") is group
+        assert gateway.service.job("g1") is group
         assert gateway.service.jobs == jobs
 
     def test_group_cannot_take_an_active_job_id(self, gateway):
@@ -269,7 +270,7 @@ class TestOneIdNamespace:
             jobs = gateway.service.jobs
             code, _, doc = self.post(gateway, "j1", group=True, **long_run)
             assert code == 409 and "j1" in doc["error"], doc
-            assert not gateway.has_group("j1")
+            assert not isinstance(gateway.service.job("j1"), ShardGroup)
             assert gateway.service.jobs == jobs
             code, _, status = http_json(gateway, "GET", "/jobs/j1")
             assert status["state"] in ("PENDING", "RUNNING") and "group" not in status
@@ -277,12 +278,14 @@ class TestOneIdNamespace:
             http(gateway, "DELETE", "/jobs/j1")
 
     def test_job_cannot_take_a_group_id(self, gateway):
-        assert self.post(gateway, "g2", group=True)[0] == 201
-        code, _, doc = self.post(gateway, "g2", group=False)
-        assert code == 409 and "g2" in doc["error"], doc
-        with pytest.raises(UnknownJobError):
-            gateway.service.job("g2")
-        assert http_json(gateway, "GET", "/jobs/g2")[2]["group"]["mode"] == "slices"
+        long_run = {"max_equits": 500.0, "stop_delta_hu": None}
+        assert self.post(gateway, "g2", group=True, **long_run)[0] == 201
+        try:
+            code, _, doc = self.post(gateway, "g2", group=False)
+            assert code == 409 and "g2" in doc["error"], doc
+            assert http_json(gateway, "GET", "/jobs/g2")[2]["group"]["mode"] == "slices"
+        finally:
+            http(gateway, "DELETE", "/jobs/g2")
 
     def test_concurrent_posts_of_one_id_have_one_winner(self, gateway):
         long_run = {"max_equits": 500.0, "stop_delta_hu": None}
@@ -301,3 +304,48 @@ class TestOneIdNamespace:
             sys.setswitchinterval(interval)
             http(gateway, "DELETE", "/jobs/race")
         assert codes == [201] + [409] * 7
+
+
+class FakeClock:
+    def __init__(self, t=1000.0):
+        self.t = t
+
+    def __call__(self):
+        return self.t
+
+    def advance(self, dt):
+        self.t += dt
+
+
+class TestGroupEviction:
+    def test_an_evicted_group_answers_410(self, tmp_path, volume_scans):
+        """The TTL reaper evicts a finished group like any job; its id then
+        answers 410 on every route.  Driven on a fake clock with the reaper
+        thread unstarted, as the registry-bound test does."""
+        save_volume_scan(tmp_path / "volume.npz", volume_scans[1])
+        clock = FakeClock()
+        service = ReconstructionService(n_workers=2, job_ttl_s=10.0, start=False, clock=clock)
+        service.scheduler.start()
+        with HttpGateway(service, scan_root=tmp_path, own_service=True) as gw:
+            code, _, doc = http_json(
+                gw, "POST", "/jobs",
+                {"driver": "icd", "scan": "volume.npz", "params": dict(PARAMS),
+                 "shards": {"mode": "slices"}},
+            )
+            assert code == 201
+            gid = doc["job_id"]
+            children = service.status(gid)["group"]["children"]
+            service.result(gid, timeout=300)
+            clock.advance(9.0)
+            assert gid not in service.reaper.reap_once()
+            assert http_json(gw, "GET", f"/jobs/{gid}")[0] == 200
+            clock.advance(2.0)
+            assert sorted(service.reaper.reap_once()) == sorted([gid, *children])
+            for method, path in [
+                ("GET", f"/jobs/{gid}"),
+                ("GET", f"/jobs/{gid}/result"),
+                ("DELETE", f"/jobs/{gid}"),
+            ]:
+                code, _, body = http_json(gw, method, path)
+                assert code == 410 and body["evicted"] is True, (method, path)
+            assert service.jobs == []

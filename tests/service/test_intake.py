@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import json
 
 import numpy as np
 import pytest
 
+import repro.service.intake as intake
 from repro.io import load_reconstruction, save_scan
 from repro.service import (
     DirectoryService,
@@ -242,6 +244,56 @@ class TestAdmissionDeferral:
             service.close()
         for i in range(3):
             assert read_status(queue_dir, f"j{i}")["state"] == "DONE", f"j{i}"
+
+
+class TestStatusPublishing:
+    """``status.json`` is rewritten only when its job's snapshot changed."""
+
+    def test_idle_polls_write_nothing_and_changes_are_published(
+        self, queue_dir, monkeypatch
+    ):
+        for i in range(3):
+            write_job_spec(queue_dir, f"j{i}", driver="icd", scan_path="scan.npz",
+                           params=dict(PARAMS, seed=i))
+        with DirectoryService(queue_dir, n_workers=1) as service:
+            assert service.run(drain=True, max_seconds=120)
+            writes = []
+            write = service._write_status
+            monkeypatch.setattr(
+                service, "_write_status",
+                lambda job_id, snap: writes.append(job_id) or write(job_id, snap),
+            )
+            for _ in range(10):
+                service.step()
+            assert writes == []
+            write_job_spec(queue_dir, "j3", driver="icd", scan_path="scan.npz",
+                           params=dict(PARAMS, seed=3))
+            assert service.run(drain=True, max_seconds=120)
+            assert set(writes) == {"j3"}
+        assert read_status(queue_dir, "j3")["state"] == "DONE"
+
+    def test_a_failed_write_is_retried_on_the_next_poll(self, queue_dir, monkeypatch):
+        disk_full = [True]
+
+        def check_disk_fault(path):
+            if disk_full[0]:
+                raise OSError(errno.ENOSPC, "injected", str(path))
+
+        write_job_spec(queue_dir, "j1", driver="icd", scan_path="scan.npz",
+                       params=PARAMS)
+        with DirectoryService(queue_dir, n_workers=1) as service:
+            monkeypatch.setattr(intake, "check_disk_fault", check_disk_fault)
+            service.step()
+            assert service.service.drain(timeout=120)
+            service.step()
+            failures = service.status_write_failures
+            service.step()  # nothing changed, but the last write failed
+            assert service.status_write_failures == failures + 1
+            assert read_status(queue_dir, "j1") is None
+            disk_full[0] = False
+            service.step()
+            assert read_status(queue_dir, "j1")["state"] == "DONE"
+            assert (queue_dir / "jobs" / "j1" / "result.npz").exists()
 
 
 class TestCancelSentinelConsumed:
