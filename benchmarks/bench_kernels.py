@@ -20,12 +20,15 @@ The compiled kernel runs the oracle's operations without the interpreter:
 at 64² on a 2-vCPU host (BENCH_3.json) it measured 17x the oracle on the
 sweep and 17x in SV waves; we hard-assert >= 6x the oracle in both modes.
 
-It also times the three passes over the matrix that prepare a driver
-call, each on the ``c`` kernel and on the NumPy/scipy oracle that runs
-without it: the ``SliceUpdater`` build (``wa`` and theta2), the forward
-projection behind the initial error sinogram, and the FBP initial image.
-The two paths must give the same bits before their timings count; the
-timings are recorded, not gated.
+It also times the four preparation passes, each on the ``c`` kernel and
+on the NumPy/scipy oracle that runs without it.  Three prepare a driver
+call: the ``SliceUpdater`` build (``wa`` and theta2), the forward
+projection behind the initial error sinogram, and the FBP initial image;
+their timings are recorded, not gated.  The fourth builds the system
+matrix, once per geometry: it is timed at 64² and 128² (median of
+``BUILD_RUNS``), and the compiled build must run at least
+``BUILD_MIN_SPEEDUP`` times the oracle's speed.  The two paths must give
+the same bits before any timing counts.
 
 Emit mode: set ``REPRO_BENCH_JSON=path.json`` to additionally write the
 measured numbers as a machine-readable report (CI uploads it as the
@@ -48,7 +51,7 @@ from repro.core import SuperVoxelGrid, default_prior, initial_image, kernels
 from repro.core.kernels import load_c_kernel, run_sv_visit, run_sweep
 from repro.core.prior import shared_neighborhood
 from repro.core.voxel_update import SliceUpdater
-from repro.ct import fbp_reconstruct
+from repro.ct import build_system_matrix, fbp_reconstruct, scaled_geometry
 from repro.utils import resolve_rng
 
 #: Interleaved timing trials per contender; best-of is reported.
@@ -57,6 +60,12 @@ TRIALS = 5
 #: alike; well under the measured ratios (BENCH_3.json), so the assert
 #: trips on real regressions, not on a busy machine.
 C_MIN_SPEEDUP = 6.0
+#: Rasters the system matrix build is timed at, runs per path (the median
+#: is reported), and the floor for the compiled build against the oracle;
+#: it measured 3.5x at 64² and 4x at 128² on a 2-vCPU host (BENCH_3.json).
+BUILD_PIXELS = (64, 128)
+BUILD_RUNS = 3
+BUILD_MIN_SPEEDUP = 2.0
 
 
 def _baseline_sweep(updater, order, x, e, zero_skip):
@@ -150,7 +159,33 @@ def _time_prep(steps, paths):
     return best
 
 
-def _emit_json(path, n_pixels, sv_side, stale_width, best, wave_best, prep):
+def _time_build(paths):
+    """Median seconds per raster and path of ``build_system_matrix``, after a
+    bit-identity check of the compiled build against the oracle."""
+    times = {}
+    for n in BUILD_PIXELS:
+        geometry = scaled_geometry(n)
+        got = build_system_matrix(geometry).matrix
+        with _oracle_paths():
+            want = build_system_matrix(geometry).matrix
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (
+                f"system matrix {n}x{n}: the c build's {name} is not bit-equal to the oracle"
+            )
+        del got, want
+        runs = {path: [] for path in paths}
+        for _ in range(BUILD_RUNS):
+            for path in paths:
+                with _oracle_paths() if path == "numpy" else contextlib.nullcontext():
+                    t0 = time.perf_counter()
+                    build_system_matrix(geometry)
+                    runs[path].append(time.perf_counter() - t0)
+        times[n] = {path: float(np.median(r)) for path, r in runs.items()}
+    return times
+
+
+def _emit_json(path, n_pixels, sv_side, stale_width, best, wave_best, prep, build):
     """Write the measured throughputs as the perf-trajectory JSON report."""
     oracle = best["python"]
     payload = {
@@ -172,6 +207,13 @@ def _emit_json(path, n_pixels, sv_side, stale_width, best, wave_best, prep):
         },
         "prep_ms": {
             step: {k: round(1e3 * v, 3) for k, v in times.items()} for step, times in prep.items()
+        },
+        "system_matrix_build_ms": {
+            "runs": BUILD_RUNS,
+            **{
+                f"{n}x{n}": {k: round(1e3 * v, 3) for k, v in times.items()}
+                for n, times in build.items()
+            },
         },
     }
     with open(path, "w") as f:
@@ -228,6 +270,7 @@ def bench_kernels(ctx):
     # Preparation passes, c vs the NumPy/scipy oracle (with a compiler).
     prep_paths = ["numpy", *compiled]
     prep = _time_prep(_prep_steps(scan, system, shared_neighborhood(n), x0), prep_paths)
+    build = _time_build(prep_paths)
 
     oracle = best["python"]
     lines = [f"{n}x{n} suite slice, full-image sweep (best of {TRIALS} interleaved trials)"]
@@ -247,11 +290,16 @@ def bench_kernels(ctx):
     lines.append(f"{'step':14s}" + "".join(f" {p:>9s}" for p in prep_paths))
     for step, times in prep.items():
         lines.append(f"{step:14s}" + "".join(f" {1e3 * times[p]:9.2f}" for p in prep_paths))
+    lines.append("")
+    lines.append(f"system matrix build, ms (median of {BUILD_RUNS} interleaved runs)")
+    for size, times in build.items():
+        label = f"{size}x{size}"
+        lines.append(f"{label:14s}" + "".join(f" {1e3 * times[p]:9.2f}" for p in prep_paths))
     report("KERNELS — voxel-updates/sec per kernel", "\n".join(lines))
 
     emit_path = os.environ.get("REPRO_BENCH_JSON")
     if emit_path:
-        _emit_json(emit_path, n, grid.sv_side, stale, best, wave_best, prep)
+        _emit_json(emit_path, n, grid.sv_side, stale, best, wave_best, prep, build)
 
     for mode, rates in (("sweep", best), ("SV waves", wave_best)):
         if compiled:
@@ -259,6 +307,13 @@ def bench_kernels(ctx):
                 f"c kernel regressed ({mode}): {rates['c']:.0f} vs "
                 f"{rates['python']:.0f} updates/s "
                 f"({rates['c'] / rates['python']:.2f}x < {C_MIN_SPEEDUP}x)"
+            )
+    for size, times in build.items():
+        if compiled:
+            assert BUILD_MIN_SPEEDUP * times["c"] <= times["numpy"], (
+                f"c system matrix build regressed at {size}x{size}: {times['c']:.3f} vs "
+                f"{times['numpy']:.3f} s ({times['numpy'] / times['c']:.2f}x < "
+                f"{BUILD_MIN_SPEEDUP}x)"
             )
     return best
 

@@ -1,12 +1,13 @@
 /*
  * The ``c`` kernel: Alg. 1's per-voxel chain (footprint gather, theta1 dot,
  * surrogate solve, delta scatter) for the full-image ICD sweep and for one
- * SuperVoxel visit, and the three passes over the matrix that prepare a
- * driver call (the updater's fused products, the forward projection and
- * the FBP backprojection).  repro/core/kernels.py compiles this file on
- * first use and calls it through ctypes; it validates every array it
- * passes here, except a SuperVoxel's tables, which repro/core/supervoxel.py
- * checks against the matrix when it builds the SuperVoxel.
+ * SuperVoxel visit, and the four preparation passes (the system matrix
+ * build, the updater's fused products, the forward projection and the FBP
+ * backprojection).  repro/core/kernels.py compiles this file on first use
+ * and calls it through ctypes; it validates every array it passes here,
+ * except a SuperVoxel's tables, which repro/core/supervoxel.py checks
+ * against the matrix when it builds the SuperVoxel.  Nothing here keeps
+ * static state, so two threads may run any entry point at once.
  *
  * The arithmetic is the NumPy or scipy code's it replaces, operation for
  * operation (the bit-exactness contract in kernels.py): every sum runs
@@ -238,6 +239,100 @@ int64_t repro_sv_visit(const struct repro_ctx *c, const int64_t *voxels,
 /* Preparation: each pass reproduces the NumPy or scipy code that     */
 /* stays its oracle where this library does not run.                  */
 /* ------------------------------------------------------------------ */
+
+/* One view's pixel footprint, trapezoid_cdf's scalars for widths w1, w2. */
+struct footprint {
+    double cos_t, sin_t, half_span, peak, m, big, ramp, wmin_sq;
+    int64_t span; /* channels a footprint may touch from its first one */
+};
+
+/* trapezoid_cdf(t, w1, w2, h) at one offset t, where base = 0.5 * h * h:
+ * the plateau part plus the ramp part (0.0 for a box), signed by t. */
+static inline double footprint_cdf(const struct footprint *f, double t, double base)
+{
+    double u = fabs(t);
+    double g = f->peak * (u <= f->m ? u : f->m), r = 0.0, sign;
+    if (f->ramp != 0.0) {
+        double s = u < f->m ? f->m : (u > f->big ? f->big : u);
+        double d = f->big - s;
+        r = f->ramp * (f->wmin_sq - d * d);
+    }
+    g = g + r;
+    sign = t > 0.0 ? 1.0 : (t < 0.0 ? -1.0 : 0.0);
+    return base + sign * g;
+}
+
+/* build_system_matrix's loop, written straight to CSC.  Column j is pixel
+ * (j / n, j % n), centred at (xs[j % n], ys[j / n]); view v's cosine, sine,
+ * box widths and channel span come from NumPy scalars.  A column holds, view
+ * by view and each view's channels upward (the order coo.tocsc() gives),
+ * every channel on the detector whose value
+ * (trapezoid_cdf(hi - t) - trapezoid_cdf(lo - t)) / spacing exceeds tol, as
+ * row v * n_chan + c and the value rounded to float32.  Fills indptr
+ * (n * n + 1) and at most cap entries of indices and data; returns the
+ * entry count, -1 past cap (nothing beyond it written), -2 for a view whose
+ * widths are both zero (trapezoid_cdf's ValueError), -3 without memory. */
+int64_t repro_build_csc(int64_t n, const double *xs, const double *ys, int64_t n_views,
+                        const double *cos_v, const double *sin_v, const double *w1_v,
+                        const double *w2_v, const int64_t *span_v, int64_t n_chan,
+                        double spacing, double h, double tol, int64_t cap,
+                        int32_t *indptr, int32_t *indices, float *data)
+{
+    double half_chan = (double)n_chan / 2.0, base = 0.5 * h * h;
+    int64_t pos = 0;
+    struct footprint *fp = malloc((n_views > 0 ? n_views : 1) * sizeof *fp);
+    if (fp == NULL)
+        return -3;
+    for (int64_t v = 0; v < n_views; v++) {
+        struct footprint *f = fp + v;
+        double w1 = w1_v[v], w2 = w2_v[v];
+        double wmax = w2 > w1 ? w2 : w1, wmin = w2 < w1 ? w2 : w1;
+        if (wmax <= 0.0) {
+            free(fp);
+            return -2;
+        }
+        f->cos_t = cos_v[v];
+        f->sin_t = sin_v[v];
+        f->half_span = 0.5 * (w1 + w2);
+        f->peak = h * h / wmax;
+        f->m = 0.5 * (wmax - wmin);
+        f->big = 0.5 * (wmax + wmin);
+        if (wmin <= 1e-12 * wmax)
+            wmin = 0.0;
+        f->ramp = wmin > 0.0 ? f->peak / (2.0 * wmin) : 0.0;
+        f->wmin_sq = wmin * wmin;
+        f->span = span_v[v];
+    }
+    indptr[0] = 0;
+    for (int64_t j = 0; j < n * n; j++) {
+        double x = xs[j % n], y = ys[j / n];
+        for (int64_t v = 0; v < n_views; v++) {
+            const struct footprint *f = fp + v;
+            double t = x * f->cos_t + y * f->sin_t;
+            int64_t first = (int64_t)floor((t - f->half_span) / spacing + half_chan);
+            if (f->span > cap - pos) {
+                free(fp);
+                return -1;
+            }
+            for (int64_t k = 0; k < f->span; k++) {
+                int64_t c = first + k;
+                double lo, hi, val;
+                if (c < 0 || c >= n_chan)
+                    continue;
+                lo = ((double)c - half_chan) * spacing;
+                hi = lo + spacing;
+                val = (footprint_cdf(f, hi - t, base) - footprint_cdf(f, lo - t, base)) / spacing;
+                if (val > tol) {
+                    indices[pos] = (int32_t)(v * n_chan + c);
+                    data[pos++] = (float)val;
+                }
+            }
+        }
+        indptr[j + 1] = (int32_t)pos;
+    }
+    free(fp);
+    return pos;
+}
 
 /* One column block of SliceUpdater's build over n stored entries (rows,
  * a): p = w[row] * a, stored rounded to float32 as wa, and p * a, theta2's

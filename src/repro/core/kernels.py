@@ -29,8 +29,11 @@ the updater, and to ``python`` otherwise (no compiler, a failed build, a
 generic prior, float64 storage).  Since both kernels compute the same
 bits, the choice never changes iterates, RNG draws or checkpoints.
 
-The library also runs the three passes over the matrix that prepare every
-driver call, wherever it loads and the matrix is float32 with int32
+The library also runs four preparation passes.  :func:`build_csc` writes
+the system matrix straight to CSC
+(:func:`~repro.ct.system_matrix.build_system_matrix`, once per geometry)
+where the matrix is float32 and int32 holds its indices.  Three more
+prepare every driver call, wherever the matrix is float32 with int32
 indices: :func:`fill_products` (one column block of the
 :class:`~repro.core.voxel_update.SliceUpdater` build's ``wa`` and theta2
 terms), :func:`csc_matvec` (:meth:`~repro.ct.system_matrix.SystemMatrix.forward`,
@@ -38,8 +41,8 @@ so the initial error sinogram, the simulated scan and the MAP cost) and
 :func:`backproject` (:func:`~repro.ct.fbp.fbp_reconstruct`).  Each is
 bit-identical to the NumPy or scipy code its caller keeps as the oracle,
 which runs where the library does not: no compiler, or a float64 or int64
-matrix.  So the library compiles on the first driver call, forward
-projection or FBP, whichever comes first.
+matrix.  So the library compiles on the first system matrix build, driver
+call, forward projection or FBP, whichever comes first.
 
 Bit-exactness contract
 ----------------------
@@ -68,8 +71,12 @@ this design, so that the compiled scalar kernel joins the contract):
 * The C source is compiled with ``-ffp-contract=off`` (no fused
   multiply-adds) and never with ``-ffast-math``/``-Ofast``; ``CFLAGS`` is
   not read, because the flags are part of this contract.
-* The preparation passes copy their oracles' orders: the forward
-  projection adds column by column into a zeroed sinogram, as scipy's
+* The preparation passes copy their oracles' orders: the matrix build
+  evaluates ``trapezoid_cdf`` and ``channel_of`` operation for operation
+  from each view's NumPy scalar ``cos``/``sin``/widths/span, rounds each
+  float64 value to float32 after the ``tol`` test, and emits a column's
+  entries view by view, channels upward, as ``coo.tocsc()`` sorts them;
+  the forward projection adds column by column into a zeroed sinogram, as scipy's
   ``csc_matvec`` does over its float64 copy of the matrix; the
   backprojection adds views in order from 0.0 and interpolates branch for
   branch as ``np.interp`` does on the integer channel grid, from one NumPy
@@ -98,6 +105,7 @@ from repro.observability import NULL_RECORDER
 __all__ = [
     "KERNELS",
     "backproject",
+    "build_csc",
     "c_runs_matrix",
     "csc_matvec",
     "fill_products",
@@ -210,6 +218,10 @@ def _build_c_library() -> ctypes.CDLL:
     f64 = ctypes.c_double
     lib.repro_backproject.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr, i64, f64, f64, ptr]
     lib.repro_backproject.restype = None
+    lib.repro_build_csc.argtypes = [
+        i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, i64, f64, f64, f64, i64, ptr, ptr, ptr,
+    ]
+    lib.repro_build_csc.restype = i64
     return lib
 
 
@@ -309,45 +321,66 @@ def view_reciprocal(n_channels: int) -> int:
     """``ceil(2**VIEW_BITS / n_channels)``, the ``c`` kernel's divisor for a row's view.
 
     ``(row * it) >> VIEW_BITS`` equals ``row // n_channels`` while ``row``
-    stays below ``2**VIEW_BITS / n_channels``; :func:`build_c_struct`
+    stays below ``2**VIEW_BITS / n_channels``; :func:`check_c_matrix`
     checks it over every row of the matrix it runs on.
     """
     return -(-(1 << VIEW_BITS) // n_channels)
 
 
+#: The :meth:`~repro.ct.system_matrix.SystemMatrix.derived` key under which
+#: a matrix keeps the outcome of :func:`check_c_matrix`.
+_MATRIX_CHECKED = "c kernel matrix checks"
+
+
+def check_c_matrix(system) -> int:
+    """Check what the ``c`` kernel follows in ``system``'s matrix; return its view reciprocal.
+
+    ``indptr`` must be a CSC column index over the stored entries, every row
+    index must lie in the matrix, and :func:`view_reciprocal` must give each
+    row's view, as an SV visit finds it by a multiply-shift.  These depend on
+    the matrix alone, so :func:`build_c_struct` runs them once per
+    ``SystemMatrix`` (a refused matrix is refused on every call).
+    """
+    matrix = system.matrix
+    nnz = matrix.indices.size
+    indptr = _require(matrix.indptr, np.int32, matrix.shape[1] + 1, "indptr")
+    indices = _require(matrix.indices, np.int32, nnz, "indices")
+    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+        raise ValueError("c kernel: indptr is not a valid CSC column index")
+    if nnz and (indices.min() < 0 or indices.max() >= matrix.shape[0]):
+        raise ValueError("c kernel: a CSC row index is out of range")
+    n_chan = system.geometry.n_channels
+    recip = view_reciprocal(n_chan)
+    rows = np.arange(matrix.shape[0], dtype=np.int64)
+    if not np.array_equal((rows * recip) >> VIEW_BITS, rows // n_chan):
+        raise ValueError(f"c kernel: the view reciprocal of {n_chan} channels is not exact")
+    return recip
+
+
 def build_c_struct(updater) -> _CContext:
     """Validate ``updater``'s arrays and point a ``_CContext`` at them.
 
-    The struct holds raw addresses, so it must not outlive the arrays:
+    The matrix's own checks (:func:`check_c_matrix`) run once per
+    ``SystemMatrix``; the updater's arrays are checked on every call.  The
+    struct holds raw addresses, so it must not outlive the arrays:
     :attr:`SliceUpdater.c_struct` keeps it next to them.
     """
     reason = _c_unsupported(updater)
     if reason is not None:
         raise RuntimeError(f"kernel 'c' cannot run: {reason}")
-    matrix = updater.system.matrix
-    n = updater.theta2.size
+    system = updater.system
+    recip = system.derived(_MATRIX_CHECKED, lambda: check_c_matrix(system))
+    matrix = system.matrix
+    n = matrix.shape[1]
     nnz = matrix.indices.size
-    indptr = _require(updater.indptr, np.int32, n + 1, "indptr")
-    indices = _require(matrix.indices, np.int32, nnz, "indices")
     nb_idx = _require(updater.nb_idx, np.int64, 8 * n, "nb_idx")
-    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
-        raise ValueError("c kernel: indptr is not a valid CSC column index")
-    if nnz and (indices.min() < 0 or indices.max() >= matrix.shape[0]):
-        raise ValueError("c kernel: a CSC row index is out of range")
     if nb_idx.min() < 0 or nb_idx.max() >= n:
         raise ValueError("c kernel: a neighbour index is out of range")
-    # An SV visit finds each row's view by a multiply-shift; it must be the
-    # floor division over every row this matrix can hold.
-    n_chan = updater.system.geometry.n_channels
-    recip = view_reciprocal(n_chan)
-    rows = np.arange(matrix.shape[0], dtype=np.int64)
-    if not np.array_equal((rows * recip) >> VIEW_BITS, rows // n_chan):
-        raise ValueError(f"c kernel: the view reciprocal of {n_chan} channels is not exact")
     prior = updater.prior
     c = _CContext(
         n_voxels=n,
-        indptr=indptr.ctypes.data,
-        indices=indices.ctypes.data,
+        indptr=matrix.indptr.ctypes.data,
+        indices=matrix.indices.ctypes.data,
         wa=_require(updater.wa, np.float32, nnz, "wa").ctypes.data,
         a=_require(updater.a_data, np.float32, nnz, "a_data").ctypes.data,
         nb_idx=nb_idx.ctypes.data,
@@ -508,7 +541,8 @@ def _visit_python(upd, sv, order, x, svb, zero_skip, stale_width):
 
 
 # ----------------------------------------------------------------------
-# Preparation passes: the updater build, forward projection, FBP
+# Preparation passes: the matrix build, the updater build, forward
+# projection, FBP
 # ----------------------------------------------------------------------
 def fill_products(rows, a, weights, wa, products) -> None:
     """One column block of the updater build, in one pass over its entries.
@@ -551,6 +585,46 @@ def csc_matvec(matrix, x: np.ndarray) -> np.ndarray:
     ):
         raise ValueError("c kernel: a CSC column offset or row index is out of range")
     return y
+
+
+def build_csc(xs, ys, cos_v, sin_v, w1, w2, spans, n_channels: int, spacing: float,
+              pixel_size: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`~repro.ct.system_matrix.build_system_matrix`'s CSC arrays in one pass.
+
+    ``xs``/``ys`` are the raster's column and row centres, and ``cos_v``,
+    ``sin_v``, ``w1``, ``w2`` and ``spans`` each view's cosine, sine,
+    footprint box widths and channel span.  Returns int32 ``indptr`` and
+    ``indices`` and float32 ``data``, the bits of the NumPy loop.  They are
+    allocated at the bound ``n_pixels**2 * spans.sum()`` and shrunk in place
+    to the entries kept, so no second copy of the matrix is ever made.  The
+    caller checked :func:`load_c_kernel` and that the bound fits int32.
+    """
+    n = xs.size
+    n_views = cos_v.size
+    _require(xs, np.float64, n, "xs")
+    _require(ys, np.float64, n, "ys")
+    for name, arr in (("cos_v", cos_v), ("sin_v", sin_v), ("w1", w1), ("w2", w2)):
+        _require(arr, np.float64, n_views, name)
+    _require(spans, np.int64, n_views, "spans")
+    cap = n * n * int(spans.sum())
+    indptr = np.empty(n * n + 1, dtype=np.int32)
+    indices = np.empty(cap, dtype=np.int32)
+    data = np.empty(cap, dtype=np.float32)
+    nnz = _C_LIBRARY.lib.repro_build_csc(
+        n, xs.ctypes.data, ys.ctypes.data, n_views, cos_v.ctypes.data, sin_v.ctypes.data,
+        w1.ctypes.data, w2.ctypes.data, spans.ctypes.data, n_channels, spacing, pixel_size,
+        tol, cap, indptr.ctypes.data, indices.ctypes.data, data.ctypes.data,
+    )
+    if nnz == -2:
+        raise ValueError("degenerate footprint: both widths are zero")
+    if nnz == -3:
+        raise MemoryError("c kernel: no memory for the view table")
+    if nnz < 0:
+        raise ValueError("c kernel: a footprint touches more channels than its view's span")
+    # realloc shrinks in place: nothing else refers to the fresh arrays.
+    indices.resize(nnz, refcheck=False)
+    data.resize(nnz, refcheck=False)
+    return indptr, indices, data
 
 
 def backproject(filtered, x, y, cos_v, sin_v, spacing: float, center: float) -> np.ndarray:

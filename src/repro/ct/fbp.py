@@ -12,9 +12,10 @@ driver call.
 
 The backprojection of every view runs in one call of the ``c`` kernel
 (:func:`repro.core.kernels.backproject`) where the library builds, and in
-the NumPy loop below, its bit-identical oracle, where it does not.  Each
-view's cosine and sine stay one NumPy scalar call on both paths, because a
-vectorised ``np.cos`` need not match them.
+the NumPy loop below, its bit-identical oracle, where it does not.  Both
+paths read each view's cosine and sine from
+:meth:`~repro.ct.geometry.ParallelBeamGeometry.view_cos_sin`, one NumPy
+scalar call per view, because a vectorised ``np.cos`` need not match them.
 """
 
 from __future__ import annotations
@@ -81,9 +82,7 @@ def fbp_reconstruct(
     filtered = filtered[:, :n_chan]
 
     x, y = geometry.pixel_centers()
-    # One NumPy scalar call per view: a vectorised np.cos need not match it.
-    cos_v = np.array([np.cos(theta) for theta in geometry.angles])
-    sin_v = np.array([np.sin(theta) for theta in geometry.angles])
+    cos_v, sin_v = geometry.view_cos_sin()
     center = (n_chan - 1) / 2.0
     # Function-local: repro.core imports repro.ct at module load.
     from repro.core.kernels import backproject, load_c_kernel

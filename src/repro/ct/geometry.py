@@ -103,6 +103,17 @@ class ParallelBeamGeometry:
     # ------------------------------------------------------------------
     # Detector coordinates
     # ------------------------------------------------------------------
+    def view_cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each view's ``(cos, sin)``, one NumPy scalar call per view.
+
+        The ``c`` kernel's matrix build and FBP backprojection read these
+        bits, as their NumPy oracles do; a vectorised ``np.cos`` over
+        ``angles`` need not match them.
+        """
+        cos_v = np.array([np.cos(theta) for theta in self.angles])
+        sin_v = np.array([np.sin(theta) for theta in self.angles])
+        return cos_v, sin_v
+
     def detector_coordinate(self, x: np.ndarray, y: np.ndarray, view: int) -> np.ndarray:
         """Project points onto the detector axis of ``view``."""
         theta = self.angles[view]

@@ -33,7 +33,8 @@ __all__ = ["trapezoid_cdf", "build_system_matrix", "shared_system", "clear_syste
 
 #: Derived tables one matrix keeps (see :meth:`SystemMatrix.derived`); past
 #: this many, the least recently used one goes.  A solve uses one SuperVoxel
-#: grid, and slice-solve's two SV drivers use two.
+#: grid and the ``c`` kernel's matrix checks, so slice-solve's two SV
+#: drivers hold three keys.
 DERIVED_LIMIT = 4
 
 _T = TypeVar("_T")
@@ -88,9 +89,15 @@ def build_system_matrix(
 ) -> "SystemMatrix":
     """Build the sparse system matrix for ``geometry``.
 
-    Iterates over views (vectorised over all pixels and footprint channel
-    offsets within each view) and assembles a CSC matrix of shape
-    ``(n_views * n_channels, n_voxels)``.
+    Returns a CSC matrix of shape ``(n_views * n_channels, n_voxels)`` whose
+    columns hold their rows sorted.  The ``c`` kernel writes it column by
+    column, straight into int32 ``indptr``/``indices`` and float32 ``data``
+    (:func:`repro.core.kernels.build_csc`), where the library loads,
+    ``dtype`` is float32 and int32 arrays hold the matrix (see
+    :func:`_compiled_build_runs`).  Elsewhere a loop over views, vectorised
+    over all pixels and footprint channel offsets within each view,
+    assembles it through COO; it is the compiled pass's bit-identical
+    oracle.  Both read each view's constants from :func:`_view_footprints`.
 
     Parameters
     ----------
@@ -102,27 +109,39 @@ def build_system_matrix(
         Storage dtype of the values (``float32`` halves memory with no
         observable effect on reconstruction quality at CT dynamic range).
     """
-    n = geometry.n_pixels
+    cos_v, sin_v, w1_v, w2_v, spans = _view_footprints(geometry)
+    shape = (geometry.n_views * geometry.n_channels, geometry.n_voxels)
+    x, y = geometry.pixel_centers()
+    if _compiled_build_runs(geometry, spans, dtype):
+        # Function-local: repro.core imports repro.ct at module load.
+        from repro.core.kernels import build_csc
+
+        indptr, indices, data = build_csc(
+            np.ascontiguousarray(x[0]), np.ascontiguousarray(y[:, 0]),
+            cos_v, sin_v, w1_v, w2_v, spans,
+            geometry.n_channels, geometry.channel_spacing, geometry.pixel_size, tol,
+        )
+        csc = sp.csc_matrix((data, indices, indptr), shape=shape)
+        csc.has_canonical_format = True  # sorted, no duplicates, as built
+        return SystemMatrix(geometry=geometry, matrix=csc)
+
     n_chan = geometry.n_channels
     spacing = geometry.channel_spacing
     h = geometry.pixel_size
-    x, y = geometry.pixel_centers()
     x = x.ravel()
     y = y.ravel()
     voxel_ids = np.arange(geometry.n_voxels, dtype=np.int64)
 
-    rows_parts: list[np.ndarray] = []
-    cols_parts: list[np.ndarray] = []
-    vals_parts: list[np.ndarray] = []
+    # Empty first parts: a tol above every value gives an empty matrix.
+    rows_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    cols_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    vals_parts: list[np.ndarray] = [np.empty(0)]
 
-    for view in range(geometry.n_views):
-        theta = geometry.angles[view]
-        w1 = abs(h * np.cos(theta))
-        w2 = abs(h * np.sin(theta))
-        t = x * np.cos(theta) + y * np.sin(theta)
+    views = zip(cos_v, sin_v, w1_v, w2_v, spans)
+    for view, (cos, sin, w1, w2, span_channels) in enumerate(views):
+        t = x * cos + y * sin
         half_span = 0.5 * (w1 + w2)
         c_first = geometry.channel_of(t - half_span)
-        span_channels = int(np.ceil((w1 + w2) / spacing)) + 1
         for k in range(span_channels):
             c = c_first + k
             valid = (c >= 0) & (c < n_chan)
@@ -141,11 +160,48 @@ def build_system_matrix(
     rows = np.concatenate(rows_parts)
     cols = np.concatenate(cols_parts)
     vals = np.concatenate(vals_parts).astype(dtype)
-    shape = (geometry.n_views * n_chan, geometry.n_voxels)
     coo = sp.coo_matrix((vals, (rows, cols)), shape=shape)
     csc = coo.tocsc()
     csc.sort_indices()
     return SystemMatrix(geometry=geometry, matrix=csc)
+
+
+def _view_footprints(
+    geometry: ParallelBeamGeometry,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each view's ``(cos, sin, w1, w2, span_channels)``, five arrays.
+
+    ``w1``/``w2`` are the footprint's box widths ``h|cos|`` and ``h|sin|``
+    and ``span_channels`` how many channels a footprint may touch from its
+    first one.  Past :meth:`ParallelBeamGeometry.view_cos_sin` the
+    arithmetic is exact elementwise, so both builds read the same bits.
+    """
+    cos_v, sin_v = geometry.view_cos_sin()
+    h = geometry.pixel_size
+    w1 = np.abs(h * cos_v)
+    w2 = np.abs(h * sin_v)
+    spans = np.ceil((w1 + w2) / geometry.channel_spacing).astype(np.int64) + 1
+    return cos_v, sin_v, w1, w2, spans
+
+
+def _compiled_build_runs(geometry: ParallelBeamGeometry, spans: np.ndarray, dtype) -> bool:
+    """Whether :func:`build_system_matrix` runs the ``c`` kernel's pass.
+
+    It does for float32 values, when int32 holds both the entry bound
+    ``n_voxels * spans.sum()`` (the pass allocates that much before it
+    shrinks to the entries kept) and every row index, and the library
+    loads.  Anything else (float64, a matrix too large, no compiler) takes
+    the NumPy loop.
+    """
+    limit = np.iinfo(np.int32).max
+    if np.dtype(dtype) != np.float32:
+        return False
+    bound = geometry.n_voxels * int(spans.sum())
+    if max(bound, geometry.n_views * geometry.n_channels) > limit:
+        return False
+    from repro.core.kernels import load_c_kernel
+
+    return load_c_kernel() is None
 
 
 # A matrix depends only on its geometry, whose hash covers exactly the
@@ -209,7 +265,8 @@ class SystemMatrix:
 
         A table that depends only on the matrix and ``key`` (a SuperVoxel
         grid, keyed by ``(sv_side, overlap)``; see
-        :func:`repro.core.supervoxel.shared_grid`) is kept on the matrix, so
+        :func:`repro.core.supervoxel.shared_grid`; or the ``c`` kernel's
+        checks, :func:`repro.core.kernels.check_c_matrix`) is kept on the matrix, so
         it lives exactly as long as the matrix, or until
         :data:`DERIVED_LIMIT` more recently used keys evict it.  Builds run
         under the matrix's lock: concurrent callers of one key build it

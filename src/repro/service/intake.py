@@ -42,7 +42,9 @@ Cancel sentinels are consumed once their job is terminal (renamed
 Only the serve loop writes ``status.json`` (single-writer, temp-file +
 ``os.replace``), so readers never observe a torn snapshot.  It rewrites a
 job's status only when the job's snapshot changed since the last
-successful write; a failed write is retried on the next poll.
+successful write; a failed write is retried on the next poll.  A spec
+that reuses a finished job's id replaces that job: accepting it deletes the
+old ``result.npz``, and the new job's result is written once it is DONE.
 """
 
 from __future__ import annotations
@@ -167,10 +169,11 @@ class DirectoryService:
         #: status/result writes that failed with OSError (retried next poll)
         self.status_write_failures = 0
         self.result_write_failures = 0
-        #: the snapshot last written per job id, and the ids whose result
-        #: was written; both forget ids the TTL reaper evicted
+        #: the snapshot last written per job id, and per id the job whose
+        #: result was written (a new job under a reused id is not it); both
+        #: forget ids the TTL reaper evicted
         self._published: dict[str, dict[str, Any]] = {}
-        self._persisted: set[str] = set()
+        self._persisted: dict[str, Job] = {}
         self._deferred: dict[str, Path] = {}  # admission-rejected, retry next poll
         self._recover()
 
@@ -264,6 +267,8 @@ class DirectoryService:
             job_dir.mkdir(parents=True, exist_ok=True)
             spec_path = job_dir / "spec.json"
             os.replace(path, spec_path)  # accept before submit: crash-safe
+            # A reused id's old image must not sit beside the new spec's status.
+            (job_dir / "result.npz").unlink(missing_ok=True)
             if self._submit_accepted(spec_path, job_id) == "submitted":
                 accepted.append(job_id)
         return accepted
@@ -325,12 +330,13 @@ class DirectoryService:
         known = {job.job_id for job in jobs}
         for job_id in self._published.keys() - known:
             del self._published[job_id]
-        self._persisted &= known
+        for job_id in self._persisted.keys() - known:
+            del self._persisted[job_id]
         for job in jobs:
             self._publish_status(job)
             if (
                 job.state is JobState.DONE
-                and job.job_id not in self._persisted
+                and self._persisted.get(job.job_id) is not job
                 and job.result is not None
             ):
                 try:
@@ -346,7 +352,7 @@ class DirectoryService:
                     # persisted makes the next publish round the retry.
                     self.result_write_failures += 1
                 else:
-                    self._persisted.add(job.job_id)
+                    self._persisted[job.job_id] = job
 
     # -- the loop ---------------------------------------------------------
     def step(self) -> None:

@@ -400,9 +400,11 @@ class Scheduler:
         """
         # Build the (process-wide, read-only) system matrix and the compiled
         # kernel in the parent first: forked children inherit both instead
-        # of each rebuilding the matrix and compiling the kernel.  A host
-        # that cannot build the kernel runs the ``python`` oracle in every
-        # child.
+        # of each rebuilding the matrix and compiling the kernel.
+        # ``system_for`` loads the kernel itself wherever it builds the
+        # matrix in it; ``load_c_kernel`` covers a matrix built by the NumPy
+        # loop (one too large for int32 indices).  A host that cannot build
+        # the kernel runs the ``python`` oracle in every child.
         system_for(job.spec.scan.geometry)
         load_c_kernel()
         ctx = mp_context()

@@ -35,6 +35,7 @@ from repro.core import (
     rmse_hu,
     shared_neighborhood,
 )
+from repro.core import kernels
 from repro.core.kernels import (
     KERNELS,
     VIEW_BITS,
@@ -317,6 +318,45 @@ class TestCKernelGuards:
         assert np.array_equal(svb, svb0)
         with pytest.raises(TypeError, match="svb must be"):
             run_sv_visit(upd, sv, np.arange(2), x, svb[:-1], **kwargs)
+
+
+@NEEDS_C
+class TestMatrixChecks:
+    """The checks that depend on the matrix alone run once per SystemMatrix."""
+
+    def test_a_second_updater_does_not_recheck_the_matrix(self, scan32, system32, monkeypatch):
+        calls = []
+        check = kernels.check_c_matrix
+
+        def spy(system):
+            calls.append(system)
+            return check(system)
+
+        monkeypatch.setattr(kernels, "check_c_matrix", spy)
+        system = SystemMatrix(system32.geometry, system32.matrix)  # nothing derived yet
+        first = _updater(scan32, system).c_struct
+        second = _updater(scan32, system).c_struct
+        assert calls == [system]
+        recip = view_reciprocal(system.geometry.n_channels)
+        assert first.view_recip == second.view_recip == recip
+
+    def test_a_matrix_with_an_out_of_range_row_is_refused(self, scan32, system32):
+        bad = system32.matrix.copy()
+        bad.indices[7] = bad.shape[0]
+        updater = _updater(scan32, system32)
+        # The build itself gathers the weights at every row, so the bad
+        # matrix goes in after it.
+        updater.system = SystemMatrix(system32.geometry, bad)
+        for _ in range(2):  # a refusal is not kept: every call re-checks
+            with pytest.raises(ValueError, match="row index is out of range"):
+                updater.c_struct
+
+    def test_an_updater_still_checks_its_own_arrays(self, scan32, system32):
+        updater = _updater(scan32, system32)
+        updater.nb_idx = updater.nb_idx.copy()
+        updater.nb_idx[3] = 32 * 32
+        with pytest.raises(ValueError, match="neighbour index is out of range"):
+            updater.c_struct
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.kernels import load_c_kernel
 from repro.ct import (
     ParallelBeamGeometry,
@@ -18,9 +21,11 @@ from repro.ct import (
     scaled_geometry,
     trapezoid_cdf,
 )
+from repro.ct.system_matrix import _compiled_build_runs, _view_footprints
 
 #: Whether the compiled kernel builds and loads on this host.
 C_LOADS = load_c_kernel() is None
+NEEDS_C = pytest.mark.skipif(not C_LOADS, reason="the c kernel does not build on this host")
 
 
 class TestTrapezoidCDF:
@@ -186,3 +191,179 @@ class TestForward:
             tracemalloc.stop()
         assert 8 * system64.nnz > 4 * 2**20  # scipy's float64 copy would break the bound
         assert peak <= sino.nbytes + 2**20, (peak, sino.nbytes)
+
+
+# ----------------------------------------------------------------------
+# The build: the c kernel's pass against the NumPy loop, its oracle
+# ----------------------------------------------------------------------
+#: Geometries the compiled build must reproduce bit for bit.
+BATTERY = {
+    **{f"scaled{n}": scaled_geometry(n) for n in (8, 16, 32, 64)},
+    "odd_channels": ParallelBeamGeometry(n_pixels=12, n_views=10, n_channels=17),
+    "non_unit_sizes": ParallelBeamGeometry(
+        n_pixels=16, n_views=12, n_channels=29, pixel_size=0.37, channel_spacing=0.41
+    ),
+    "narrow_detector": ParallelBeamGeometry(
+        n_pixels=32, n_views=4, n_channels=8, channel_spacing=1.0
+    ),
+    "right_angles": ParallelBeamGeometry(n_pixels=20, n_views=4, n_channels=40),
+}
+
+
+def _failed_library() -> kernels._CLibrary:
+    """A library whose build failed, as on a host without a compiler."""
+    failed = kernels._CLibrary()
+    failed.error = "OSError: off for the oracle"
+    return failed
+
+
+def _oracle_build(geometry, **kwargs) -> SystemMatrix:
+    """``build_system_matrix`` on its NumPy loop: the library fails to load."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_C_LIBRARY", _failed_library())
+        return build_system_matrix(geometry, **kwargs)
+
+
+@pytest.fixture
+def compiled_builds(monkeypatch):
+    """The calls ``build_system_matrix`` makes to the c kernel's pass."""
+    calls = []
+    build_csc = kernels.build_csc
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return build_csc(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "build_csc", spy)
+    return calls
+
+
+def _assert_same_matrix(got, want) -> None:
+    """Shape, the three arrays' dtypes and bytes, and the sorted flag."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.has_sorted_indices == want.has_sorted_indices
+
+
+class TestCompiledBuild:
+    """Where the library loads, the c kernel writes the float32 matrix
+    straight to CSC, bit-identical to the NumPy loop's COO assembly."""
+
+    @NEEDS_C
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.0])
+    @pytest.mark.parametrize("name", sorted(BATTERY))
+    def test_bit_identical_to_the_oracle(self, name, tol, compiled_builds):
+        geometry = BATTERY[name]
+        got = build_system_matrix(geometry, tol=tol).matrix
+        assert len(compiled_builds) == 1
+        want = _oracle_build(geometry, tol=tol).matrix
+        assert len(compiled_builds) == 1
+        assert want.indices.dtype == np.int32 and want.data.dtype == np.float32
+        _assert_same_matrix(got, want)
+
+    @NEEDS_C
+    def test_bit_identical_at_128(self, compiled_builds):
+        geometry = scaled_geometry(128)
+        got = build_system_matrix(geometry).matrix
+        assert compiled_builds
+        _assert_same_matrix(got, _oracle_build(geometry).matrix)
+
+    def test_battery_covers_its_edge_cases(self):
+        """Empty columns, and views at exactly 0 and 90 degrees (a box
+        width of 0, and one below 1e-12 of the other)."""
+        narrow = BATTERY["narrow_detector"]
+        assert np.any(build_system_matrix(narrow).column_nnz() == 0)
+        _, _, w1, w2, _ = _view_footprints(BATTERY["right_angles"])
+        assert w2[0] == 0.0 and w1[0] > 0.0
+        assert 0.0 < w1[2] <= 1e-12 * w2[2]
+        assert BATTERY["odd_channels"].n_channels % 2 == 1
+
+    def test_a_tol_above_every_value_gives_an_empty_matrix(self):
+        geometry = scaled_geometry(8)
+        got = build_system_matrix(geometry, tol=1e9).matrix
+        assert got.nnz == 0 and not np.any(got.indptr)
+        _assert_same_matrix(got, _oracle_build(geometry, tol=1e9).matrix)
+
+    def test_float64_takes_the_oracle(self, compiled_builds):
+        geometry = BATTERY["odd_channels"]
+        wide = build_system_matrix(geometry, dtype=np.float64).matrix
+        assert not compiled_builds
+        narrow = build_system_matrix(geometry).matrix
+        assert wide.data.dtype == np.float64
+        assert wide.indptr.tobytes() == narrow.indptr.tobytes()
+        assert wide.indices.tobytes() == narrow.indices.tobytes()
+        # The oracle rounds its float64 values to float32 for a float32 build.
+        assert wide.data.astype(np.float32).tobytes() == narrow.data.tobytes()
+
+    def test_a_library_that_fails_to_load_takes_the_oracle(self, compiled_builds):
+        geometry = BATTERY["non_unit_sizes"]
+        want = build_system_matrix(geometry).matrix
+        compiled_builds.clear()
+        got = _oracle_build(geometry).matrix
+        assert not compiled_builds
+        _assert_same_matrix(got, want)
+
+    def test_the_int32_guard_picks_the_oracle_past_its_bound(self):
+        """The pass allocates ``n_voxels * sum(spans)`` entries first; past
+        int32 the predicate refuses it, without building anything."""
+        limit = 2**31 - 1
+        small = scaled_geometry(8)  # 64 voxels
+        assert _compiled_build_runs(small, np.array([limit // 64]), np.float32) is C_LOADS
+        assert not _compiled_build_runs(small, np.array([limit // 64 + 1]), np.float32)
+        big = ParallelBeamGeometry(n_pixels=1024, n_views=1440, n_channels=2048)
+        spans = _view_footprints(big)[4]
+        assert big.n_voxels * int(spans.sum()) > 2**31
+        assert not _compiled_build_runs(big, spans, np.float32)
+        paper = ParallelBeamGeometry(n_pixels=512, n_views=720, n_channels=1024)
+        assert _compiled_build_runs(paper, _view_footprints(paper)[4], np.float32) is C_LOADS
+        many_rows = ParallelBeamGeometry(n_pixels=1, n_views=2**16, n_channels=2**15)
+        assert not _compiled_build_runs(many_rows, np.ones(2**16, np.int64), np.float32)
+
+    @NEEDS_C
+    def test_build_peak_is_the_output(self):
+        """The traced peak is the matrix plus its entry bound's slack: no COO
+        parts, no float64 or int64 temporaries, no tocsc copy."""
+        geometry = scaled_geometry(64)
+        build_system_matrix(scaled_geometry(8))  # the library is loaded before tracing
+
+        def traced_peak(build):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                matrix = build(geometry).matrix
+                return tracemalloc.get_traced_memory()[1] - base, matrix
+            finally:
+                tracemalloc.stop()
+
+        peak, matrix = traced_peak(build_system_matrix)
+        out = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        assert peak <= 1.25 * out + 2**20, (peak, out)
+        oracle_peak, _ = traced_peak(_oracle_build)
+        assert oracle_peak > 2 * out + 2**20, (oracle_peak, out)
+
+    def test_concurrent_builds_match_sequential_ones(self):
+        """No static state: threads may build two geometries at once."""
+        geometries = [BATTERY["scaled32"], BATTERY["non_unit_sizes"]] * 2
+        want = [build_system_matrix(g).matrix for g in geometries]
+        got = [None] * len(geometries)
+
+        def build(i):
+            got[i] = build_system_matrix(geometries[i]).matrix
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(len(geometries))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            _assert_same_matrix(g, w)

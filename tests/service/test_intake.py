@@ -129,6 +129,35 @@ class TestRecovery:
         assert read_status(queue_dir, "j1") == first
 
 
+class TestReusedId:
+    """A new spec under a finished job's id replaces that job's result file."""
+
+    def test_the_second_drain_writes_the_second_result(self, queue_dir):
+        result_path = queue_dir / "jobs" / "j1" / "result.npz"
+        write_job_spec(queue_dir, "j1", driver="icd", scan_path="scan.npz",
+                       params=dict(PARAMS, max_equits=2.0))
+        with DirectoryService(queue_dir, n_workers=1) as service:
+            assert service.run(drain=True, max_seconds=120)
+            first = service.service.job("j1")
+            assert result_path.exists()
+
+            write_job_spec(queue_dir, "j1", driver="icd", scan_path="scan.npz",
+                           params=dict(PARAMS, max_equits=4.0))
+            service.poll_incoming()
+            # Accepting the new spec removed the old image before any
+            # reader could see it beside the new job's status.
+            assert not result_path.exists()
+            assert read_status(queue_dir, "j1")["state"] in {"PENDING", "RUNNING"}
+            assert service.run(drain=True, max_seconds=120)
+            second = service.service.job("j1")
+
+        assert second is not first and second.state.value == "DONE"
+        image, _, _ = load_reconstruction(result_path)
+        assert np.array_equal(image, second.result.image)
+        assert not np.array_equal(image, first.result.image)
+        assert read_status(queue_dir, "j1")["equits"] == second.equits
+
+
 class TestPersistentDedup:
     def test_duplicate_submission_served_from_disk_cache(self, queue_dir):
         write_job_spec(queue_dir, "orig", driver="icd", scan_path="scan.npz",
