@@ -96,7 +96,7 @@ def initial_image(scan: ScanData, *, init: "str | np.ndarray" = "fbp") -> np.nda
     starts from an empty image (useful for zero-skipping stress tests).
     An ndarray (``(n, n)`` or flat ``n*n``, mu units) is used directly —
     this is how the multires pyramid seeds a level with the upsampled
-    coarse iterate and the shard coordinator re-seeds stripe rounds.
+    coarse iterate and a rows-mode shard group re-seeds each stripe round.
     """
     if isinstance(init, str):
         if init == "fbp":
@@ -276,8 +276,8 @@ def icd_reconstruct(
         Stop after this many equivalent iterations.
     max_iterations:
         If set, also stop after this many outer sweeps — the exact-count
-        stop the shard coordinator needs (``max_equits`` counts *actual*
-        updates, which zero-skipping makes data-dependent).
+        stop a rows-mode shard group's children need (``max_equits``
+        counts *actual* updates, which zero-skipping makes data-dependent).
     golden:
         Converged reference image; enables RMSE tracking.
     stop_rmse:

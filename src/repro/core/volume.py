@@ -47,12 +47,6 @@ class VolumeResult:
         """Average equits per slice."""
         return self.total_equits / max(self.n_slices, 1)
 
-    def converged_slices(self, threshold_attr: str = "converged_equits") -> int:
-        """How many slices hit their convergence criterion."""
-        return sum(
-            1 for r in self.slice_results if getattr(r.history, threshold_attr) is not None
-        )
-
 
 def ellipsoid_volume(
     n_slices: int,

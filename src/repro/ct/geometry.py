@@ -146,11 +146,6 @@ class ParallelBeamGeometry:
         w1, w2 = self.footprint_widths(view)
         return w1 + w2
 
-    def max_channels_per_view(self) -> int:
-        """Upper bound on the channel count a pixel footprint can touch per view."""
-        max_span = float(np.sqrt(2.0) * self.pixel_size)
-        return int(np.ceil(max_span / self.channel_spacing)) + 1
-
     def mean_channels_per_view(self) -> float:
         """Average number of channels a pixel footprint overlaps per view.
 

@@ -117,11 +117,6 @@ class CPUSpec:
     cache_line_bytes: int
     lock_overhead_s: float  # acquiring the error-sinogram lock
 
-    @property
-    def per_core_peak_flops(self) -> float:
-        """Single-precision FMA peak per core."""
-        return 2.0 * self.simd_width_floats * self.clock_hz
-
 
 #: The paper's CPU platform (§5.1): 2 sockets x 8-core Xeon E5-2670
 #: (Sandy Bridge EP, AVX, 20 MB L3 per socket, 51.2 GB/s per socket).

@@ -191,14 +191,6 @@ class MBIRKernelEmulator:
                 # atomicAdd on the SVB cell.
                 svb[footprint[i]] -= a[i] * delta
 
-    def _update_one_voxel(self, member, x_flat, svb) -> float:
-        voxel = int(self.sv.voxels[member])
-        block = EmulatedBlock(self.threads_per_block, self.threads_per_block)
-        result: dict = {"delta": 0.0, "new_value": float(x_flat[voxel])}
-        block.run(self._voxel_program, voxel, member, x_flat, svb, result)
-        x_flat[voxel] = result["new_value"]
-        return result["delta"]
-
     # ------------------------------------------------------------------
     def run(
         self,

@@ -46,6 +46,9 @@ __all__ = [
     "scaled_gpu_params",
     "scaled_psv_side",
     "Table1Result",
+    "TABLE1_METHODS",
+    "CaseRun",
+    "run_table1_case",
     "run_table1",
     "Fig5Result",
     "run_fig5",
@@ -154,17 +157,20 @@ class ExperimentContext:
         return self._scans[case.name]
 
     def golden(self, case: TestCase) -> np.ndarray:
-        """Cached golden image: traditional ICD run long (§5.2)."""
+        """Cached golden image of one case (:meth:`golden_of` its scan)."""
         if case.name not in self._goldens:
-            res = icd_reconstruct(
-                self.scan(case),
-                self.system,
-                max_equits=self.golden_equits,
-                seed=self.seed,
-                track_cost=False,
-            )
-            self._goldens[case.name] = res.image
+            self._goldens[case.name] = self.golden_of(self.scan(case))
         return self._goldens[case.name]
+
+    def golden_of(self, scan: ScanData) -> np.ndarray:
+        """Golden image: traditional ICD run long (§5.2), uncached."""
+        return icd_reconstruct(
+            scan,
+            self.system,
+            max_equits=self.golden_equits,
+            seed=self.seed,
+            track_cost=False,
+        ).image
 
     # ------------------------------------------------------------------
     def equits_of(self, history) -> float:
@@ -224,45 +230,75 @@ class Table1Result:
         )
 
 
+#: Table 1's drivers, by the short names its per-case records use.
+TABLE1_METHODS = ("seq", "psv", "gpu")
+
+
+@dataclass(frozen=True)
+class CaseRun:
+    """One driver's outcome on one case under the Table 1 protocol."""
+
+    equits: float  # equits to ``stop_rmse`` (the run total if never reached)
+    time_s: float  # modeled full-size seconds for those equits
+    converged: bool  # whether the run reached ``stop_rmse``
+
+
+def run_table1_case(
+    ctx: ExperimentContext,
+    scan: ScanData,
+    golden: np.ndarray,
+    methods: tuple[str, ...] = TABLE1_METHODS,
+) -> dict[str, CaseRun]:
+    """Table 1's per-case protocol, one :class:`CaseRun` per method.
+
+    Each driver runs to ``ctx.stop_rmse`` HU of ``golden`` (capped at
+    ``ctx.max_equits``); its equits to that point times the modeled
+    full-size time per equit, at the run's measured zero-skip fraction for
+    the SV drivers, is its time.
+    """
+    common = dict(golden=golden, stop_rmse=ctx.stop_rmse, max_equits=ctx.max_equits,
+                  seed=ctx.seed, track_cost=False)
+    runs = {}
+    for m in methods:
+        if m == "seq":
+            res = icd_reconstruct(scan, ctx.system, **common)
+            eq = ctx.equits_of(res.history)
+            t = eq * ctx.cpu_model.sequential_equit_time()
+        elif m == "psv":
+            res = psv_icd_reconstruct(
+                scan, ctx.system, sv_side=scaled_psv_side(ctx.n_pixels), **common
+            )
+            eq = ctx.equits_of(res.history)
+            t = ctx.cpu_model.reconstruction_time(
+                eq, PAPER_PSV_SV_SIDE, zero_skip_fraction=ctx.skip_fraction(res.trace)
+            )
+        elif m == "gpu":
+            res = gpu_icd_reconstruct(
+                scan, ctx.system, params=scaled_gpu_params(ctx.n_pixels), **common
+            )
+            eq = ctx.equits_of(res.history)
+            t = ctx.gpu_model.reconstruction_time(
+                eq, PAPER_GPU_PARAMS, zero_skip_fraction=ctx.skip_fraction(res.trace)
+            )
+        else:
+            raise ValueError(f"unknown method {m!r}")
+        runs[m] = CaseRun(equits=eq, time_s=t, converged=res.history.converged_equits is not None)
+    return runs
+
+
 def run_table1(ctx: ExperimentContext) -> Table1Result:
     """Reproduce Table 1 over the synthetic ensemble."""
-    psv_side = scaled_psv_side(ctx.n_pixels)
-    gpu_params = scaled_gpu_params(ctx.n_pixels)
-
     per_case = []
     for case in ctx.cases:
-        scan = ctx.scan(case)
-        golden = ctx.golden(case)
-        common = dict(golden=golden, stop_rmse=ctx.stop_rmse, max_equits=ctx.max_equits,
-                      seed=ctx.seed, track_cost=False)
-        seq = icd_reconstruct(scan, ctx.system, **common)
-        psv = psv_icd_reconstruct(scan, ctx.system, sv_side=psv_side, **common)
-        gpu = gpu_icd_reconstruct(scan, ctx.system, params=gpu_params, **common)
-
-        eq_seq = ctx.equits_of(seq.history)
-        eq_psv = ctx.equits_of(psv.history)
-        eq_gpu = ctx.equits_of(gpu.history)
-        zsf_psv = ctx.skip_fraction(psv.trace)
-        zsf_gpu = ctx.skip_fraction(gpu.trace)
-
-        t_seq = eq_seq * ctx.cpu_model.sequential_equit_time()
-        t_psv = ctx.cpu_model.reconstruction_time(
-            eq_psv, PAPER_PSV_SV_SIDE, zero_skip_fraction=zsf_psv
-        )
-        t_gpu = ctx.gpu_model.reconstruction_time(
-            eq_gpu, PAPER_GPU_PARAMS, zero_skip_fraction=zsf_gpu
-        )
+        runs = run_table1_case(ctx, ctx.scan(case), ctx.golden(case))
         per_case.append(
-            dict(case=case.name, eq_seq=eq_seq, eq_psv=eq_psv, eq_gpu=eq_gpu,
-                 t_seq=t_seq, t_psv=t_psv, t_gpu=t_gpu)
+            dict(case=case.name,
+                 **{f"eq_{m}": run.equits for m, run in runs.items()},
+                 **{f"t_{m}": run.time_s for m, run in runs.items()})
         )
 
-    t_seq = np.array([c["t_seq"] for c in per_case])
-    t_psv = np.array([c["t_psv"] for c in per_case])
-    t_gpu = np.array([c["t_gpu"] for c in per_case])
-    eq_seq = np.array([c["eq_seq"] for c in per_case])
-    eq_psv = np.array([c["eq_psv"] for c in per_case])
-    eq_gpu = np.array([c["eq_gpu"] for c in per_case])
+    t_seq, t_psv, t_gpu = (np.array([c[f"t_{m}"] for c in per_case]) for m in TABLE1_METHODS)
+    eq_seq, eq_psv, eq_gpu = (np.array([c[f"eq_{m}"] for c in per_case]) for m in TABLE1_METHODS)
 
     rows = [
         dict(method="Sequential-ICD", mean_time=float(t_seq.mean()), speedup_seq=1.0,

@@ -14,16 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.gpu_icd import gpu_icd_reconstruct
-from repro.core.icd import icd_reconstruct
-from repro.core.psv_icd import psv_icd_reconstruct
-from repro.harness.experiments import (
-    PAPER_GPU_PARAMS,
-    PAPER_PSV_SV_SIDE,
-    ExperimentContext,
-    scaled_gpu_params,
-    scaled_psv_side,
-)
+from repro.harness.experiments import TABLE1_METHODS, ExperimentContext, run_table1_case
 from repro.harness.reporting import format_table, geometric_mean
 from repro.harness.testcases import generate_suite, scan_for_case
 from repro.io import load_scan, save_scan
@@ -79,7 +70,7 @@ def run_suite(
     *,
     n_cases: int | None = None,
     cache_dir: str | Path | None = None,
-    methods: tuple[str, ...] = ("seq", "psv", "gpu"),
+    methods: tuple[str, ...] = TABLE1_METHODS,
 ) -> SuiteStatistics:
     """Run the Table 1 protocol over an ensemble of ``n_cases`` slices.
 
@@ -105,9 +96,6 @@ def run_suite(
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
 
-    psv_side = scaled_psv_side(ctx.n_pixels)
-    gpu_params = scaled_gpu_params(ctx.n_pixels)
-
     equits: dict[str, list[float]] = {m: [] for m in methods}
     times: dict[str, list[float]] = {m: [] for m in methods}
     failures: list[str] = []
@@ -122,38 +110,14 @@ def run_suite(
                 save_scan(path, scan)
         else:
             scan = scan_for_case(case, ctx.system)
-        golden = icd_reconstruct(
-            scan, ctx.system, max_equits=ctx.golden_equits, seed=ctx.seed,
-            track_cost=False,
-        ).image
-        common = dict(golden=golden, stop_rmse=ctx.stop_rmse,
-                      max_equits=ctx.max_equits, seed=ctx.seed, track_cost=False)
-
-        for m in methods:
-            if m == "seq":
-                res = icd_reconstruct(scan, ctx.system, **common)
-                eq = ctx.equits_of(res.history)
-                t = eq * ctx.cpu_model.sequential_equit_time()
-            elif m == "psv":
-                res = psv_icd_reconstruct(scan, ctx.system, sv_side=psv_side, **common)
-                eq = ctx.equits_of(res.history)
-                t = ctx.cpu_model.reconstruction_time(
-                    eq, PAPER_PSV_SV_SIDE,
-                    zero_skip_fraction=ctx.skip_fraction(res.trace),
-                )
-            elif m == "gpu":
-                res = gpu_icd_reconstruct(scan, ctx.system, params=gpu_params, **common)
-                eq = ctx.equits_of(res.history)
-                t = ctx.gpu_model.reconstruction_time(
-                    eq, PAPER_GPU_PARAMS,
-                    zero_skip_fraction=ctx.skip_fraction(res.trace),
-                )
-            else:
-                raise ValueError(f"unknown method {m!r}")
-            if res.history.converged_equits is None:
+        # Goldens are not kept on the context: a large suite would hold
+        # one image per case.
+        runs = run_table1_case(ctx, scan, ctx.golden_of(scan), methods)
+        for m, run in runs.items():
+            if not run.converged:
                 failures.append(f"{case.name}:{m}")
-            equits[m].append(eq)
-            times[m].append(t)
+            equits[m].append(run.equits)
+            times[m].append(run.time_s)
 
     return SuiteStatistics(
         n_cases=n_cases,

@@ -5,24 +5,36 @@ scans synthesised once (e.g. a large benchmark ensemble) can be reused
 across sessions and reconstructions can be archived next to their
 convergence histories.
 
-Crash-safety contract (DESIGN.md §11): every writer in this module goes
-through :func:`_atomic_savez` — the payload is fully written and fsynced to
-a same-directory temp file, then moved over the destination with
-``os.replace``.  A process killed mid-save therefore leaves either the old
-file or the new one, never a torn half-write.  Every reader raises the
-typed :class:`CorruptFileError` (a ``ValueError`` subclass) naming the
-missing or unreadable key instead of surfacing raw ``KeyError`` /
-``EOFError`` / ``BadZipFile`` from the npz internals.
+Crash-safety contract (DESIGN.md §11): :func:`atomic_write` is the
+repo's one durable write.  The npz savers here, checkpoint saves, and the
+service's status, spec and verdict files all go through it: the payload is
+written and fsynced to a uniquely named temp file in the target directory,
+then moved over the destination with ``os.replace``.  A process killed
+mid-save therefore leaves either the old file or the new one, never a torn
+half-write.  Every reader raises the typed :class:`CorruptFileError` (a
+``ValueError`` subclass) naming the missing or unreadable key instead of
+surfacing raw ``KeyError`` / ``EOFError`` / ``BadZipFile`` from the npz
+internals.
+
+Fault injection: tests and the chaos harness often run as root, which
+ignores permission bits, so ``chmod`` cannot make a directory unwritable.
+Instead :func:`atomic_write` first calls :func:`check_disk_fault`: a
+``.disk-fault`` sentinel file in the target directory
+(:func:`arm_disk_fault`) makes the write raise the ``OSError`` named inside
+it (default ``ENOSPC``).  The sentinel crosses ``fork`` for free and clears
+by deleting the file.
 """
 
 from __future__ import annotations
 
+import errno as errno_mod
 import itertools
 import json
 import os
 import threading
 import zipfile
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -32,6 +44,11 @@ from repro.ct.sinogram import ScanData
 
 __all__ = [
     "CorruptFileError",
+    "DISK_FAULT_SENTINEL",
+    "check_disk_fault",
+    "arm_disk_fault",
+    "disarm_disk_fault",
+    "atomic_write",
     "save_scan",
     "load_scan",
     "save_volume_scan",
@@ -53,36 +70,75 @@ class CorruptFileError(ValueError):
     """
 
 
+#: Basename of the fault-injection sentinel every durable write honours.
+DISK_FAULT_SENTINEL = ".disk-fault"
+
+
+def check_disk_fault(directory: str | Path) -> None:
+    """Raise the injected :class:`OSError` if ``directory`` carries one.
+
+    A ``.disk-fault`` sentinel file names the errno to raise (``ENOSPC``
+    when empty or unreadable).  Production directories never contain one,
+    so the healthy-path cost is a single ``open`` that fails.
+    """
+    sentinel = Path(directory) / DISK_FAULT_SENTINEL
+    try:
+        name = sentinel.read_text().strip() or "ENOSPC"
+    except FileNotFoundError:
+        return
+    except OSError:
+        name = "ENOSPC"
+    code = getattr(errno_mod, name, errno_mod.ENOSPC)
+    raise OSError(code, f"{os.strerror(code)} [injected: {sentinel}]")
+
+
+def arm_disk_fault(directory: str | Path, errno_name: str = "ENOSPC") -> Path:
+    """Plant a disk-fault sentinel in ``directory`` (created if missing)."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    sentinel = directory / DISK_FAULT_SENTINEL
+    sentinel.write_text(errno_name)
+    return sentinel
+
+
+def disarm_disk_fault(directory: str | Path) -> None:
+    """Clear a planted disk-fault sentinel; idempotent."""
+    (Path(directory) / DISK_FAULT_SENTINEL).unlink(missing_ok=True)
+
+
 #: Disambiguates concurrent same-path writers beyond (pid, thread id): a
 #: thread can write the same path twice, and thread ids are reused.
 _tmp_counter = itertools.count()
 
 
-def _atomic_savez(path: str | Path, payload: dict) -> Path:
-    """Write an npz atomically: temp file in the same directory + ``os.replace``.
+def atomic_write(path: str | Path, data: bytes | Callable[[BinaryIO], object]) -> Path:
+    """Durably replace ``path`` with ``data``; returns ``path`` as a :class:`Path`.
 
-    Mirrors ``np.savez_compressed``'s suffix behavior (a ``.npz`` extension
-    is appended when missing) and returns the final path.  The temp file is
-    flushed and fsynced before the rename so a crash at any point leaves
-    either the previous file or the complete new one on disk.
+    ``data`` is the file's bytes, or a function that writes them to the
+    open binary file it is given.  The target directory is created if
+    missing and checked for a ``.disk-fault`` sentinel.  The payload goes
+    to a temp file in that directory, which is fsynced and then moved over
+    ``path`` with ``os.replace``.  On any exception the temp file is
+    removed and the exception propagates.
 
     The temp name is unique per (pid, thread, write): two service workers
-    finishing jobs with the same cache key concurrently write the same
-    final path, and a pid-only suffix made them share the temp file — one
-    truncated the other mid-write and the loser's rename raised ENOENT.
-    With distinct temp files the only shared step is ``os.replace``, which
+    finishing jobs with the same cache key write the same final path, and
+    with distinct temp files the only shared step is ``os.replace``, which
     is atomic and last-writer-wins.
     """
     final = Path(path)
-    if final.suffix != ".npz":
-        final = final.with_name(final.name + ".npz")
+    final.parent.mkdir(parents=True, exist_ok=True)
+    check_disk_fault(final.parent)
     tmp = final.with_name(
         f".{final.name}.tmp-{os.getpid()}-{threading.get_ident()}"
         f"-{next(_tmp_counter)}"
     )
     try:
         with open(tmp, "wb") as f:
-            np.savez_compressed(f, **payload)
+            if callable(data):
+                data(f)
+            else:
+                f.write(data)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, final)
@@ -90,6 +146,14 @@ def _atomic_savez(path: str | Path, payload: dict) -> Path:
         tmp.unlink(missing_ok=True)
         raise
     return final
+
+
+def _savez(path: str | Path, payload: dict) -> Path:
+    """:func:`atomic_write` of a compressed npz, appending ``.npz`` when missing."""
+    final = Path(path)
+    if final.suffix != ".npz":
+        final = final.with_name(final.name + ".npz")
+    return atomic_write(final, lambda f: np.savez_compressed(f, **payload))
 
 
 def _open_npz(path: Path, kind: str):
@@ -178,7 +242,7 @@ def save_scan(path: str | Path, scan: ScanData) -> None:
     }
     if scan.ground_truth is not None:
         payload["ground_truth"] = scan.ground_truth
-    _atomic_savez(path, payload)
+    _savez(path, payload)
 
 
 def load_scan(path: str | Path) -> ScanData:
@@ -235,7 +299,7 @@ def save_volume_scan(path: str | Path, scans: "list[ScanData]") -> None:
     }
     if all(s.ground_truth is not None for s in scans):
         payload["ground_truth"] = np.stack([s.ground_truth for s in scans])
-    _atomic_savez(path, payload)
+    _savez(path, payload)
 
 
 def load_volume_scan(path: str | Path) -> "list[ScanData]":
@@ -315,7 +379,7 @@ def save_reconstruction(
             np.nan if history.converged_threshold_hu is None else history.converged_threshold_hu
         )
         payload["stop_reason"] = np.array(history.stop_reason or "")
-    _atomic_savez(path, payload)
+    _savez(path, payload)
 
 
 def load_reconstruction(path: str | Path) -> tuple[np.ndarray, RunHistory | None, dict]:

@@ -46,11 +46,6 @@ class Stripe:
     def n_owned(self) -> int:
         return self.hi - self.lo
 
-    @property
-    def n_update(self) -> int:
-        """Rows this shard's job actually updates (owned + halo)."""
-        return self.halo_hi - self.halo_lo
-
 
 def plan_stripes(n_rows: int, n_shards: int, halo: int) -> list[Stripe]:
     """Split ``n_rows`` into ``n_shards`` balanced stripes with ``halo`` overlap.

@@ -17,8 +17,8 @@ This module addresses both (DESIGN.md §11):
     sinogram ``e``, iteration counters, the RNG's bit-generator state, the
     :class:`~repro.core.selection.SVSelector` update-amount state, the
     :class:`~repro.core.convergence.RunHistory`, and metrics counters — as
-    a checksummed container written via temp-file + ``os.replace``, keeping
-    the last ``keep`` checkpoints.  A run killed at any point and resumed
+    a checksummed container written by :func:`repro.io.atomic_write`,
+    keeping the last ``keep`` checkpoints.  A run killed at any point and resumed
     via ``resume_from=`` is **bit-identical** to an uninterrupted run, for
     every driver and kernel flavor, because everything the iteration loop
     consumes (including the RNG stream position) is restored exactly.
@@ -60,7 +60,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.convergence import IterationRecord, RunHistory
-from repro.io import CorruptFileError
+from repro.io import CorruptFileError, atomic_write
 from repro.observability import as_recorder
 
 __all__ = [
@@ -317,7 +317,7 @@ class CheckpointManager:
         The view lists, loads and rotates only those files and stamps
         ``meta`` into every checkpoint it saves.  It is a shallow copy, so
         it shares everything else with this store: a degrading manager's
-        writer, with its retries, events and counters, covers every view.
+        degraded state, and so its events, covers every view.
         """
         view = copy.copy(self)
         view.prefix = prefix
@@ -339,25 +339,13 @@ class CheckpointManager:
     def save(self, checkpoint: Checkpoint) -> Path:
         """Atomically persist ``checkpoint`` and rotate old files.
 
-        The container (magic + sha256 + npz payload) is written to a temp
-        file in the target directory, fsynced, then moved into place with
-        ``os.replace`` — a crash mid-save leaves the previous checkpoints
-        untouched and at worst an ignorable temp file.
+        The container (magic + sha256 + npz payload) goes through
+        :func:`repro.io.atomic_write`, so a crash mid-save leaves the
+        previous checkpoints untouched, and a ``.disk-fault`` sentinel in
+        the directory makes the save raise its ``OSError``.
         """
         checkpoint.meta.update(self.meta)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        final = self.path_for(checkpoint.iteration)
-        tmp = final.with_name(f".{final.name}.tmp-{os.getpid()}")
-        raw = checkpoint.to_bytes()
-        try:
-            with open(tmp, "wb") as f:
-                f.write(raw)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, final)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        final = atomic_write(self.path_for(checkpoint.iteration), checkpoint.to_bytes())
         self._rotate()
         return final
 

@@ -22,15 +22,7 @@ from repro.service.chaos import (
     run_campaigns,
     summarize,
 )
-from repro.service.faults import (
-    DegradableWriter,
-    DegradingCheckpointManager,
-    RetryPolicy,
-    arm_disk_fault,
-    check_disk_fault,
-    disarm_disk_fault,
-    next_backoff,
-)
+from repro.service.faults import DegradingCheckpointManager, next_backoff
 from repro.service.http import HttpGateway
 from repro.service.intake import (
     DirectoryService,
@@ -99,12 +91,7 @@ __all__ = [
     "read_status",
     "request_cancel",
     "next_backoff",
-    "RetryPolicy",
-    "DegradableWriter",
     "DegradingCheckpointManager",
-    "check_disk_fault",
-    "arm_disk_fault",
-    "disarm_disk_fault",
     "ChaosPlan",
     "CampaignResult",
     "run_campaign",

@@ -18,7 +18,10 @@ The disk tier is best-effort redundancy, never load-bearing: an
 ``OSError`` on a persist (ENOSPC, EIO, read-only remount) keeps the
 in-memory entry and counts ``disk_write_failures``; an ``OSError`` on a
 read-back is a miss that recomputes, counting ``disk_read_failures``.  A
-sick cache volume therefore costs dedup hit-rate, not jobs.
+sick cache volume therefore costs dedup hit-rate, not jobs.  Both counts
+reach ``ReconstructionService.report()`` as
+``service.cache_disk_write_failures`` / ``service.cache_disk_read_failures``
+and ``/metrics`` as gauges.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ import numpy as np
 
 from repro.core.convergence import RunHistory
 from repro.ct.sinogram import ScanData
-from repro.io import CorruptFileError, load_reconstruction, save_reconstruction
-from repro.service.faults import check_disk_fault
+from repro.io import CorruptFileError, check_disk_fault, load_reconstruction, save_reconstruction
 
 __all__ = ["cache_key", "CachedResult", "ResultCache"]
 
@@ -208,8 +210,6 @@ class ResultCache:
         path = self._path_for(key)
         if path is not None:
             try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                check_disk_fault(path.parent)
                 save_reconstruction(
                     path, entry.image, entry.history, metadata=entry.metadata
                 )

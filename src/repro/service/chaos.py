@@ -87,8 +87,7 @@ import numpy as np
 
 from repro.core.volume import ellipsoid_volume, simulate_volume_scan
 from repro.ct import build_system_matrix, scaled_geometry, shepp_logan, simulate_scan
-from repro.io import save_scan, save_volume_scan
-from repro.service.faults import arm_disk_fault, disarm_disk_fault
+from repro.io import arm_disk_fault, disarm_disk_fault, save_scan, save_volume_scan
 from repro.service.http import HttpGateway
 from repro.service.jobs import JobSpec, JobState
 from repro.service.queue import QueueClosedError

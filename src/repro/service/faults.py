@@ -1,65 +1,45 @@
-"""Disk-fault graceful degradation: writers that retry, then suppress.
+"""Disk-fault policy: checkpoints degrade, the result retries, nothing else waits.
 
-The serving stack writes to disk in four places — checkpoint saves, the
-worker's result container, the result cache's disk tier, and the intake's
-``status.json`` mirrors — and before this module the first ``ENOSPC`` /
-``EIO`` / ``EROFS`` on any of them failed an otherwise-healthy
-reconstruction.  That inverts the durability hierarchy: checkpoints and
-cache entries exist to *protect* the computation, so losing them should
-cost redundancy, never the job.
+Every durable write goes through :func:`repro.io.atomic_write`, which
+honours the ``.disk-fault`` sentinel (:func:`repro.io.arm_disk_fault`).
+What a failed write costs is decided per file (DESIGN.md §16):
 
-:class:`DegradableWriter` encodes the policy every degradable write path
-shares:
-
-* **healthy** — attempt the write; on :class:`OSError` retry up to
-  ``RetryPolicy.attempts`` times with capped decorrelated-jitter backoff
-  (:func:`next_backoff`, the same helper the load generator's 429 path
-  uses so backpressured clients don't wake in lockstep);
-* **degraded** — after persistent failure, flip to best-effort-suspended:
-  subsequent writes are suppressed (cheap, no syscalls) except for a
-  periodic re-probe, so a cleared fault (space freed, volume remounted)
-  re-enables the write path without operator action;
-* **hooks** — ``on_degrade(exc)`` / ``on_recover()`` fire exactly once
-  per transition, which is how the scheduler learns to file
-  ``CHECKPOINT_DEGRADED`` / ``CHECKPOINT_RECOVERED`` job events and bump
-  the ``service.checkpoint_writes_failed`` counter.
-
-Only an unwritable *result* is terminal — the result is the job's one
-irreplaceable artifact, and the worker surfaces that as
-:class:`~repro.service.jobs.ResultPersistError` → FAILED with the errno
-in the detail.
-
-Fault injection: tests and the chaos harness run as whatever user the CI
-container provides (often root, which ignores permission bits), so
-``chmod``-based fault injection is unreliable.  Instead every degradable
-path calls :func:`check_disk_fault` before touching the filesystem: a
-``.disk-fault`` sentinel file in the target directory makes the write
-raise the ``OSError`` named inside it (default ``ENOSPC``).  The sentinel
-crosses ``fork`` boundaries for free and clears by deleting the file.
+* **checkpoints** degrade (:class:`DegradingCheckpointManager`): a save
+  that keeps failing suspends checkpointing, files one
+  ``CHECKPOINT_DEGRADED`` event, and lets the job run on; each later save
+  probes the disk, and the first that lands files ``CHECKPOINT_RECOVERED``.
+  Checkpoints exist to protect the computation, so losing them costs
+  redundancy, never the job;
+* **the worker's result** is retried (:func:`retry_oserror`) and is then
+  terminal: it is the job's one irreplaceable artifact, so a persistent
+  failure becomes a :class:`~repro.service.jobs.ResultPersistError`
+  verdict with the errno;
+* the cache's disk tier, the intake's ``status.json`` and ``result.npz``,
+  the level marker and the verdict file are counted or suppressed by
+  their callers and retried by their next natural occasion.
 """
 
 from __future__ import annotations
 
-import errno as errno_mod
-import os
 import random
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
 
 from repro.resilience import Checkpoint, CheckpointManager
 
 __all__ = [
     "next_backoff",
-    "RetryPolicy",
-    "DegradableWriter",
+    "retry_oserror",
     "DegradingCheckpointManager",
-    "DISK_FAULT_SENTINEL",
-    "check_disk_fault",
-    "arm_disk_fault",
-    "disarm_disk_fault",
 ]
+
+T = TypeVar("T")
+
+#: Attempts per checkpoint save while healthy, and the backoff bounds (s)
+#: between them.
+_CKPT_ATTEMPTS = 2
+_CKPT_BACKOFF_S = (0.02, 0.25)
 
 
 def next_backoff(
@@ -84,179 +64,79 @@ def next_backoff(
     return min(cap_s, pick(lo, hi))
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How hard a healthy :class:`DegradableWriter` tries before degrading."""
+def retry_oserror(fn: Callable[[], T], *, attempts: int, base_s: float, cap_s: float) -> T:
+    """``fn()``, retried on :class:`OSError` up to ``attempts`` calls in all.
 
-    #: Total attempts (first try + retries) while healthy.
-    attempts: int = 3
-    #: First-retry backoff seed, seconds.
-    base_s: float = 0.05
-    #: Backoff ceiling, seconds — keeps a worker's iteration cadence sane.
-    cap_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {self.attempts}")
-
-
-class DegradableWriter:
-    """Retry-then-suppress wrapper for best-effort disk writes.
-
-    Not thread-safe: each instance belongs to one writer (a worker's
-    checkpoint manager, the cache's disk tier under the cache lock, ...).
-
-    Parameters
-    ----------
-    name:
-        Label for diagnostics (``checkpoint:<job>``, ``cache-disk``, ...).
-    policy:
-        Retry budget while healthy.
-    reprobe_every:
-        While degraded, one real write attempt is made every this many
-        calls (the rest are suppressed without syscalls).  The default of
-        1 probes on every call — the write itself is the probe, which is
-        the right trade for checkpoint-cadence callers.
-    on_degrade / on_recover:
-        Transition hooks; ``on_degrade`` receives the final ``OSError``.
-    sleep / rng:
-        Injectable for tests (real campaigns keep the defaults).
+    Between attempts it sleeps a :func:`next_backoff` delay in
+    ``[base_s, cap_s]``; the last attempt's ``OSError`` propagates.
     """
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        policy: RetryPolicy | None = None,
-        reprobe_every: int = 1,
-        on_degrade: Callable[[OSError], None] | None = None,
-        on_recover: Callable[[], None] | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-        rng: random.Random | None = None,
-    ) -> None:
-        self.name = name
-        self.policy = policy or RetryPolicy()
-        self.reprobe_every = max(1, int(reprobe_every))
-        self.on_degrade = on_degrade
-        self.on_recover = on_recover
-        self._sleep = sleep
-        self._rng = rng or random.Random()
-        self.degraded = False
-        self.last_error: OSError | None = None
-        #: Individual OS-level write attempts that raised.
-        self.failed_writes = 0
-        #: Calls answered without touching the disk while degraded.
-        self.suppressed_writes = 0
-        self.degradations = 0
-        self.recoveries = 0
-        self._degraded_calls = 0
-
-    def attempt(self, fn: Callable[[], Any]) -> tuple[bool, Any]:
-        """Run ``fn`` under the degradation policy.
-
-        Returns ``(True, value)`` when the write landed and
-        ``(False, None)`` when it was suppressed or exhausted its
-        retries — the caller carries on either way; only the *result*
-        writer escalates a persistent failure into a typed error.
-        """
-        if self.degraded:
-            self._degraded_calls += 1
-            if self._degraded_calls % self.reprobe_every != 0:
-                self.suppressed_writes += 1
-                return False, None
-            try:
-                value = fn()
-            except OSError as exc:
-                self.failed_writes += 1
-                self.suppressed_writes += 1
-                self.last_error = exc
-                return False, None
-            self.degraded = False
-            self._degraded_calls = 0
-            self.recoveries += 1
-            if self.on_recover is not None:
-                self.on_recover()
-            return True, value
-
-        delay = self.policy.base_s
-        for attempt in range(self.policy.attempts):
-            try:
-                return True, fn()
-            except OSError as exc:
-                self.failed_writes += 1
-                self.last_error = exc
-                if attempt + 1 < self.policy.attempts:
-                    delay = next_backoff(
-                        delay,
-                        base_s=self.policy.base_s,
-                        cap_s=self.policy.cap_s,
-                        rng=self._rng,
-                    )
-                    self._sleep(delay)
-        self.degraded = True
-        self.degradations += 1
-        self._degraded_calls = 0
-        if self.on_degrade is not None:
-            self.on_degrade(self.last_error)
-        return False, None
-
-    def stats(self) -> dict[str, Any]:
-        """Counters snapshot for reports and chaos invariants."""
-        return {
-            "name": self.name,
-            "degraded": self.degraded,
-            "failed_writes": self.failed_writes,
-            "suppressed_writes": self.suppressed_writes,
-            "degradations": self.degradations,
-            "recoveries": self.recoveries,
-            "last_error": str(self.last_error) if self.last_error else None,
-        }
+    delay = base_s
+    for _ in range(attempts - 1):
+        try:
+            return fn()
+        except OSError:
+            delay = next_backoff(delay, base_s=base_s, cap_s=cap_s)
+            time.sleep(delay)
+    return fn()
 
 
 class DegradingCheckpointManager(CheckpointManager):
     """A :class:`~repro.resilience.CheckpointManager` whose saves degrade.
 
-    :meth:`save` returns the written path, or ``None`` when the save was
-    suppressed — the driver hooks mark the enclosing ``checkpoint_save``
-    span ``suppressed`` so progress recorders don't count a checkpoint
-    that never hit the disk.  Loads are untouched: reading back existing
-    checkpoints still works (and still skips corrupt files) while the
-    write path is degraded.
+    While healthy, a save that raises :class:`OSError` is tried twice in
+    all, 0.02–0.25 s apart; if both fail the manager degrades.  While
+    degraded, each save is a single probe.  :meth:`save` returns the
+    written path, or ``None`` when the save did not land; the driver hooks
+    then mark the ``checkpoint_save`` span ``suppressed`` so progress
+    recorders don't count a checkpoint that never hit the disk.  Loads are
+    untouched: reading back existing checkpoints still works (and still
+    skips corrupt files) while saves are degraded.
 
-    ``recorder`` is notified on transitions.  A recorder with a
-    ``note_fault(kind, **detail)`` method (the service-side progress /
-    relay recorders) gets ``CHECKPOINT_DEGRADED`` /
+    ``recorder`` is told of each transition.  A recorder with a
+    ``note_fault(kind, **detail)`` method (the worker's relay recorder)
+    gets ``CHECKPOINT_DEGRADED`` (with the ``errno`` and ``error``) and
     ``CHECKPOINT_RECOVERED`` events; a plain
     :class:`~repro.observability.MetricsRecorder` gets
     ``checkpoint.degraded`` / ``checkpoint.recovered`` counters instead.
+    The degraded flag lives in a dict that :meth:`scoped` views share, so
+    a multires job's levels degrade and recover as one.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        *,
-        keep: int = 3,
-        recorder: Any = None,
-        policy: RetryPolicy | None = None,
-        reprobe_every: int = 1,
-    ) -> None:
+    def __init__(self, directory: str | Path, *, keep: int = 3, recorder: Any = None) -> None:
         super().__init__(directory, keep=keep)
         self._recorder = recorder
-        self.writer = DegradableWriter(
-            f"checkpoint:{Path(directory).parent.name or directory}",
-            policy=policy or RetryPolicy(attempts=2, base_s=0.02, cap_s=0.25),
-            reprobe_every=reprobe_every,
-            on_degrade=self._on_degrade,
-            on_recover=self._on_recover,
-        )
+        self._health = {"degraded": False}
+
+    @property
+    def degraded(self) -> bool:
+        """Whether saves are suspended to one probe each."""
+        return self._health["degraded"]
 
     def save(self, checkpoint: Checkpoint) -> Path | None:  # type: ignore[override]
+        # Looked up per call, so a wrapper installed on the base class
+        # (perfbench's tracer) sees every attempt.
         def write() -> Path:
-            check_disk_fault(self.directory)
             return CheckpointManager.save(self, checkpoint)
 
-        ok, path = self.writer.attempt(write)
-        return path if ok else None
+        try:
+            if self.degraded:
+                path = write()
+            else:
+                path = retry_oserror(
+                    write,
+                    attempts=_CKPT_ATTEMPTS,
+                    base_s=_CKPT_BACKOFF_S[0],
+                    cap_s=_CKPT_BACKOFF_S[1],
+                )
+        except OSError as exc:
+            if not self.degraded:
+                self._health["degraded"] = True
+                self._note("CHECKPOINT_DEGRADED", errno=exc.errno, error=str(exc))
+            return None
+        if self.degraded:
+            self._health["degraded"] = False
+            self._note("CHECKPOINT_RECOVERED")
+        return path
 
     def _note(self, kind: str, **detail: Any) -> None:
         rec = self._recorder
@@ -269,49 +149,3 @@ class DegradingCheckpointManager(CheckpointManager):
             count = getattr(rec, "count", None)
             if count is not None:
                 count(f"checkpoint.{kind.rsplit('_', 1)[-1].lower()}", 1)
-
-    def _on_degrade(self, exc: OSError | None) -> None:
-        self._note(
-            "CHECKPOINT_DEGRADED",
-            errno=getattr(exc, "errno", None),
-            error=str(exc) if exc is not None else "",
-        )
-
-    def _on_recover(self) -> None:
-        self._note("CHECKPOINT_RECOVERED")
-
-
-#: Basename of the fault-injection sentinel honoured by degradable writers.
-DISK_FAULT_SENTINEL = ".disk-fault"
-
-
-def check_disk_fault(directory: str | Path) -> None:
-    """Raise the injected :class:`OSError` if ``directory`` carries one.
-
-    A ``.disk-fault`` sentinel file names the errno to raise (``ENOSPC``
-    when empty or unreadable).  Production directories never contain one,
-    so the healthy-path cost is a single ``stat`` that fails.
-    """
-    sentinel = Path(directory) / DISK_FAULT_SENTINEL
-    try:
-        name = sentinel.read_text().strip() or "ENOSPC"
-    except FileNotFoundError:
-        return
-    except OSError:
-        name = "ENOSPC"
-    code = getattr(errno_mod, name, errno_mod.ENOSPC)
-    raise OSError(code, f"{os.strerror(code)} [injected: {sentinel}]")
-
-
-def arm_disk_fault(directory: str | Path, errno_name: str = "ENOSPC") -> Path:
-    """Plant a disk-fault sentinel in ``directory`` (created if missing)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    sentinel = directory / DISK_FAULT_SENTINEL
-    sentinel.write_text(errno_name)
-    return sentinel
-
-
-def disarm_disk_fault(directory: str | Path) -> None:
-    """Clear a planted disk-fault sentinel; idempotent."""
-    (Path(directory) / DISK_FAULT_SENTINEL).unlink(missing_ok=True)

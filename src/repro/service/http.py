@@ -47,7 +47,9 @@ DELETE    ``/jobs/<id>``          request cancellation → 202 (404 unknown);
                                   a group cancels every child too
 GET       ``/metrics``            Prometheus text format: every recorder
                                   counter + span total, plus live gauges
-                                  (queue depth, known jobs)
+                                  (queue depth, known jobs, tombstones,
+                                  the result cache's failed disk writes
+                                  and reads)
 GET       ``/healthz``            liveness + degradation probe: 200 once
                                   serving, body reports ``"degraded": true``
                                   plus reasons while checkpoint writes are
@@ -253,6 +255,8 @@ class HttpGateway:
                 "queue_depth": self.service.queue.depth,
                 "jobs_known": len(self.service.jobs),
                 "tombstones": self.service.tombstone_count,
+                "cache_disk_write_failures": self.service.cache.disk_write_failures,
+                "cache_disk_read_failures": self.service.cache.disk_read_failures,
             }
         )
 

@@ -13,7 +13,7 @@ subcommands) can speak:
         spec.json               # the accepted spec (moved from incoming/)
         status.json             # atomic status snapshot (serve loop writes)
         result.npz              # the reconstruction, once DONE
-        checkpoints/            # the job's resumable snapshots
+        checkpoints/            # resumable snapshots, gone once DONE/CANCELLED
         cancel                  # drop this file to request cancellation
 
 A spec file names the driver, a scan file (``repro.io.save_scan`` format),
@@ -39,26 +39,26 @@ accepted and is resubmitted on a later poll, once the backlog drains.
 Cancel sentinels are consumed once their job is terminal (renamed
 ``cancel.done``), so a finished job is not re-cancelled on every poll.
 
-Only the serve loop writes ``status.json`` (single-writer, temp-file +
-``os.replace``), so readers never observe a torn snapshot.  It rewrites a
-job's status only when the job's snapshot changed since the last
-successful write; a failed write is retried on the next poll.  A spec
+Every file here is written by :func:`repro.io.atomic_write`, which
+honours a ``.disk-fault`` sentinel in its directory.  Only the serve loop
+writes ``status.json`` (single-writer), so readers never observe a torn
+snapshot.  It rewrites a job's status only when the job's snapshot
+changed since the last successful write; a failed status or
+``result.npz`` write is counted and retried on the next poll.  A spec
 that reuses a finished job's id replaces that job: accepting it deletes the
 old ``result.npz``, and the new job's result is written once it is DONE.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import time
 from pathlib import Path
 from typing import Any
 
-from repro.io import load_scan, save_reconstruction
+from repro.io import atomic_write, load_scan, save_reconstruction
 from repro.observability import MetricsRecorder
-from repro.service.faults import check_disk_fault
 from repro.service.jobs import TERMINAL_STATES, Job, JobSpec, JobState, JobStateError
 from repro.service.queue import AdmissionError, QueueClosedError
 from repro.service.service import ReconstructionService
@@ -71,6 +71,11 @@ __all__ = [
 ]
 
 _SPEC_KEYS = frozenset({"driver", "scan", "params", "priority", "fault"})
+
+
+def _json_bytes(doc: dict[str, Any]) -> bytes:
+    """The indented, key-sorted JSON every spec and status file holds."""
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 # ----------------------------------------------------------------------
@@ -86,10 +91,10 @@ def write_job_spec(
     priority: int = 0,
     fault: dict[str, Any] | None = None,
 ) -> Path:
-    """Drop a job spec into ``incoming/`` for the server to pick up."""
-    queue_dir = Path(queue_dir)
-    incoming = queue_dir / "incoming"
-    incoming.mkdir(parents=True, exist_ok=True)
+    """Drop a job spec into ``incoming/`` for the server to pick up.
+
+    The write is atomic, so the server never reads a half-written spec.
+    """
     doc = {
         "driver": driver,
         "scan": str(scan_path),
@@ -98,11 +103,7 @@ def write_job_spec(
     }
     if fault:
         doc["fault"] = dict(fault)
-    final = incoming / f"{job_id}.json"
-    tmp = final.with_name(f".{final.name}.tmp-{os.getpid()}")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, final)
-    return final
+    return atomic_write(Path(queue_dir) / "incoming" / f"{job_id}.json", _json_bytes(doc))
 
 
 def read_status(queue_dir: str | Path, job_id: str) -> dict[str, Any] | None:
@@ -299,17 +300,10 @@ class DirectoryService:
         stale-but-whole state) and is retried on the next publish round —
         the intake loop is its own retry schedule, so no backoff here.
         """
-        final = self.jobs_dir / job_id / "status.json"
-        tmp = final.with_name(f".{final.name}.tmp-{os.getpid()}")
         try:
-            final.parent.mkdir(parents=True, exist_ok=True)
-            check_disk_fault(final.parent)
-            tmp.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
-            os.replace(tmp, final)
+            atomic_write(self.jobs_dir / job_id / "status.json", _json_bytes(snap))
         except OSError:
             self.status_write_failures += 1
-            with contextlib.suppress(OSError):
-                tmp.unlink(missing_ok=True)
             return False
         return True
 
@@ -340,7 +334,6 @@ class DirectoryService:
                 and job.result is not None
             ):
                 try:
-                    check_disk_fault(self.jobs_dir / job.job_id)
                     save_reconstruction(
                         self.jobs_dir / job.job_id / "result.npz",
                         job.result.image,

@@ -221,7 +221,7 @@ def run_job(
     system = system_for(spec.scan.geometry)
 
     # Degrading manager: a disk fault on the checkpoint directory suspends
-    # checkpointing (CHECKPOINT_DEGRADED on the job, periodic re-probe)
+    # checkpointing (CHECKPOINT_DEGRADED on the job, one probe per save)
     # instead of failing an otherwise-healthy reconstruction.
     manager = DegradingCheckpointManager(checkpoint_dir, recorder=metrics)
     first_life = not manager.paths()

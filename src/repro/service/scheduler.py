@@ -19,6 +19,9 @@ Each supervisor thread loops: take the highest-priority pending job, then
 4. file the outcome: DONE (result stored in the cache), CANCELLED (the
    cooperative :class:`JobCancelledError` surfaced at an iteration
    boundary), or FAILED (the exception message lands in ``job.error``).
+   A DONE or CANCELLED job's checkpoint directory is deleted just before
+   the filing, so a later job under the same id starts fresh; a FAILED
+   job's stays for a resubmission to resume from.
    Terminal filing is race-tolerant: if the job went terminal concurrently
    (a cancel filed elsewhere racing an induced failure), the losing
    transition is dropped instead of killing the supervisor thread with a
@@ -34,6 +37,7 @@ the per-job metrics.
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 import time
 from pathlib import Path
@@ -253,6 +257,12 @@ class Scheduler:
     def _file_terminal(self, job: Job, state: JobState, **detail) -> bool:
         """Transition ``job`` terminal, tolerating a lost race.
 
+        A DONE or CANCELLED job's ``checkpoints/`` directory is deleted
+        first, while the job still holds its id: a later job under the id
+        must start fresh, and its own files can only appear after this
+        filing.  A FAILED job keeps its checkpoints for a resubmission to
+        resume from, and the intake's files beside the directory stay.
+
         A failure filing can race a concurrent cancel (or any other
         terminal transition filed outside this worker): ``transition``
         then raises :class:`JobStateError` because the job is already
@@ -262,6 +272,8 @@ class Scheduler:
         :class:`JobStateError` on a job that is *not* terminal is a real
         state-machine violation and propagates.
         """
+        if state is not JobState.FAILED and not job.terminal:
+            shutil.rmtree(self.checkpoint_dir_for(job.job_id), ignore_errors=True)
         try:
             job.transition(state, **detail)
             return True

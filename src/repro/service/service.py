@@ -389,12 +389,14 @@ class ReconstructionService:
     def report(self) -> dict[str, Any]:
         """The service-level metrics report (``service.*`` counters).
 
-        Counter snapshot plus the live queue depth, registry size, and
-        tombstone count; per-job counters stay with the jobs
-        (``job.metrics``).
+        Counter snapshot plus the live queue depth, registry size,
+        tombstone count, and the result cache's failed disk writes and
+        reads; per-job counters stay with the jobs (``job.metrics``).
         """
         doc = self.rec.to_dict()
         doc["counters"]["service.queue_depth"] = self.queue.depth
+        doc["counters"]["service.cache_disk_write_failures"] = self.cache.disk_write_failures
+        doc["counters"]["service.cache_disk_read_failures"] = self.cache.disk_read_failures
         with self._jobs_lock:
             doc["counters"]["service.jobs_known"] = len(self._jobs)
             doc["counters"]["service.tombstones"] = len(self._evicted)

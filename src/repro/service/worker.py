@@ -24,11 +24,13 @@ is deliberately tiny:
   :class:`~repro.service.jobs.JobCancelledError` out of the driver loop;
 * **the result** never crosses the pipe: the child persists it with the
   repo's npz reconstruction container (``result-worker.npz`` next to the
-  job's ``checkpoints/`` dir, atomic write) and sends a one-line verdict;
-  the parent loads the container back and deletes it.  Volumes can be
-  large; verdicts are not.  A result write that keeps failing after
-  retries is the one disk fault that is terminal: the verdict is a
-  ``ResultPersistError`` failure with the errno;
+  job's ``checkpoints/`` dir, through :func:`repro.io.atomic_write` like
+  every durable write) and sends a one-line verdict; the parent loads
+  the container back and deletes it.  Volumes can be large; verdicts are
+  not.  A result write that still fails after 3 attempts
+  (:func:`~repro.service.faults.retry_oserror`) is the one disk fault
+  that is terminal: the verdict is a ``ResultPersistError`` failure with
+  the errno;
 * **crashes need no protocol at all**: a SIGKILL'd child simply never
   sends a verdict.  The parent notices the dead process and respawns it —
   ``run_job`` resumes from the job's newest checkpoint bit-identically,
@@ -36,8 +38,9 @@ is deliberately tiny:
   went down;
 * **a lost pipe is not a lost verdict**: if the verdict send fails after
   one retry, the child persists it as ``verdict.json`` next to the result
-  container.  The parent consumes the file before (re)spawning, so a
-  finished job is never re-run just because its pipe tore at the end;
+  container (best-effort: a disk fault there drops it).  The parent
+  consumes the file before (re)spawning, so a finished job is never
+  re-run just because its pipe tore at the end;
 * **an orphan stops**: a child whose parent died (``os.getppid()``
   changed) stops sending, leaves the driver loop at the next iteration
   boundary, and returns with no verdict and no verdict file.  Its
@@ -51,6 +54,7 @@ inherited copy-on-write instead of being rebuilt per job.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -58,10 +62,10 @@ import threading
 import time
 from pathlib import Path
 
-from repro.io import load_reconstruction, save_reconstruction
+from repro.io import atomic_write, load_reconstruction, save_reconstruction
 from repro.observability import MetricsRecorder, Span
 from repro.service.cache import CachedResult
-from repro.service.faults import check_disk_fault, next_backoff
+from repro.service.faults import retry_oserror
 from repro.service.jobs import JobCancelledError, JobSpec
 
 __all__ = [
@@ -79,8 +83,8 @@ _VERDICT_BASENAME = "verdict.json"
 #: Pipe-send retry pause — long enough to ride out a transient EAGAIN-ish
 #: hiccup, short enough not to stall the iteration cadence.
 _SEND_RETRY_S = 0.05
-#: Result-write retry budget (attempts / backoff seed / cap, seconds).
-_RESULT_RETRIES = 3
+#: Result-write attempts, and the backoff bounds (s) between them.
+_RESULT_ATTEMPTS = 3
 _RESULT_BACKOFF_S = (0.05, 0.5)
 
 
@@ -155,11 +159,6 @@ class _RelayRecorder(MetricsRecorder):
         self._parent_pid = os.getppid() if parent is None else parent.pid
 
     @property
-    def pipe_dead(self) -> bool:
-        """Whether the relay gave up on the pipe (parent gone or torn)."""
-        return self._pipe_dead
-
-    @property
     def orphaned(self) -> bool:
         """Whether the parent that spawned this worker has died."""
         return os.getppid() != self._parent_pid
@@ -219,14 +218,11 @@ def _persist_verdict(checkpoint_dir: str, kind: str, payload) -> None:
     resume from checkpoints, which is safe (just slower) even for a
     finished job.
     """
-    path = worker_verdict_path(checkpoint_dir)
-    tmp = path.with_suffix(".json.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps({"kind": kind, "payload": payload}))
-        os.replace(tmp, path)
-    except OSError:
-        pass
+    with contextlib.suppress(OSError):
+        atomic_write(
+            worker_verdict_path(checkpoint_dir),
+            json.dumps({"kind": kind, "payload": payload}).encode(),
+        )
 
 
 def _deliver_verdict(
@@ -241,33 +237,23 @@ def _deliver_verdict(
         _persist_verdict(checkpoint_dir, kind, payload)
 
 
-def _save_result_with_retry(result_path: Path, result, spec: JobSpec) -> None:
+def _save_result(result_path: Path, result, spec: JobSpec) -> None:
     """Persist the result container, retrying transient OSErrors.
 
     The one write that must not degrade: after the retry budget the final
     ``OSError`` propagates and becomes a ``ResultPersistError`` verdict.
     """
-    delay = _RESULT_BACKOFF_S[0]
-    for attempt in range(_RESULT_RETRIES):
-        try:
-            # The job dir may not exist yet: a short job can finish before
-            # its first checkpoint ever created it.
-            result_path.parent.mkdir(parents=True, exist_ok=True)
-            check_disk_fault(result_path.parent)
-            save_reconstruction(
-                result_path,
-                result.image,
-                getattr(result, "history", None),
-                metadata={"job_id": spec.job_id or "", "driver": spec.driver},
-            )
-            return
-        except OSError:
-            if attempt + 1 >= _RESULT_RETRIES:
-                raise
-            delay = next_backoff(
-                delay, base_s=_RESULT_BACKOFF_S[0], cap_s=_RESULT_BACKOFF_S[1]
-            )
-            time.sleep(delay)
+    retry_oserror(
+        lambda: save_reconstruction(
+            result_path,
+            result.image,
+            getattr(result, "history", None),
+            metadata={"job_id": spec.job_id or "", "driver": spec.driver},
+        ),
+        attempts=_RESULT_ATTEMPTS,
+        base_s=_RESULT_BACKOFF_S[0],
+        cap_s=_RESULT_BACKOFF_S[1],
+    )
 
 
 def process_worker_main(
@@ -327,7 +313,7 @@ def process_worker_main(
             )
             return
         try:
-            _save_result_with_retry(worker_result_path(checkpoint_dir), result, spec)
+            _save_result(worker_result_path(checkpoint_dir), result, spec)
         except OSError as exc:
             # The terminal disk fault: the result is irreplaceable, so a
             # persistently unwritable container fails the job with the

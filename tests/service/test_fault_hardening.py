@@ -6,7 +6,8 @@ Three fault domains, each with its own recovery contract:
   is detected within ``heartbeat_timeout_s``, SIGKILLed, and its job
   resumes from the newest checkpoint bit-identically; a job that outlives
   ``job_deadline_s`` is killed and fails typed at once;
-* **disk faults** — checkpoint writes degrade (retry, suppress, re-probe,
+* **disk faults** — every durable write honours the ``.disk-fault``
+  sentinel; checkpoint writes degrade (retry, then one probe per save,
   recover) instead of failing an otherwise-healthy job; only the *result*
   write is terminal, and it fails typed with the errno;
 * **verdict durability** — a worker whose pipe tore at the end persists
@@ -20,6 +21,7 @@ optional signal override.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import os
@@ -27,32 +29,39 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import pytest
 
 from repro.core.convergence import RunHistory
 from repro.ct import scaled_geometry, shepp_logan, simulate_scan
-from repro.io import save_reconstruction, save_scan
+from repro.io import (
+    DISK_FAULT_SENTINEL,
+    arm_disk_fault,
+    check_disk_fault,
+    disarm_disk_fault,
+    save_reconstruction,
+    save_scan,
+)
 from repro.observability import MetricsRecorder
-from repro.resilience import FaultInjector, ResilienceHooks
+from repro.resilience import Checkpoint, CheckpointManager, FaultInjector, ResilienceHooks
 from repro.service import (
+    CachedResult,
+    DirectoryService,
     JobFailedError,
     JobSpec,
     JobState,
     ReconstructionService,
+    ResultCache,
+    Scheduler,
+    write_job_spec,
 )
-from repro.service.faults import (
-    DISK_FAULT_SENTINEL,
-    DegradableWriter,
-    DegradingCheckpointManager,
-    RetryPolicy,
-    arm_disk_fault,
-    check_disk_fault,
-    disarm_disk_fault,
-    next_backoff,
-)
+from repro.service import worker
+from repro.service.faults import DegradingCheckpointManager, next_backoff
 from repro.service.runner import run_job, system_for
 from repro.service.worker import worker_result_path, worker_verdict_path
 
@@ -92,7 +101,7 @@ def reference_image(scan, tmp_path, *, seed=0, equits=1.0):
 
 
 # ----------------------------------------------------------------------
-# Backoff + DegradableWriter units
+# Backoff unit
 # ----------------------------------------------------------------------
 class TestBackoff:
     def test_backoff_stays_within_base_and_cap(self):
@@ -118,84 +127,6 @@ class TestBackoff:
 
     def test_backoff_cap_below_base_clamps(self):
         assert next_backoff(5.0, base_s=1.0, cap_s=0.5) == 0.5
-
-    def test_retry_policy_validates(self):
-        with pytest.raises(ValueError, match="attempts"):
-            RetryPolicy(attempts=0)
-
-
-class TestDegradableWriter:
-    def _writer(self, **kwargs):
-        events = {"degraded": [], "recovered": 0}
-        writer = DegradableWriter(
-            "test",
-            policy=RetryPolicy(attempts=3, base_s=0.001, cap_s=0.002),
-            on_degrade=lambda exc: events["degraded"].append(exc),
-            on_recover=lambda: events.__setitem__(
-                "recovered", events["recovered"] + 1
-            ),
-            sleep=lambda _s: None,  # no real sleeping in unit tests
-            **kwargs,
-        )
-        return writer, events
-
-    def test_healthy_write_passes_value_through(self):
-        writer, events = self._writer()
-        ok, value = writer.attempt(lambda: 42)
-        assert ok and value == 42
-        assert not writer.degraded and not events["degraded"]
-
-    def test_persistent_failure_retries_then_degrades(self):
-        writer, events = self._writer()
-        calls = []
-
-        def fail():
-            calls.append(1)
-            raise OSError(errno.ENOSPC, "full")
-
-        ok, value = writer.attempt(fail)
-        assert not ok and value is None
-        assert len(calls) == 3  # the whole retry budget was spent
-        assert writer.degraded
-        assert len(events["degraded"]) == 1
-        assert events["degraded"][0].errno == errno.ENOSPC
-        assert writer.failed_writes == 3  # one per raw attempt
-        assert writer.degradations == 1
-
-    def test_degraded_writes_suppressed_and_reprobed(self):
-        writer, events = self._writer(reprobe_every=3)
-        state = {"healthy": False}
-
-        def write():
-            if not state["healthy"]:
-                raise OSError(errno.EIO, "io error")
-            return "ok"
-
-        writer.attempt(write)  # degrade
-        assert writer.degraded
-        # Calls 1 and 2 after degradation are suppressed without touching
-        # the disk; call 3 probes (and fails again).
-        probes_before = writer.failed_writes
-        writer.attempt(write)
-        writer.attempt(write)
-        assert writer.failed_writes == probes_before
-        assert writer.suppressed_writes == 2
-        writer.attempt(write)  # the probe — still failing
-        assert writer.failed_writes == probes_before + 1
-        # Fault clears; the next probe recovers.
-        state["healthy"] = True
-        writer.attempt(write)
-        writer.attempt(write)
-        ok, value = writer.attempt(write)  # probe slot
-        assert ok and value == "ok"
-        assert not writer.degraded
-        assert events["recovered"] == 1 and writer.recoveries == 1
-
-    def test_stats_snapshot(self):
-        writer, _ = self._writer()
-        writer.attempt(lambda: 1)
-        stats = writer.stats()
-        assert stats["degraded"] is False and stats["failed_writes"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -233,59 +164,260 @@ class _FaultLog:
     def note_fault(self, kind, **detail):
         self.faults.append((kind, detail))
 
+    @property
+    def kinds(self):
+        return [kind for kind, _ in self.faults]
+
+
+def _checkpoint(iteration=1):
+    return Checkpoint(
+        driver="icd",
+        iteration=iteration,
+        total_updates=10,
+        x=np.zeros(4),
+        e=np.zeros(4),
+        rng_state={"state": 1},
+        history=RunHistory(),
+    )
+
 
 class TestDegradingCheckpointManager:
+    @pytest.fixture()
+    def attempts(self, monkeypatch):
+        """The iteration of every write attempt, as base-class saves."""
+        calls = []
+        save = CheckpointManager.save
+
+        def counted(self, checkpoint):
+            calls.append(checkpoint.iteration)
+            return save(self, checkpoint)
+
+        monkeypatch.setattr(CheckpointManager, "save", counted)
+        return calls
+
+    def test_healthy_save_returns_the_path(self, tmp_path, attempts):
+        log = _FaultLog()
+        manager = DegradingCheckpointManager(tmp_path / "ckpts", recorder=log)
+        saved = manager.save(_checkpoint())
+        assert saved == manager.path_for(1) and saved.exists()
+        assert attempts == [1]
+        assert not manager.degraded and log.faults == []
+
+    def test_persistent_failure_retries_then_degrades(self, tmp_path, attempts):
+        log = _FaultLog()
+        manager = DegradingCheckpointManager(tmp_path / "ckpts", recorder=log)
+        arm_disk_fault(manager.directory, errno_name="EIO")
+        assert manager.save(_checkpoint()) is None
+        assert attempts == [1, 1]  # both healthy attempts were spent
+        assert manager.degraded
+        assert log.kinds == ["CHECKPOINT_DEGRADED"]
+        assert log.faults[0][1]["errno"] == errno.EIO
+        assert [p.name for p in manager.directory.iterdir()] == [DISK_FAULT_SENTINEL]
+
+    def test_degraded_saves_probe_once_each(self, tmp_path, attempts):
+        log = _FaultLog()
+        manager = DegradingCheckpointManager(tmp_path / "ckpts", recorder=log)
+        arm_disk_fault(manager.directory)
+        manager.save(_checkpoint(1))  # degrades
+        attempts.clear()
+        assert manager.save(_checkpoint(2)) is None
+        assert manager.save(_checkpoint(3)) is None
+        assert attempts == [2, 3]  # one probe per save, no retries
+        assert log.kinds == ["CHECKPOINT_DEGRADED"]  # one event per transition
+        disarm_disk_fault(manager.directory)
+        saved = manager.save(_checkpoint(4))
+        assert saved is not None and saved.exists()
+        assert attempts == [2, 3, 4]
+        assert not manager.degraded
+        assert log.kinds == ["CHECKPOINT_DEGRADED", "CHECKPOINT_RECOVERED"]
+
+    def test_a_transient_failure_retries_and_does_not_degrade(self, tmp_path, monkeypatch):
+        log = _FaultLog()
+        manager = DegradingCheckpointManager(tmp_path / "ckpts", recorder=log)
+        save = CheckpointManager.save
+        failures = [OSError(errno.EIO, "transient")]
+
+        def flaky(self, checkpoint):
+            if failures:
+                raise failures.pop()
+            return save(self, checkpoint)
+
+        monkeypatch.setattr(CheckpointManager, "save", flaky)
+        saved = manager.save(_checkpoint())
+        assert saved is not None and saved.exists()
+        assert not failures  # the first attempt failed, the retry landed
+        assert not manager.degraded and log.faults == []
+
+    def test_scoped_views_degrade_and_recover_as_one(self, tmp_path):
+        log = _FaultLog()
+        manager = DegradingCheckpointManager(tmp_path / "ckpts", recorder=log)
+        coarse, fine = manager.scoped("L00-"), manager.scoped("L01-")
+        arm_disk_fault(manager.directory)
+        assert coarse.save(_checkpoint(1)) is None
+        assert fine.save(_checkpoint(1)) is None
+        assert fine.degraded and log.kinds == ["CHECKPOINT_DEGRADED"]
+        disarm_disk_fault(manager.directory)
+        assert fine.save(_checkpoint(2)) is not None
+        assert not coarse.degraded
+        assert log.kinds == ["CHECKPOINT_DEGRADED", "CHECKPOINT_RECOVERED"]
+
     def test_save_degrades_and_recovers(self, tmp_path, scan16):
         log = _FaultLog()
-        manager = DegradingCheckpointManager(
-            tmp_path / "ckpts", recorder=log, reprobe_every=1
-        )
-        state = {
-            "driver": "icd",
-            "iteration": 1,
-            "total_updates": 10,
-            "x": np.zeros(4),
-            "e": np.zeros(4),
-            "rng_state": {"state": 1},
-            "history": RunHistory(),
-        }
-        from repro.resilience import Checkpoint
-
+        manager = DegradingCheckpointManager(tmp_path / "ckpts", recorder=log)
         arm_disk_fault(manager.directory)
-        assert manager.save(Checkpoint(**state)) is None
-        kinds = [k for k, _ in log.faults]
-        assert kinds == ["CHECKPOINT_DEGRADED"]
+        assert manager.save(_checkpoint(1)) is None
+        assert log.kinds == ["CHECKPOINT_DEGRADED"]
         assert log.faults[0][1]["errno"] == errno.ENOSPC
         # Fault clears: the next save probes, recovers, and persists.
         disarm_disk_fault(manager.directory)
-        state["iteration"] = 2
-        saved = manager.save(Checkpoint(**state))
+        saved = manager.save(_checkpoint(2))
         assert saved is not None and saved.exists()
-        kinds = [k for k, _ in log.faults]
-        assert kinds == ["CHECKPOINT_DEGRADED", "CHECKPOINT_RECOVERED"]
+        assert log.kinds == ["CHECKPOINT_DEGRADED", "CHECKPOINT_RECOVERED"]
 
     def test_recorder_without_note_fault_gets_counters(self, tmp_path):
-        from repro.observability import MetricsRecorder
-        from repro.resilience import Checkpoint
-
         rec = MetricsRecorder()
         manager = DegradingCheckpointManager(tmp_path / "ckpts", recorder=rec)
         arm_disk_fault(manager.directory)
-        assert (
-            manager.save(
-                Checkpoint(
-                    driver="icd",
-                    iteration=1,
-                    total_updates=1,
-                    x=np.zeros(2),
-                    e=np.zeros(2),
-                    rng_state={"s": 1},
-                    history=RunHistory(),
-                )
-            )
-            is None
-        )
+        assert manager.save(_checkpoint()) is None
         assert rec.counters.get("checkpoint.degraded", 0) == 1
+
+
+# ----------------------------------------------------------------------
+# Every durable write honours the sentinel, each by its own policy
+# ----------------------------------------------------------------------
+_RESULT = CachedResult(image=np.full((4, 4), 2.0), history=None, metadata={})
+
+
+@dataclass
+class _Writer:
+    """One durable write: the directory it writes into, the file it leaves."""
+
+    directory: Path
+    target: Path
+    write: Callable[[], object]
+    #: the caller's count of failed writes (the "count" policy)
+    failures: Callable[[], int] = lambda: 0
+
+
+@contextlib.contextmanager
+def _checkpoint_writer(request):
+    manager = DegradingCheckpointManager(request.getfixturevalue("tmp_path") / "ckpts")
+    yield _Writer(manager.directory, manager.path_for(1), lambda: manager.save(_checkpoint()))
+
+
+@contextlib.contextmanager
+def _worker_result_writer(request):
+    path = worker_result_path(request.getfixturevalue("tmp_path") / "job" / "checkpoints")
+    spec = SimpleNamespace(job_id="j1", driver="icd")
+    yield _Writer(path.parent, path, lambda: worker._save_result(path, _RESULT, spec))
+
+
+@contextlib.contextmanager
+def _cache_writer(request):
+    cache = ResultCache(request.getfixturevalue("tmp_path") / "cache")
+    yield _Writer(
+        cache.directory,
+        cache.directory / "key.npz",
+        lambda: cache.put("key", _RESULT),
+        lambda: cache.disk_write_failures,
+    )
+
+
+@contextlib.contextmanager
+def _intake_status_writer(request):
+    with DirectoryService(request.getfixturevalue("tmp_path") / "queue", n_workers=1) as intake:
+        job_dir = intake.jobs_dir / "j1"
+        yield _Writer(
+            job_dir,
+            job_dir / "status.json",
+            lambda: intake._write_status("j1", {"job_id": "j1", "state": "DONE"}),
+            lambda: intake.status_write_failures,
+        )
+
+
+@contextlib.contextmanager
+def _intake_result_writer(request):
+    # A DONE job without a worker: the supervised run is faked.
+    request.getfixturevalue("monkeypatch").setattr(
+        Scheduler, "_supervise", lambda self, job, ckpt_dir: _RESULT
+    )
+    queue = request.getfixturevalue("tmp_path") / "queue"
+    save_scan(queue / "scan.npz", request.getfixturevalue("scan16"))
+    write_job_spec(queue, "j1", driver="icd", scan_path="scan.npz")
+    with DirectoryService(queue, n_workers=1) as intake:
+        intake.poll_incoming()
+        assert intake.service.drain(timeout=60)
+        job_dir = intake.jobs_dir / "j1"
+        yield _Writer(
+            job_dir, job_dir / "result.npz", intake.publish, lambda: intake.result_write_failures
+        )
+
+
+@contextlib.contextmanager
+def _job_spec_writer(request):
+    queue = request.getfixturevalue("tmp_path") / "queue"
+    yield _Writer(
+        queue / "incoming",
+        queue / "incoming" / "j1.json",
+        lambda: write_job_spec(queue, "j1", driver="icd", scan_path="scan.npz"),
+    )
+
+
+@contextlib.contextmanager
+def _verdict_writer(request):
+    ckpt_dir = request.getfixturevalue("tmp_path") / "job" / "checkpoints"
+    yield _Writer(
+        ckpt_dir.parent,
+        worker_verdict_path(ckpt_dir),
+        lambda: worker._persist_verdict(str(ckpt_dir), "done", {}),
+    )
+
+
+@contextlib.contextmanager
+def _level_marker_writer(request):
+    ckpt_dir = request.getfixturevalue("tmp_path") / "job" / "checkpoints"
+    scan = request.getfixturevalue("scan64")
+    rec = MetricsRecorder()
+    yield _Writer(
+        ckpt_dir,
+        ckpt_dir / "level-L00-final.npz",
+        lambda: run_job(multires_spec(scan), checkpoint_dir=ckpt_dir, metrics=rec),
+        lambda: int(rec.counters.get("multires.marker_writes_failed", 0)),
+    )
+
+
+#: Each durable writer and what an armed sentinel does to its write: the
+#: error propagates ("raise"), the caller counts it ("count"), or it is
+#: dropped ("suppress").
+_DURABLE_WRITERS = {
+    "checkpoint": ("suppress", _checkpoint_writer),
+    "worker-result": ("raise", _worker_result_writer),
+    "cache-put": ("count", _cache_writer),
+    "intake-status": ("count", _intake_status_writer),
+    "intake-result": ("count", _intake_result_writer),
+    "job-spec": ("raise", _job_spec_writer),
+    "verdict": ("suppress", _verdict_writer),
+    "level-marker": ("count", _level_marker_writer),
+}
+
+
+@pytest.mark.parametrize("name", list(_DURABLE_WRITERS))
+def test_every_durable_write_honours_the_disk_fault_sentinel(name, request):
+    policy, make_writer = _DURABLE_WRITERS[name]
+    with make_writer(request) as writer:
+        arm_disk_fault(writer.directory)
+        if policy == "raise":
+            with pytest.raises(OSError) as exc_info:
+                writer.write()
+            assert exc_info.value.errno == errno.ENOSPC
+        else:
+            writer.write()
+        assert not writer.target.exists()
+        assert writer.failures() == (1 if policy == "count" else 0)
+        assert not [p.name for p in writer.directory.iterdir() if ".tmp-" in p.name]
+        disarm_disk_fault(writer.directory)
+        writer.write()
+        assert writer.target.exists()
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +458,10 @@ class TestServiceCheckpointDegradation:
         assert "CHECKPOINT_DEGRADED" in kinds
         assert "CHECKPOINT_RECOVERED" in kinds
         assert counters["service.checkpoint_writes_failed"] >= 1
-        # Recovery means real snapshots landed after the fault cleared.
-        assert any(ckpt_dir.glob("ckpt-*.ckpt"))
+        # Recovery means real snapshots landed after the fault cleared (the
+        # files themselves leave with the DONE job).
+        recovered = kinds.index("CHECKPOINT_RECOVERED")
+        assert "CHECKPOINTED" in kinds[recovered:]
         # A finished job no longer degrades health.
         assert health["status"] == "ok"
         assert np.array_equal(

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.io import load_reconstruction, save_scan
-from repro.service import HttpGateway, ReconstructionService
+from repro.io import arm_disk_fault, load_reconstruction, save_scan
+from repro.service import CachedResult, HttpGateway, ReconstructionService
 
 PARAMS = {"max_equits": 1.0, "seed": 3, "track_cost": False}
 
@@ -214,6 +214,27 @@ class TestBackpressure:
 
 
 class TestMetrics:
+    def test_cache_disk_failures_are_exported(self, tmp_path):
+        """An armed cache directory's failed writes and reads reach the
+        report and ``/metrics``, not only the cache object."""
+        cache_dir = tmp_path / "cache"
+        service = ReconstructionService(
+            n_workers=1, cache_dir=cache_dir, cache_memory_entries=1, start=False
+        )
+        entry = CachedResult(image=np.zeros((4, 4)), history=None, metadata={})
+        with HttpGateway(service, own_service=True) as gw:
+            service.cache.put("a", entry)
+            service.cache.put("b", entry)  # "a" is now on disk only
+            arm_disk_fault(cache_dir)
+            assert service.cache.get("a") is None
+            service.cache.put("c", entry)
+            counters = service.report()["counters"]
+            text = http(gw, "GET", "/metrics")[2].decode()
+        assert counters["service.cache_disk_write_failures"] == 1
+        assert counters["service.cache_disk_read_failures"] == 1
+        assert 'repro_gauge{name="cache_disk_write_failures"} 1' in text
+        assert 'repro_gauge{name="cache_disk_read_failures"} 1' in text
+
     def test_metrics_is_valid_prometheus_text(self, gateway):
         code, _, doc = submit(gateway)
         http(gateway, "GET", f"/jobs/{doc['job_id']}/result?timeout=120")

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
-import repro.service.intake as intake
+import repro.io
 from repro.io import load_reconstruction, save_scan
 from repro.service import (
     DirectoryService,
@@ -303,15 +304,18 @@ class TestStatusPublishing:
 
     def test_a_failed_write_is_retried_on_the_next_poll(self, queue_dir, monkeypatch):
         disk_full = [True]
+        serving = os.getpid()
 
         def check_disk_fault(path):
-            if disk_full[0]:
+            # The serve loop's writes fail; the forked worker, which writes
+            # its result into the same job directory, is spared.
+            if disk_full[0] and os.getpid() == serving:
                 raise OSError(errno.ENOSPC, "injected", str(path))
 
         write_job_spec(queue_dir, "j1", driver="icd", scan_path="scan.npz",
                        params=PARAMS)
         with DirectoryService(queue_dir, n_workers=1) as service:
-            monkeypatch.setattr(intake, "check_disk_fault", check_disk_fault)
+            monkeypatch.setattr(repro.io, "check_disk_fault", check_disk_fault)
             service.step()
             assert service.service.drain(timeout=120)
             service.step()

@@ -105,8 +105,8 @@ class TestRefusedAtSubmit:
             job_params("multires", {"base_driver": "psv_icd", "max_iterations": 2})
 
 
-#: Values that stay accepted: what the shard coordinator, chaos, loadgen and
-#: perfbench send, and the forms a JSON or in-process caller may use.
+#: Values that stay accepted: what a shard group's children, chaos, loadgen
+#: and perfbench send, and the forms a JSON or in-process caller may use.
 ACCEPTED = [
     ("icd", {"max_equits": 10.0, "seed": 3}),  # a slices group's children
     ("icd", {"voxel_subset": np.arange(8), "max_iterations": 1, "seed": 12345,

@@ -15,20 +15,23 @@ import threading
 import numpy as np
 import pytest
 
+from repro.multires import submit_volume
 from repro.service import (
     Job,
+    JobFailedError,
     JobSpec,
     JobState,
     JobStateError,
     ReconstructionService,
+    run_job,
 )
 
 
-def icd_spec(scan, *, seed=0, priority=0, equits=1.0, job_id=None):
+def icd_spec(scan, *, seed=0, priority=0, equits=1.0, job_id=None, **params):
     return JobSpec(
         driver="icd",
         scan=scan,
-        params={"max_equits": equits, "seed": seed, "track_cost": False},
+        params={"max_equits": equits, "seed": seed, "track_cost": False, **params},
         priority=priority,
         job_id=job_id,
     )
@@ -207,3 +210,47 @@ class TestProgressStream:
         # The worker's counters come back with the verdict; its span trees
         # stay in the worker process.
         assert job.metrics.counters["checkpoint.saves"] >= 1
+
+
+class TestCheckpointsLeaveWithTheJob:
+    """A DONE or CANCELLED job's checkpoints are deleted before it is filed."""
+
+    def test_a_reused_id_after_done_runs_fresh(self, scan16, tmp_path):
+        """A new job under a finished job's id must not resume from the old
+        job's checkpoints, nor file the wrong image under its own cache key."""
+        second = dict(seed=1, equits=5.0, stop_delta_hu=None)
+        with ReconstructionService(
+            n_workers=1, checkpoint_root=tmp_path / "ckpts", cache_dir=tmp_path / "cache"
+        ) as svc:
+            svc.submit(icd_spec(scan16, seed=0, equits=3.0, stop_delta_hu=None, job_id="x"))
+            svc.result("x", timeout=120)
+            svc.submit(icd_spec(scan16, job_id="x", **second))
+            image_x = svc.result("x", timeout=120).image
+            running = [e for e in svc.job("x").events if e.kind == "RUNNING"]
+            svc.submit(icd_spec(scan16, job_id="y", **second))
+            image_y = svc.result("y", timeout=120).image
+        assert running[0].detail["resumed"] is False
+        fresh = run_job(icd_spec(scan16, **second), checkpoint_dir=tmp_path / "fresh").image
+        assert np.array_equal(image_x, fresh)
+        assert np.array_equal(image_y, fresh)
+
+    def test_a_drain_leaves_only_failed_jobs_checkpoints(self, scan16, tmp_path):
+        root = tmp_path / "ckpts"
+        with ReconstructionService(n_workers=1, max_restarts=0, checkpoint_root=root) as svc:
+            svc.submit(icd_spec(scan16, equits=2.0, job_id="done"))
+            svc.submit(
+                icd_spec(scan16, equits=1e4, stop_delta_hu=None, job_id="cancelled"),
+                on_progress=lambda e: e.kind == "checkpoint" and svc.cancel("cancelled"),
+            )
+            svc.submit(JobSpec(driver="icd", scan=scan16, job_id="failed",
+                               params={"max_equits": 4.0, "track_cost": False},
+                               fault={"kill_at_iteration": 2}))
+            group = submit_volume(svc, [scan16, scan16], params={"max_equits": 1.0},
+                                  group_id="vol")
+            assert svc.drain(timeout=120)
+            states = {j: svc.job(j).state for j in ("done", "cancelled", "failed", group)}
+            with pytest.raises(JobFailedError):
+                svc.result("failed", timeout=0)
+        assert states == {"done": JobState.DONE, "cancelled": JobState.CANCELLED,
+                          "failed": JobState.FAILED, "vol": JobState.DONE}
+        assert {p.parent.parent.name for p in root.rglob("ckpt-*")} == {"failed"}

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import icd_reconstruct
-from repro.io import load_reconstruction, load_scan, save_reconstruction, save_scan
+from repro.io import (
+    arm_disk_fault,
+    atomic_write,
+    disarm_disk_fault,
+    load_reconstruction,
+    load_scan,
+    save_reconstruction,
+    save_scan,
+)
 
 
 class TestScanRoundtrip:
@@ -247,6 +259,42 @@ class TestCorruptionHardening:
         save_scan(tmp_path / "scan", scan32)
         assert (tmp_path / "scan.npz").exists()
         load_scan(tmp_path / "scan.npz")
+
+
+class TestAtomicWrite:
+    """:func:`repro.io.atomic_write` is the one durable write in ``src/``."""
+
+    def test_bytes_and_writer_functions_both_land(self, tmp_path):
+        assert atomic_write(tmp_path / "a" / "raw", b"abc") == tmp_path / "a" / "raw"
+        atomic_write(tmp_path / "a" / "fn", lambda f: f.write(b"xyz"))
+        assert (tmp_path / "a" / "raw").read_bytes() == b"abc"
+        assert (tmp_path / "a" / "fn").read_bytes() == b"xyz"
+
+    def test_a_failed_write_keeps_the_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "f"
+        atomic_write(path, b"old")
+
+        def boom(f):
+            f.write(b"half")
+            raise RuntimeError("mid-write")
+
+        with pytest.raises(RuntimeError):
+            atomic_write(path, boom)
+        arm_disk_fault(tmp_path)
+        with pytest.raises(OSError):
+            atomic_write(path, b"new")
+        disarm_disk_fault(tmp_path)
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+    def test_fsync_is_called_only_in_the_one_writer(self):
+        src = Path(repro.__file__).parent
+        callers = sorted(
+            str(p.relative_to(src))
+            for p in src.rglob("*.py")
+            if re.search(r"\bfsync\b", p.read_text())
+        )
+        assert callers == ["io.py"]
 
 
 class TestConcurrentWriters:
