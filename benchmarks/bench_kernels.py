@@ -5,9 +5,10 @@ Contenders, slowest first:
 * ``baseline``   — the pre-kernel-layer driver loop: per-voxel
   ``column_slice`` + footprint re-gather + ``update_voxel`` (what
   ``icd_reconstruct`` executed before the kernel layer existed);
-* ``python``     — ``kernel="python"``: the same per-voxel updater calls
-  with the footprint-index views hoisted once per run (the equivalence
-  oracle, and what ``auto`` runs where the compiled kernel cannot);
+* ``python``     — the same per-voxel updater calls with the footprint-index
+  views hoisted once per run (the equivalence oracle, and what a solve runs
+  where the compiled kernel cannot); its updater is built inside
+  :func:`~repro.core.kernels.no_compiler`, as on a host without a compiler;
 * ``c``          — the compiled kernel (one C call per sweep or SV visit;
   skipped when the host cannot build it).
 
@@ -47,8 +48,8 @@ import time
 import numpy as np
 from conftest import report
 
-from repro.core import SuperVoxelGrid, default_prior, initial_image, kernels
-from repro.core.kernels import load_c_kernel, run_sv_visit, run_sweep
+from repro.core import SuperVoxelGrid, default_prior, initial_image
+from repro.core.kernels import load_c_kernel, no_compiler, run_sv_visit, run_sweep
 from repro.core.prior import shared_neighborhood
 from repro.core.voxel_update import SliceUpdater
 from repro.ct import build_system_matrix, fbp_reconstruct, scaled_geometry
@@ -89,13 +90,14 @@ def _time_sweep(contender, updater, order, x0, e0):
     if contender == "baseline":
         updates = _baseline_sweep(updater, order, x, e, zero_skip=True)
     else:
-        updates = run_sweep(updater, order, x, e, zero_skip=True, kernel=contender)
+        updates = run_sweep(updater, order, x, e, zero_skip=True)
     dt = time.perf_counter() - t0
     return updates / dt, x, e
 
 
-def _sv_wave_pass(contender, updater, grid, x0, e0, stale_width):
-    """One timed pass over all SVs (GPU-style waves); returns (updates/sec, x, e)."""
+def _sv_wave_pass(updater, grid, x0, e0, stale_width):
+    """One timed pass over all SVs (GPU-style waves) in ``updater``'s kernel;
+    returns (updates/sec, x, e)."""
     x = x0.copy()
     e = e0.copy()
     total = 0
@@ -104,26 +106,13 @@ def _sv_wave_pass(contender, updater, grid, x0, e0, stale_width):
         svb = sv.extract(e)
         order = resolve_rng(11 + sv.index).permutation(sv.n_voxels)
         updates, _, _ = run_sv_visit(
-            updater, sv, order, x, svb,
-            zero_skip=True, stale_width=stale_width, kernel=contender,
+            updater, sv, order, x, svb, zero_skip=True, stale_width=stale_width
         )
         total += updates
         valid = sv.gather_idx >= 0
         e[sv.gather_idx[valid]] = svb[valid]
     dt = time.perf_counter() - t0
     return total / dt, x, e
-
-
-@contextlib.contextmanager
-def _oracle_paths():
-    """Run the preparation passes on their NumPy/scipy oracles, as without a compiler."""
-    compiled = kernels._C_LIBRARY
-    kernels._C_LIBRARY = kernels._CLibrary()
-    kernels._C_LIBRARY.error = "off for the oracle timing"
-    try:
-        yield
-    finally:
-        kernels._C_LIBRARY = compiled
 
 
 def _prep_steps(scan, system, neighborhood, x0):
@@ -144,7 +133,7 @@ def _prep_steps(scan, system, neighborhood, x0):
 def _time_prep(steps, paths):
     """Best-of-TRIALS seconds per step and path, after a bit-identity check."""
     for name, step in steps.items():
-        with _oracle_paths():
+        with no_compiler():
             want = step()
         for got, ref in zip(step(), want):
             assert np.array_equal(got, ref), f"{name}: the c pass is not bit-equal to the oracle"
@@ -152,7 +141,7 @@ def _time_prep(steps, paths):
     for _ in range(TRIALS):
         for name, step in steps.items():
             for path in paths:
-                with _oracle_paths() if path == "numpy" else contextlib.nullcontext():
+                with no_compiler() if path == "numpy" else contextlib.nullcontext():
                     t0 = time.perf_counter()
                     step()
                     best[name][path] = min(best[name][path], time.perf_counter() - t0)
@@ -166,7 +155,7 @@ def _time_build(paths):
     for n in BUILD_PIXELS:
         geometry = scaled_geometry(n)
         got = build_system_matrix(geometry).matrix
-        with _oracle_paths():
+        with no_compiler():
             want = build_system_matrix(geometry).matrix
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
@@ -177,7 +166,7 @@ def _time_build(paths):
         runs = {path: [] for path in paths}
         for _ in range(BUILD_RUNS):
             for path in paths:
-                with _oracle_paths() if path == "numpy" else contextlib.nullcontext():
+                with no_compiler() if path == "numpy" else contextlib.nullcontext():
                     t0 = time.perf_counter()
                     build_system_matrix(geometry)
                     runs[path].append(time.perf_counter() - t0)
@@ -226,20 +215,29 @@ def bench_kernels(ctx):
     scan = ctx.scan(case)
     system = ctx.system
     n = ctx.n_pixels
-    updater = SliceUpdater(system, scan, default_prior(), shared_neighborhood(n))
+
+    def build_updater():
+        return SliceUpdater(system, scan, default_prior(), shared_neighborhood(n))
+
+    # Each updater runs the kernel it picked when it was built.
+    with no_compiler():
+        python_updater = build_updater()
+    updaters = {"baseline": python_updater, "python": python_updater}
+    compiled = ["c"] if load_c_kernel() is None else []
+    if compiled:
+        updaters["c"] = build_updater()
+    assert [u.kernel for u in updaters.values()] == ["python", "python", *compiled]
+    contenders = list(updaters)
 
     x0 = initial_image(scan).ravel().copy()
-    e0 = updater.initial_error(x0)
+    e0 = python_updater.initial_error(x0)
     order = resolve_rng(0).permutation(n * n)
-
-    compiled = ["c"] if load_c_kernel() is None else []
-    contenders = ["baseline", "python", *compiled]
 
     # Warmup: builds the footprint views and the c struct, and pins down the
     # oracle outputs every contender must reproduce exactly.
-    _, x_ref, e_ref = _time_sweep("python", updater, order, x0, e0)
+    _, x_ref, e_ref = _time_sweep("python", python_updater, order, x0, e0)
     for c in contenders:
-        _, x_c, e_c = _time_sweep(c, updater, order, x0, e0)
+        _, x_c, e_c = _time_sweep(c, updaters[c], order, x0, e0)
         assert np.array_equal(x_c, x_ref), f"{c}: image not bit-equal to oracle"
         assert np.array_equal(e_c, e_ref), f"{c}: error sinogram not bit-equal"
 
@@ -247,7 +245,7 @@ def bench_kernels(ctx):
     best = {c: 0.0 for c in contenders}
     for _ in range(TRIALS):
         for c in contenders:
-            ups, _, _ = _time_sweep(c, updater, order, x0, e0)
+            ups, _, _ = _time_sweep(c, updaters[c], order, x0, e0)
             best[c] = max(best[c], ups)
 
     # SV-wave mode (GPU-ICD-style stale waves), python vs c.
@@ -256,15 +254,15 @@ def bench_kernels(ctx):
     wave_contenders = ["python", *compiled]
     # Every wave contender must reproduce the oracle's pass bit-for-bit (each
     # SV's tables were checked when the grid was built, outside the timings).
-    x_wref, e_wref = _sv_wave_pass("python", updater, grid, x0, e0, stale)[1:]
+    x_wref, e_wref = _sv_wave_pass(python_updater, grid, x0, e0, stale)[1:]
     for c in wave_contenders:
-        _, x_c, e_c = _sv_wave_pass(c, updater, grid, x0, e0, stale)
+        _, x_c, e_c = _sv_wave_pass(updaters[c], grid, x0, e0, stale)
         assert np.array_equal(x_c, x_wref), f"{c}: SV-wave image not bit-equal to oracle"
         assert np.array_equal(e_c, e_wref), f"{c}: SV-wave error sinogram not bit-equal"
     wave_best = {c: 0.0 for c in wave_contenders}
     for _ in range(TRIALS):
         for c in wave_contenders:
-            ups = _sv_wave_pass(c, updater, grid, x0, e0, stale)[0]
+            ups = _sv_wave_pass(updaters[c], grid, x0, e0, stale)[0]
             wave_best[c] = max(wave_best[c], ups)
 
     # Preparation passes, c vs the NumPy/scipy oracle (with a compiler).

@@ -16,12 +16,7 @@ from repro.core.icd import (
     icd_reconstruct,
     initial_image,
 )
-from repro.core.kernels import (
-    KERNELS,
-    resolve_kernel,
-    run_sv_visit,
-    run_sweep,
-)
+from repro.core.kernels import run_sv_visit, run_sweep
 from repro.core.prior import Neighborhood, Prior, QGGMRFPrior, QuadraticPrior, shared_neighborhood
 from repro.core.psv_icd import (
     PSVExecutionTrace,
@@ -40,8 +35,6 @@ from repro.core.voxel_update import (
 )
 
 __all__ = [
-    "KERNELS",
-    "resolve_kernel",
     "run_sweep",
     "run_sv_visit",
     "shared_neighborhood",

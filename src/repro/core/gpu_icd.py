@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.icd import ICDResult, default_prior, run_iterations
-from repro.core.kernels import resolve_kernel
 from repro.core.prior import Neighborhood, Prior, shared_neighborhood
 from repro.core.selection import SVSelector
 from repro.core.supervoxel import SuperVoxelGrid, shared_grid
@@ -150,7 +149,6 @@ def gpu_icd_reconstruct(
     seed: int | np.random.Generator | None = 0,
     track_cost: bool = True,
     grid: SuperVoxelGrid | None = None,
-    kernel: str | None = "auto",
     neighborhood: Neighborhood | None = None,
     metrics: MetricsRecorder | None = None,
     checkpoint=None,
@@ -163,15 +161,11 @@ def gpu_icd_reconstruct(
     The intra-SV concurrency width equals ``params.threadblocks_per_sv``
     (each threadblock has one voxel in flight at a time); inter-SV
     concurrency equals the batch, whose SVBs all snapshot the error sinogram
-    at batch start.  ``kernel`` selects the inner-loop implementation
-    (``"auto"``/``"python"``/``"c"``, resolved as in
-    :func:`repro.core.icd.icd_reconstruct`); both kernels produce
-    bit-identical iterates.  ``neighborhood`` optionally passes a
-    prebuilt table (defaults to the process-wide shared instance), and
-    ``grid`` a prebuilt :class:`SuperVoxelGrid` over ``system``'s matrix
-    (defaults to ``system``'s own grid for ``(params.sv_side,
-    params.overlap)``, built once per matrix by
-    :func:`~repro.core.supervoxel.shared_grid`).
+    at batch start.  ``neighborhood`` optionally passes a prebuilt table
+    (defaults to the process-wide shared instance), and ``grid`` a prebuilt
+    :class:`SuperVoxelGrid` over ``system``'s matrix (defaults to
+    ``system``'s own grid for ``(params.sv_side, params.overlap)``, built
+    once per matrix by :func:`~repro.core.supervoxel.shared_grid`).
 
     ``metrics`` optionally passes a
     :class:`~repro.observability.MetricsRecorder`: each outer iteration
@@ -202,7 +196,6 @@ def gpu_icd_reconstruct(
     if neighborhood is None:
         neighborhood = shared_neighborhood(geometry.n_pixels)
     updater = SliceUpdater(system, scan, prior, neighborhood, positivity=positivity)
-    kernel = resolve_kernel(kernel, updater)
     rng = resolve_rng(seed)
 
     if grid is None:
@@ -243,7 +236,7 @@ def gpu_icd_reconstruct(
                     batch_stats = run_sv_batch(
                         grid, batch, updater, selector, x, e, rng=rng,
                         zero_skip=zero_skip and iteration > 1,  # bootstrap exemption
-                        stale_width=params.threadblocks_per_sv, kernel=kernel, metrics=rec,
+                        stale_width=params.threadblocks_per_sv, metrics=rec,
                     )
                 if rec.enabled:
                     rec.count("gpu.batches", 1)

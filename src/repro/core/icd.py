@@ -31,7 +31,7 @@ from repro.core.convergence import (
     rmse_hu,
 )
 from repro.core.cost import map_cost
-from repro.core.kernels import resolve_kernel, run_sweep
+from repro.core.kernels import run_sweep
 from repro.core.prior import Neighborhood, Prior, QGGMRFPrior, shared_neighborhood
 from repro.core.voxel_update import SliceUpdater
 from repro.ct.fbp import fbp_reconstruct
@@ -256,7 +256,6 @@ def icd_reconstruct(
     positivity: bool = True,
     seed: int | np.random.Generator | None = 0,
     track_cost: bool = True,
-    kernel: str | None = "auto",
     neighborhood: Neighborhood | None = None,
     metrics: MetricsRecorder | None = None,
     checkpoint=None,
@@ -307,11 +306,6 @@ def icd_reconstruct(
     track_cost:
         Evaluate the MAP cost each outer iteration (costs one forward
         projection; disable in benchmarks).
-    kernel:
-        Inner-loop implementation: ``"auto"`` (default: ``"c"`` when the
-        compiled kernel builds and supports the prior and matrix, else the
-        ``"python"`` oracle), ``"python"`` or ``"c"``.  Both kernels
-        produce bit-identical iterates (see :mod:`repro.core.kernels`).
     neighborhood:
         Optionally a prebuilt :class:`Neighborhood`; defaults to the
         process-wide shared instance for this image size.
@@ -343,7 +337,6 @@ def icd_reconstruct(
     if neighborhood is None:
         neighborhood = shared_neighborhood(geometry.n_pixels)
     updater = SliceUpdater(system, scan, prior, neighborhood, positivity=positivity)
-    kernel = resolve_kernel(kernel, updater)
     rng = resolve_rng(seed)
     n_voxels = geometry.n_voxels
     if max_iterations is not None and max_iterations < 1:
@@ -370,8 +363,7 @@ def icd_reconstruct(
         # whole neighborhood is zero can never change and is skipped.
         with rec.span("sweep"):
             updates = run_sweep(
-                updater, order, x, e, zero_skip=zero_skip and iteration > 1, kernel=kernel,
-                metrics=rec,
+                updater, order, x, e, zero_skip=zero_skip and iteration > 1, metrics=rec
             )
         return updates, 0
 

@@ -7,8 +7,7 @@ delta back.  Executed as one Python-level
 :class:`~repro.core.voxel_update.SliceUpdater` call per voxel, interpreter
 dispatch dwarfs the arithmetic — exactly the fine-grained footprint work the
 paper's §4 data-layout transformation exists to make fast.  Two kernels
-are selectable everywhere a driver accepts ``kernel=``, and both run over
-the updater's own arrays:
+run it, both over the updater's own arrays:
 
 ``python``
     The original per-voxel :class:`SliceUpdater` path.  Slow and simple,
@@ -24,10 +23,15 @@ the updater's own arrays:
     directory that is deleted once the library is loaded; a forked child
     inherits the loaded library.
 
-``kernel="auto"`` resolves to ``c`` when the library loads and supports
-the updater, and to ``python`` otherwise (no compiler, a failed build, a
-generic prior, float64 storage).  Since both kernels compute the same
-bits, the choice never changes iterates, RNG draws or checkpoints.
+No caller chooses between them: each
+:class:`~repro.core.voxel_update.SliceUpdater` records the one its solve
+runs (``updater.kernel``) when it is built, ``c`` where the library loads
+and supports its prior and matrix, ``python`` otherwise (no compiler, a
+failed build, a generic prior, float64 storage).  Since both kernels
+compute the same bits, that never changes iterates, RNG draws or
+checkpoints.  :func:`no_compiler` runs a block as a host without a
+compiler does, which is how the tests and the kernel bench reach the
+oracle.
 
 The library also runs four preparation passes.  :func:`build_csc` writes
 the system matrix straight to CSC
@@ -87,6 +91,7 @@ this design, so that the compiled scalar kernel joins the contract):
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import shlex
@@ -103,43 +108,20 @@ from repro.core.prior import QGGMRFPrior, QuadraticPrior
 from repro.observability import NULL_RECORDER
 
 __all__ = [
-    "KERNELS",
     "backproject",
     "build_csc",
     "c_runs_matrix",
     "csc_matvec",
     "fill_products",
     "load_c_kernel",
-    "resolve_kernel",
+    "no_compiler",
     "run_sweep",
     "run_sv_visit",
 ]
 
-#: Selectable kernel names, in oracle-first order.
-KERNELS = ("python", "c")
-
 #: ``struct repro_ctx``'s prior codes (``KIND_*`` in ``icd_kernel.c``), by
 #: exact type: a subclass may change the surrogate, so it runs the oracle.
 _C_PRIOR_KINDS = {QuadraticPrior: 0, QGGMRFPrior: 1}
-
-
-def resolve_kernel(kernel: str | None, updater) -> str:
-    """Resolve a ``kernel=`` argument to a concrete kernel name for ``updater``.
-
-    ``"auto"`` (or ``None``) resolves to ``c`` when the compiled kernel
-    loads and supports ``updater``'s prior and storage, else to the
-    ``python`` oracle.  An explicit ``"c"`` that cannot run raises
-    ``RuntimeError`` naming the cause.
-    """
-    if kernel is None or kernel == "auto":
-        return "c" if _c_unsupported(updater) is None else "python"
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; use one of {KERNELS} or 'auto'")
-    if kernel == "c":
-        reason = _c_unsupported(updater)
-        if reason is not None:
-            raise RuntimeError(f"kernel 'c' cannot run: {reason}")
-    return kernel
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +248,27 @@ def load_c_kernel() -> str | None:
     return _C_LIBRARY.load()
 
 
+@contextlib.contextmanager
+def no_compiler():
+    """Run the block as a host without a compiler runs it.
+
+    Installs a library whose build failed until the block exits: each
+    :class:`~repro.core.voxel_update.SliceUpdater` built inside runs the
+    ``python`` kernel, and each preparation pass its NumPy or scipy
+    oracle.  A worker forked inside inherits it.  The swap is process-wide
+    and not thread-safe; the equivalence tests and the kernel bench use it
+    to compare the two paths.
+    """
+    global _C_LIBRARY
+    compiled = _C_LIBRARY
+    _C_LIBRARY = _CLibrary()
+    _C_LIBRARY.error = "OSError: no compiler inside no_compiler()"
+    try:
+        yield
+    finally:
+        _C_LIBRARY = compiled
+
+
 def _matrix_unsupported(matrix) -> str | None:
     """Why the ``c`` kernel cannot run over the CSC ``matrix``, or None."""
     if (
@@ -279,7 +282,12 @@ def _matrix_unsupported(matrix) -> str | None:
 
 
 def _c_unsupported(updater) -> str | None:
-    """Why the ``c`` kernel cannot run ``updater``'s solve, or None."""
+    """Why the ``c`` kernel cannot run ``updater``'s solve, or None.
+
+    The preparation passes' test (:func:`c_runs_matrix`) plus the prior's
+    exact type; :class:`~repro.core.voxel_update.SliceUpdater` picks its
+    kernel from it.
+    """
     if type(updater.prior) not in _C_PRIOR_KINDS:
         return f"prior {type(updater.prior).__name__} is neither QGGMRFPrior nor QuadraticPrior"
     return _matrix_unsupported(updater.system.matrix)
@@ -407,25 +415,21 @@ def run_sweep(
     e: np.ndarray,
     *,
     zero_skip: bool,
-    kernel: str,
     metrics=NULL_RECORDER,
 ) -> int:
     """Visit every voxel in ``order`` against the global error sinogram.
 
-    ``updater`` is the run's :class:`~repro.core.voxel_update.SliceUpdater`.
-    Mutates ``x`` and ``e`` in place; returns the number of voxel updates
-    performed (zero-skipped voxels excluded).  ``kernel`` must already be
-    resolved (see :func:`resolve_kernel`).  ``metrics`` (a
+    ``updater`` is the run's :class:`~repro.core.voxel_update.SliceUpdater`,
+    whose ``kernel`` runs the sweep.  Mutates ``x`` and ``e`` in place;
+    returns the number of voxel updates performed (zero-skipped voxels
+    excluded).  ``metrics`` (a
     :class:`~repro.observability.MetricsRecorder`) receives per-flavor
     ``kernel.<flavor>.{sweeps,updates,skipped}`` counters; the default
     no-op recorder costs one attribute read.
     """
-    if kernel == "c":
-        updates = _sweep_c(updater, order, x, e, zero_skip)
-    elif kernel == "python":
-        updates = _sweep_python(updater, order, x, e, zero_skip)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
+    kernel = updater.kernel
+    sweep = _sweep_c if kernel == "c" else _sweep_python
+    updates = sweep(updater, order, x, e, zero_skip)
     if metrics.enabled:
         metrics.count(f"kernel.{kernel}.sweeps", 1)
         metrics.count(f"kernel.{kernel}.updates", updates)
@@ -473,7 +477,6 @@ def run_sv_visit(
     *,
     zero_skip: bool,
     stale_width: int,
-    kernel: str,
 ) -> tuple[int, int, float]:
     """Visit ``sv``'s members in ``order`` against the flat SVB ``svb``.
 
@@ -481,18 +484,15 @@ def run_sv_visit(
     and accumulation order of the per-voxel engine.  Mutates ``x`` and
     ``svb`` in place.  Members are visited in bulk-synchronous waves of
     ``stale_width``: every member of a wave proposes its update from the
-    same image and SVB state, then all of them apply.  ``sv`` must address
-    the updater's own system matrix: its footprints were checked against
-    that matrix when it was built.
+    same image and SVB state, then all of them apply.  ``updater.kernel``
+    runs the visit.  ``sv`` must address the updater's own system matrix:
+    its footprints were checked against that matrix when it was built.
     """
     system = updater.system
     if sv.matrix is not system.matrix or sv.n_channels != system.geometry.n_channels:
         raise ValueError(f"SV {sv.index} was built over another system matrix")
-    if kernel == "c":
-        return _visit_c(updater, sv, order, x, svb, zero_skip, stale_width)
-    if kernel == "python":
-        return _visit_python(updater, sv, order, x, svb, zero_skip, stale_width)
-    raise ValueError(f"unknown kernel {kernel!r}")
+    visit = _visit_c if updater.kernel == "c" else _visit_python
+    return visit(updater, sv, order, x, svb, zero_skip, stale_width)
 
 
 def _visit_c(upd, sv, order, x, svb, zero_skip, stale_width):

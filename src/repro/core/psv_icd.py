@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.icd import ICDResult, default_prior, run_iterations
-from repro.core.kernels import resolve_kernel
 from repro.core.prior import Neighborhood, Prior, shared_neighborhood
 from repro.core.selection import SVSelector
 from repro.core.supervoxel import SuperVoxelGrid, shared_grid
@@ -103,7 +102,6 @@ def psv_icd_reconstruct(
     seed: int | np.random.Generator | None = 0,
     track_cost: bool = True,
     grid: SuperVoxelGrid | None = None,
-    kernel: str | None = "auto",
     neighborhood: Neighborhood | None = None,
     metrics: MetricsRecorder | None = None,
     checkpoint=None,
@@ -130,10 +128,6 @@ def psv_icd_reconstruct(
         and shared by every later one.  A grid passed here must be built
         over ``system``'s matrix; its ``sv_side`` and ``overlap`` take the
         place of the arguments, also in the trace.
-    kernel:
-        Inner-loop implementation (``"auto"``/``"python"``/``"c"``, resolved
-        as in :func:`repro.core.icd.icd_reconstruct`); both kernels produce
-        bit-identical iterates.
     neighborhood:
         Optionally a prebuilt :class:`Neighborhood`; defaults to the
         process-wide shared instance for this image size.
@@ -157,7 +151,6 @@ def psv_icd_reconstruct(
     if neighborhood is None:
         neighborhood = shared_neighborhood(geometry.n_pixels)
     updater = SliceUpdater(system, scan, prior, neighborhood, positivity=positivity)
-    kernel = resolve_kernel(kernel, updater)
     rng = resolve_rng(seed)
 
     if grid is None:
@@ -183,7 +176,7 @@ def psv_icd_reconstruct(
                 wave_stats = run_sv_batch(
                     grid, wave_svs, updater, selector, x, e, rng=rng,
                     zero_skip=zero_skip and iteration > 1,  # bootstrap exemption
-                    stale_width=1, kernel=kernel, metrics=rec,
+                    stale_width=1, metrics=rec,
                 )
             trace.waves.append(PSVWaveTrace(iteration=iteration, sv_stats=wave_stats))
             updates += sum(stats.updates for stats in wave_stats)

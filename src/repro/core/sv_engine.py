@@ -18,7 +18,7 @@ provides the single engine both use, parameterised by ``stale_width``:
   makes that effect measurable.
 
 :func:`process_supervoxel` updates one SV; its member loop is
-:func:`repro.core.kernels.run_sv_visit`, which dispatches both kernels.
+:func:`repro.core.kernels.run_sv_visit`, which runs the updater's kernel.
 :func:`run_sv_batch` runs one concurrent batch — a PSV-ICD wave or a
 GPU-ICD kernel launch: extract every SVB from the same error sinogram,
 update each SV, merge every delta back.
@@ -59,7 +59,6 @@ def process_supervoxel(
     rng: np.random.Generator | int | None = None,
     zero_skip: bool = True,
     stale_width: int = 1,
-    kernel: str = "python",
     metrics=NULL_RECORDER,
 ) -> SVUpdateStats:
     """Update all member voxels of ``sv`` against the flat SVB ``svb``.
@@ -67,11 +66,10 @@ def process_supervoxel(
     ``x_flat`` and ``svb`` are mutated in place; the caller owns snapshotting
     the SVB and merging the delta back into the global error sinogram.
 
-    ``kernel`` selects the execution path (already resolved by the driver;
-    see :func:`repro.core.kernels.resolve_kernel`).  The visit order is
-    drawn from ``rng`` *before* dispatch, so every kernel consumes the same
-    stream and — by the kernel layer's bit-exactness contract — produces
-    the same iterates as the ``python`` path.  ``metrics`` (a
+    ``updater.kernel`` runs the visit.  The visit order is drawn from
+    ``rng`` *before* dispatch, so every kernel consumes the same stream
+    and — by the kernel layer's bit-exactness contract — produces the same
+    iterates as the ``python`` path.  ``metrics`` (a
     :class:`~repro.observability.MetricsRecorder`) receives per-flavor
     ``kernel.<flavor>.{sv_visits,updates,skipped,waves}`` counters.
     """
@@ -87,9 +85,9 @@ def process_supervoxel(
         svb,
         zero_skip=zero_skip,
         stale_width=stale_width,
-        kernel=kernel,
     )
     if metrics.enabled:
+        kernel = updater.kernel
         metrics.count(f"kernel.{kernel}.sv_visits", 1)
         metrics.count(f"kernel.{kernel}.updates", updates)
         metrics.count(f"kernel.{kernel}.skipped", skipped)
@@ -113,7 +111,6 @@ def run_sv_batch(
     rng: np.random.Generator,
     zero_skip: bool,
     stale_width: int,
-    kernel: str,
     metrics=NULL_RECORDER,
 ) -> tuple[SVUpdateStats, ...]:
     """Process the SVs ``sv_ids`` of ``grid`` as one concurrent batch.
@@ -141,7 +138,6 @@ def run_sv_batch(
                 rng=rng,
                 zero_skip=zero_skip,
                 stale_width=stale_width,
-                kernel=kernel,
                 metrics=metrics,
             )
             selector.record_update(sv.index, stats.total_abs_delta)

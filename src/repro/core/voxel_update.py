@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import build_c_struct, c_runs_matrix, fill_products
+from repro.core.kernels import _c_unsupported, build_c_struct, c_runs_matrix, fill_products
 from repro.core.prior import Neighborhood, Prior
 from repro.ct.sinogram import ScanData
 from repro.ct.system_matrix import SystemMatrix
@@ -206,6 +206,12 @@ class SliceUpdater:
         Regularisation model.
     positivity:
         Clip updates at zero (standard for attenuation images).
+
+    The build records :attr:`kernel`, the kernel that runs every sweep and
+    SuperVoxel visit over this updater: ``"c"`` where the compiled library
+    loads and supports the prior (exactly ``QGGMRFPrior`` or
+    ``QuadraticPrior``) and the matrix (float32 with int32 indices),
+    ``"python"`` otherwise.  Both give the same bits.
     """
 
     system: SystemMatrix
@@ -235,6 +241,8 @@ class SliceUpdater:
         self.nb_idx = np.where(valid, nb.indices, own)
         #: width-8 neighbour weights, 0.0 in invalid slots (exact no-ops).
         self.nb_w = np.where(valid, nb.weights[None, :], 0.0)
+        #: the kernel this solve runs: ``"c"`` or the ``"python"`` oracle.
+        self.kernel = "c" if _c_unsupported(self) is None else "python"
 
         # What only one kernel reads is built on its first use, under one
         # lock with double-checked reads, so the built path is one attribute

@@ -105,6 +105,30 @@ def build_parser() -> argparse.ArgumentParser:
                            help="ensemble size for Table 1 (default 3)")
     ctx_flags.add_argument("--seed", type=int, default=0, help="ensemble/run seed")
 
+    # Flags shared by both servers (`serve` and `serve-http`), passed to the
+    # service by _service_kwargs.
+    service_flags = argparse.ArgumentParser(add_help=False)
+    service_flags.add_argument("--workers", type=int, default=2, metavar="N",
+                               help="concurrently running jobs (default 2)")
+    service_flags.add_argument("--heartbeat-timeout", type=float, default=None,
+                               metavar="S",
+                               help="kill a worker silent for S seconds and "
+                               "resume its job from the newest checkpoint "
+                               "(default: no supervision)")
+    service_flags.add_argument("--job-deadline", type=float, default=None,
+                               metavar="S",
+                               help="fail any job still running after S seconds "
+                               "of wall clock (default: no deadline)")
+    service_flags.add_argument("--job-ttl", type=float, default=None, metavar="S",
+                               help="evict terminal jobs from the registry S "
+                               "seconds after they finish; serve-http answers "
+                               "410 for an evicted id (default: keep forever)")
+    service_flags.add_argument("--max-queue-depth", type=int, default=None,
+                               metavar="D",
+                               help="admission-control bound on pending jobs; "
+                               "beyond it serve-http answers 429 "
+                               "(default unbounded)")
+
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="COMMAND")
 
     for name in sorted(_EXPERIMENTS) + ["all", "suite"]:
@@ -161,25 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="block-Jacobi rounds for --shards (default 2)")
 
     serve = sub.add_parser(
-        "serve", help="serve reconstruction jobs out of a queue directory"
+        "serve", parents=[service_flags],
+        help="serve reconstruction jobs out of a queue directory",
     )
     serve.add_argument("queue_dir", help="the queue directory (created if missing)")
-    serve.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="concurrently running jobs (default 2)")
-    serve.add_argument("--heartbeat-timeout", type=float, default=None,
-                       metavar="S",
-                       help="kill a worker silent for S seconds and resume "
-                       "its job from the newest checkpoint "
-                       "(default: no supervision)")
-    serve.add_argument("--job-deadline", type=float, default=None, metavar="S",
-                       help="fail any job still running after S seconds of "
-                       "wall clock (default: no deadline)")
-    serve.add_argument("--job-ttl", type=float, default=None, metavar="S",
-                       help="evict terminal jobs from the registry S seconds "
-                       "after they finish (default: keep forever)")
-    serve.add_argument("--max-queue-depth", type=int, default=None, metavar="D",
-                       help="admission-control bound on pending jobs "
-                       "(default unbounded)")
     serve.add_argument("--checkpoint-every", type=int, default=1, metavar="K",
                        help="per-job checkpoint cadence in iterations (default 1)")
     serve.add_argument("--drain", action="store_true",
@@ -208,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stable job id (default: derived from time+pid)")
 
     serve_http = sub.add_parser(
-        "serve-http", help="serve reconstruction jobs over HTTP (REST gateway)"
+        "serve-http", parents=[service_flags],
+        help="serve reconstruction jobs over HTTP (REST gateway)",
     )
     serve_http.add_argument("--host", default="127.0.0.1",
                             help="bind address (default 127.0.0.1)")
@@ -217,30 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_http.add_argument("--scan-root", required=True, metavar="DIR",
                             help="directory against which submitted relative "
                             "scan paths resolve")
-    serve_http.add_argument("--workers", type=int, default=2, metavar="N",
-                            help="concurrently running jobs (default 2)")
     # Accepted for compatibility only: every job runs in a worker
     # subprocess, and perfbench/server.py still passes this flag.
     serve_http.add_argument("--worker-model", choices=("process",),
                             default="process", help=argparse.SUPPRESS)
-    serve_http.add_argument("--heartbeat-timeout", type=float, default=None,
-                            metavar="S",
-                            help="kill a worker silent for S seconds and "
-                            "resume its job from the newest checkpoint "
-                            "(default: no supervision)")
-    serve_http.add_argument("--job-deadline", type=float, default=None,
-                            metavar="S",
-                            help="fail any job still running after S seconds "
-                            "of wall clock (default: no deadline)")
-    serve_http.add_argument("--job-ttl", type=float, default=None, metavar="S",
-                            help="evict terminal jobs S seconds after they "
-                            "finish; evicted ids answer 410 "
-                            "(default: keep forever)")
-    serve_http.add_argument("--max-queue-depth", type=int, default=None,
-                            metavar="D",
-                            help="admission-control bound on pending jobs; "
-                            "beyond it POST /jobs returns 429 "
-                            "(default unbounded)")
     serve_http.add_argument("--cache-dir", default=None, metavar="DIR",
                             help="persistent content-addressed result cache")
     serve_http.add_argument("--checkpoint-root", default=None, metavar="DIR",
@@ -516,6 +506,17 @@ def _run_profile(args) -> None:
 # ----------------------------------------------------------------------
 # Service subcommands
 # ----------------------------------------------------------------------
+def _service_kwargs(args) -> dict:
+    """The service settings both servers take from their shared flags."""
+    return dict(
+        n_workers=args.workers,
+        heartbeat_timeout_s=args.heartbeat_timeout,
+        job_deadline_s=args.job_deadline,
+        job_ttl_s=args.job_ttl,
+        max_queue_depth=args.max_queue_depth,
+    )
+
+
 def _run_serve(args) -> None:
     from repro.observability import MetricsRecorder
     from repro.service import DirectoryService
@@ -523,11 +524,7 @@ def _run_serve(args) -> None:
     metrics = MetricsRecorder()
     service = DirectoryService(
         args.queue_dir,
-        n_workers=args.workers,
-        heartbeat_timeout_s=args.heartbeat_timeout,
-        job_deadline_s=args.job_deadline,
-        job_ttl_s=args.job_ttl,
-        max_queue_depth=args.max_queue_depth,
+        **_service_kwargs(args),
         checkpoint_every=args.checkpoint_every,
         metrics=metrics,
         poll_s=args.poll,
@@ -597,11 +594,7 @@ def _run_serve_http(args) -> None:
     from repro.service import HttpGateway, ReconstructionService
 
     service = ReconstructionService(
-        n_workers=args.workers,
-        heartbeat_timeout_s=args.heartbeat_timeout,
-        job_deadline_s=args.job_deadline,
-        job_ttl_s=args.job_ttl,
-        max_queue_depth=args.max_queue_depth,
+        **_service_kwargs(args),
         cache_dir=args.cache_dir,
         checkpoint_root=args.checkpoint_root,
         start=True,

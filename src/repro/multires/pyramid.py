@@ -277,8 +277,8 @@ def multires_reconstruct(
         process-wide cache.
     base_kwargs:
         Forwarded to the base driver (e.g. ``sv_side=``/``n_cores=`` for
-        ``psv_icd``, ``kernel=`` for all).  Unknown names raise
-        ``TypeError`` up front rather than failing mid-pyramid.
+        ``psv_icd``).  Unknown names raise ``TypeError`` up front rather
+        than failing mid-pyramid.
     """
     try:
         driver_fn = BASE_DRIVERS[base_driver]

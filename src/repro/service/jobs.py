@@ -172,11 +172,11 @@ class JobSpec:
         The measurements to reconstruct.
     params:
         Keyword arguments forwarded to the driver (``max_equits``, ``seed``,
-        ``sv_side``, ``kernel`` ...): JSON values or numeric arrays, checked
-        at submit (:func:`repro.service.runner.job_params`).  For ``gpu_icd``
-        and ``multires`` over it, keys naming
+        ``sv_side`` ...): JSON values or numeric arrays, checked at submit
+        (:func:`repro.service.runner.job_params`).  For ``gpu_icd`` and
+        ``multires`` over it, keys naming
         :class:`~repro.core.gpu_icd.GPUICDParams` fields are folded into a
-        ``params=`` object.  All but ``kernel`` enter the result-cache key.
+        ``params=`` object.  All of them enter the result-cache key.
     priority:
         Scheduling priority; **higher runs earlier**.  Jobs of equal
         priority run in submission (FIFO) order.

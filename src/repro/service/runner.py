@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.core.gpu_icd import GPUICDParams, gpu_icd_reconstruct
 from repro.core.icd import icd_reconstruct
-from repro.core.kernels import KERNELS
 from repro.core.psv_icd import psv_icd_reconstruct
 from repro.ct.geometry import ParallelBeamGeometry
 from repro.ct.system_matrix import (
@@ -55,7 +54,6 @@ from repro.service.jobs import JobSpec
 
 __all__ = [
     "DEFAULT_STOP_DELTA_HU",
-    "UNKEYED_PARAMS",
     "system_for",
     "clear_system_cache",
     "job_params",
@@ -79,11 +77,8 @@ _DRIVER_FNS = {
 _SERVICE_KWARGS = frozenset("metrics checkpoint checkpoint_every resume_from sentinel".split())
 #: Driver kwargs that take objects a JSON job cannot carry.
 _OBJECT_KWARGS = frozenset("prior grid neighborhood level_systems params".split())
-#: Params that choose how a job runs, not what it computes (both kernels
-#: are bit-identical), so they stay out of the result-cache key.
-UNKEYED_PARAMS = frozenset({"kernel"})
 #: The names a string-valued param may take.
-_CHOICES = {"kernel": (*KERNELS, "auto"), "init": ("fbp", "zero")}
+_CHOICES = {"init": ("fbp", "zero")}
 
 
 def _is_numeric_array(value) -> bool:
@@ -140,7 +135,7 @@ def job_params(driver: str, params: dict[str, Any]) -> dict[str, Any]:
 
     Raises ``ValueError`` naming the first param the driver cannot take: an
     unknown or service-set name, a value its annotation does not admit, or
-    an unknown ``kernel``/``init`` choice.  Returns ``params`` plus the
+    an unknown ``init`` choice.  Returns ``params`` plus the
     defaults the service resolves (:data:`DEFAULT_STOP_DELTA_HU`, multires'
     ``base_driver="icd"``), so an omitted default and an explicit one share
     a cache key.

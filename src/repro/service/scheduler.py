@@ -21,7 +21,8 @@ Each supervisor thread loops: take the highest-priority pending job, then
    boundary), or FAILED (the exception message lands in ``job.error``).
    A DONE or CANCELLED job's checkpoint directory is deleted just before
    the filing, so a later job under the same id starts fresh; a FAILED
-   job's stays for a resubmission to resume from.
+   job's stays for a resubmission to resume from, until TTL eviction.
+   ``<root>/<job_id>/`` goes with it once nothing else is in it.
    Terminal filing is race-tolerant: if the job went terminal concurrently
    (a cancel filed elsewhere racing an induced failure), the losing
    transition is dropped instead of killing the supervisor thread with a
@@ -254,14 +255,30 @@ class Scheduler:
         """Where a job's checkpoints live (stable across worker lives)."""
         return self.checkpoint_root / job_id / "checkpoints"
 
+    def discard_checkpoints(self, job_id: str) -> None:
+        """Delete ``<root>/<job_id>/checkpoints/``, then ``<root>/<job_id>/``
+        if nothing else is in it (the queue directory keeps its files there).
+
+        Callers hold the id while deleting, so no later job's files can be
+        among them: the filing of a terminal state, or TTL eviction under
+        the registry lock.
+        """
+        ckpt_dir = self.checkpoint_dir_for(job_id)
+        shutil.rmtree(ckpt_dir, ignore_errors=True)
+        try:
+            ckpt_dir.parent.rmdir()
+        except OSError:  # not empty, or never made
+            pass
+
     def _file_terminal(self, job: Job, state: JobState, **detail) -> bool:
         """Transition ``job`` terminal, tolerating a lost race.
 
-        A DONE or CANCELLED job's ``checkpoints/`` directory is deleted
-        first, while the job still holds its id: a later job under the id
-        must start fresh, and its own files can only appear after this
-        filing.  A FAILED job keeps its checkpoints for a resubmission to
-        resume from, and the intake's files beside the directory stay.
+        A DONE or CANCELLED job's checkpoints are deleted first
+        (:meth:`discard_checkpoints`), while the job still holds its id: a
+        later job under the id must start fresh, and its own files can only
+        appear after this filing.  A FAILED job keeps its checkpoints for a
+        resubmission to resume from until TTL eviction deletes them, and
+        the intake's files beside the directory stay.
 
         A failure filing can race a concurrent cancel (or any other
         terminal transition filed outside this worker): ``transition``
@@ -273,7 +290,7 @@ class Scheduler:
         state-machine violation and propagates.
         """
         if state is not JobState.FAILED and not job.terminal:
-            shutil.rmtree(self.checkpoint_dir_for(job.job_id), ignore_errors=True)
+            self.discard_checkpoints(job.job_id)
         try:
             job.transition(state, **detail)
             return True

@@ -43,7 +43,7 @@ from repro.service.jobs import (
 from repro.service.progress import ProgressEvent
 from repro.service.queue import JobQueue
 from repro.service.reaper import JobReaper
-from repro.service.runner import UNKEYED_PARAMS, job_params
+from repro.service.runner import job_params
 from repro.service.scheduler import Scheduler
 
 __all__ = ["ReconstructionService"]
@@ -210,11 +210,10 @@ class ReconstructionService:
         job_id = spec.job_id if spec.job_id is not None else uuid.uuid4().hex[:12]
         # The key covers everything that determines iterates: the spec,
         # plus the defaults run_job resolves for what it omits.
-        key_params = {k: v for k, v in params.items() if k not in UNKEYED_PARAMS}
         job = Job(
             job_id,
             spec,
-            cache_key=cache_key(spec.driver, spec.scan, key_params),
+            cache_key=cache_key(spec.driver, spec.scan, params),
             clock=self.clock,
         )
         self.register(job, enqueue=True)
@@ -324,8 +323,13 @@ class ReconstructionService:
         Non-terminal jobs are never evicted regardless of age.  Evicted
         ids leave a bounded tombstone (so :meth:`job` raises
         :class:`EvictedJobError`, not plain unknown), their progress
-        subscribers are dropped, and ``service.jobs_evicted`` counts the
-        evictions.  Returns the evicted ids.
+        subscribers are dropped, their checkpoints (a FAILED job's) and
+        emptied job directories are deleted, and ``service.jobs_evicted``
+        counts the evictions.  Returns the evicted ids.
+
+        The files go under the registry lock, so a resubmission of an
+        evicted id registers only after they are gone and never loses its
+        own.
         """
         now = self.clock()
         evicted: list[str] = []
@@ -336,6 +340,7 @@ class ReconstructionService:
                 if now - job.finished_at < older_than_s:
                     continue
                 del self._jobs[job_id]
+                self.scheduler.discard_checkpoints(job_id)
                 self._evicted[job_id] = None
                 self._evicted.move_to_end(job_id)
                 evicted.append(job_id)

@@ -1,15 +1,18 @@
-"""Kernel-layer tests: cross-kernel bit-equality, selection, float32 storage.
+"""Kernel-layer tests: cross-kernel bit-equality, the kernel pick, float32 storage.
 
 The kernel layer's contract is strong — ``c`` must reproduce the ``python``
 oracle's iterates *bit-for-bit* (same visit order, same zero-skip
 decisions, same IEEE-754 operation sequence) — so these tests assert exact
-``np.array_equal``, never ``allclose``.  Cases that need the compiled
-kernel skip when it does not build on the host; the fallback to the oracle
-is tested in a subprocess with no compiler.
+``np.array_equal``, never ``allclose``.  The oracle side of each comparison
+runs inside :func:`~repro.core.kernels.no_compiler`, as on a host without a
+compiler, so the preparation passes are compared too.  Cases that need the
+compiled kernel skip when it does not build on the host; the fallback is
+also tested in a subprocess with no compiler.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -37,21 +40,26 @@ from repro.core import (
 )
 from repro.core import kernels
 from repro.core.kernels import (
-    KERNELS,
     VIEW_BITS,
     load_c_kernel,
-    resolve_kernel,
+    no_compiler,
     run_sv_visit,
     run_sweep,
     view_reciprocal,
 )
-from repro.ct import SystemMatrix, simulate_scan
+from repro.ct import (
+    SystemMatrix,
+    build_system_matrix,
+    scaled_geometry,
+    shepp_logan,
+    simulate_scan,
+)
+from repro.multires import multires_reconstruct
+from repro.observability import MetricsRecorder
 
 #: Whether the compiled kernel builds and loads on this host.
 C_LOADS = load_c_kernel() is None
 NEEDS_C = pytest.mark.skipif(not C_LOADS, reason="the c kernel does not build on this host")
-#: Every kernel that runs here, oracle first.
-RUNNABLE_KERNELS = [k for k in KERNELS if k != "c" or C_LOADS]
 
 
 class _SubclassedQGGMRF(QGGMRFPrior):
@@ -67,95 +75,84 @@ def _float64(system):
     return SystemMatrix(system.geometry, system.matrix.astype(np.float64))
 
 
-class TestResolveKernel:
-    def test_auto_resolves_to_python_when_c_cannot_run(self, scan32, system32):
-        """A generic prior or float64 storage sends ``auto`` to the oracle, which solves."""
-        generic = _SubclassedQGGMRF(sigma=default_prior().sigma)
-        for prior, system in ((generic, system32), (None, _float64(system32))):
-            upd = _updater(scan32, system, prior)
-            assert resolve_kernel("auto", upd) == "python"
-            assert resolve_kernel(None, upd) == "python"
-            kwargs = dict(max_equits=1, seed=0, track_cost=False, prior=prior)
-            ref = icd_reconstruct(scan32, system, kernel="python", **kwargs)
-            res = icd_reconstruct(scan32, system, **kwargs)
-            assert np.array_equal(res.image, ref.image)
-            assert np.isfinite(res.image).all() and res.history.records[-1].updates > 0
-
-    @NEEDS_C
-    def test_auto_resolves_to_c_when_loaded(self, scan32, system32):
-        for prior in (None, QuadraticPrior(sigma=1.0)):
-            upd = _updater(scan32, system32, prior)
-            assert resolve_kernel("auto", upd) == "c"
-            assert resolve_kernel(None, upd) == "c"
-
-    def test_explicit_names_pass_through(self, scan32, system32):
-        upd = _updater(scan32, system32)
-        for kernel in RUNNABLE_KERNELS:
-            assert resolve_kernel(kernel, upd) == kernel
-
-    def test_c_rejects_what_it_cannot_run(self, scan32, system32):
-        generic = _updater(scan32, system32, _SubclassedQGGMRF(sigma=1.0))
-        with pytest.raises(RuntimeError, match="_SubclassedQGGMRF"):
-            resolve_kernel("c", generic)
-        with pytest.raises(RuntimeError, match="float32"):
-            resolve_kernel("c", _updater(scan32, _float64(system32)))
-        with pytest.raises(RuntimeError, match="cannot run"):
-            icd_reconstruct(scan32, _float64(system32), max_equits=1, kernel="c")
-
-    def test_unknown_kernel_rejected(self, scan32, system32):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("cuda", _updater(scan32, system32))
-
-    def test_removed_kernel_name_rejected(self, scan32, system32):
-        for name in ("numba", "vectorized"):
-            with pytest.raises(ValueError, match="unknown kernel"):
-                resolve_kernel(name, _updater(scan32, system32))
-            with pytest.raises(ValueError, match="unknown kernel"):
-                icd_reconstruct(scan32, system32, max_equits=1, kernel=name)
-
-    def test_kernel_names(self):
-        assert KERNELS == ("python", "c")
+#: (prior, float64 matrix, failed library, the kernel the updater picks).
+KERNEL_PICKS = [
+    pytest.param(None, False, False, "c", id="qggmrf", marks=NEEDS_C),
+    pytest.param(QuadraticPrior(sigma=1.0), False, False, "c", id="quadratic", marks=NEEDS_C),
+    pytest.param(_SubclassedQGGMRF(sigma=1.0), False, False, "python", id="subclassed-prior"),
+    pytest.param(None, True, False, "python", id="float64-matrix"),
+    pytest.param(None, False, True, "python", id="failed-library"),
+]
 
 
-#: Run with no compiler: ``auto`` must fall back to the oracle.
+@pytest.mark.parametrize("prior, float64, failed, kernel", KERNEL_PICKS)
+def test_the_updater_picks_the_kernel_its_solve_runs(
+    scan32, system32, prior, float64, failed, kernel
+):
+    """``c`` for exactly QGGMRFPrior or QuadraticPrior over a float32 matrix
+    with a loaded library, else ``python``; the driver then runs that kernel
+    only, and its image is the no-compiler image."""
+    system = _float64(system32) if float64 else system32
+    kwargs = dict(prior=prior, max_equits=1, seed=0, track_cost=False)
+    rec = MetricsRecorder()
+    with no_compiler() if failed else contextlib.nullcontext():
+        assert _updater(scan32, system, prior).kernel == kernel
+        res = icd_reconstruct(scan32, system, metrics=rec, **kwargs)
+    with no_compiler():
+        ref = icd_reconstruct(scan32, system, **kwargs)
+    flavors = {k.split(".")[1] for k in rec.counters if k.startswith("kernel.")}
+    assert flavors == {kernel} and rec.counters[f"kernel.{kernel}.updates"] > 0
+    assert np.array_equal(res.image, ref.image)
+
+
+@pytest.mark.parametrize(
+    "reconstruct",
+    [icd_reconstruct, psv_icd_reconstruct, gpu_icd_reconstruct, multires_reconstruct],
+)
+def test_no_driver_takes_a_kernel(scan16, system16, reconstruct):
+    with pytest.raises(TypeError, match="kernel"):
+        reconstruct(scan16, system16, max_equits=1, kernel="c")
+
+
+#: Run with no compiler; writes the solve's image and error sinogram to argv[1].
 _NO_COMPILER_SCRIPT = textwrap.dedent(
     """
+    import sys
     import numpy as np
     from repro import build_system_matrix, scaled_geometry, shepp_logan, simulate_scan
     from repro.core import SliceUpdater, default_prior, icd_reconstruct, shared_neighborhood
-    from repro.core.kernels import load_c_kernel, resolve_kernel
+    from repro.core.kernels import load_c_kernel
 
     system = build_system_matrix(scaled_geometry(16))
     scan = simulate_scan(shepp_logan(16), system, dose=1e5, seed=7)
     updater = SliceUpdater(system, scan, default_prior(), shared_neighborhood(16))
-    assert resolve_kernel("auto", updater) == "python"
+    assert updater.kernel == "python", updater.kernel
     assert "exited with" in load_c_kernel()
-    try:
-        resolve_kernel("c", updater)
-    except RuntimeError as exc:
-        assert "exited with" in str(exc), exc
-    else:
-        raise AssertionError("kernel='c' resolved without a compiler")
-    kwargs = dict(max_equits=2, seed=0, track_cost=False)
-    ref = icd_reconstruct(scan, system, kernel="python", **kwargs)
-    res = icd_reconstruct(scan, system, **kwargs)
-    assert np.array_equal(res.image, ref.image)
-    assert np.array_equal(res.error_sinogram, ref.error_sinogram)
+    res = icd_reconstruct(scan, system, max_equits=2, seed=0, track_cost=False)
+    np.savez(sys.argv[1], image=res.image, error=res.error_sinogram)
     print("ok")
     """
 )
 
 
-def test_auto_falls_back_without_a_compiler():
-    """``CC=false`` fails the build: ``auto`` runs the ``python`` oracle."""
+def test_auto_falls_back_without_a_compiler(tmp_path):
+    """``CC=false`` fails the build: the solve runs the ``python`` oracle,
+    and its image and error sinogram are this process's, bit for bit."""
     src = str(Path(__file__).resolve().parents[2] / "src")
     env = dict(os.environ, CC="false", PYTHONPATH=src)
+    out = tmp_path / "no-compiler.npz"
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_COMPILER_SCRIPT],
+        [sys.executable, "-c", _NO_COMPILER_SCRIPT, str(out)],
         env=env, capture_output=True, text=True, timeout=300, check=False,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+    system = build_system_matrix(scaled_geometry(16))
+    scan = simulate_scan(shepp_logan(16), system, dose=1e5, seed=7)
+    res = icd_reconstruct(scan, system, max_equits=2, seed=0, track_cost=False)
+    with np.load(out) as got:
+        assert np.array_equal(got["image"], res.image)
+        assert np.array_equal(got["error"], res.error_sinogram)
 
 
 class TestSharedNeighborhood:
@@ -170,53 +167,57 @@ class TestSharedNeighborhood:
         np.testing.assert_array_equal(shared.weights, fresh.weights)
 
 
-#: (kernel, prior) pairs checked against the oracle: the default q-GGMRF
-#: prior (``None``) and the quadratic prior, the two surrogates the ``c``
-#: kernel inlines (any other prior runs the oracle itself).
+#: Priors checked against the oracle: the default q-GGMRF prior (``None``)
+#: and the quadratic prior, the two surrogates the ``c`` kernel inlines (any
+#: other prior runs the oracle itself).
 EQUIVALENCE_CASES = [
-    pytest.param("c", None, id="c", marks=NEEDS_C),
-    pytest.param("c", QuadraticPrior(sigma=1.0), id="c-quadratic", marks=NEEDS_C),
+    pytest.param(None, id="c", marks=NEEDS_C),
+    pytest.param(QuadraticPrior(sigma=1.0), id="c-quadratic", marks=NEEDS_C),
 ]
 
 
 # ----------------------------------------------------------------------
 # Driver-level bit-equality: every driver, both stale modes, every prior branch.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel, prior", EQUIVALENCE_CASES)
+@pytest.mark.parametrize("prior", EQUIVALENCE_CASES)
 class TestKernelEquivalence:
-    def test_sequential_icd(self, scan32, system32, kernel, prior):
+    def test_sequential_icd(self, scan32, system32, prior):
         kwargs = dict(max_equits=2, seed=0, track_cost=False, prior=prior)
-        ref = icd_reconstruct(scan32, system32, kernel="python", **kwargs)
-        res = icd_reconstruct(scan32, system32, kernel=kernel, **kwargs)
+        with no_compiler():
+            ref = icd_reconstruct(scan32, system32, **kwargs)
+        res = icd_reconstruct(scan32, system32, **kwargs)
         assert np.array_equal(res.image, ref.image)
         assert np.array_equal(res.error_sinogram, ref.error_sinogram)
         assert [r.updates for r in res.history.records] == [
             r.updates for r in ref.history.records
         ]
 
-    def test_sequential_icd_zero_init(self, scan32, system32, kernel, prior):
+    def test_sequential_icd_zero_init(self, scan32, system32, prior):
         """Zero init exercises the zero-skip path hard (mostly-skipped sweeps)."""
         kwargs = dict(max_equits=2, seed=3, init="zero", track_cost=False, prior=prior)
-        ref = icd_reconstruct(scan32, system32, kernel="python", **kwargs)
-        res = icd_reconstruct(scan32, system32, kernel=kernel, **kwargs)
+        with no_compiler():
+            ref = icd_reconstruct(scan32, system32, **kwargs)
+        res = icd_reconstruct(scan32, system32, **kwargs)
         assert np.array_equal(res.image, ref.image)
         assert np.array_equal(res.error_sinogram, ref.error_sinogram)
 
-    def test_psv_icd(self, scan32, system32, kernel, prior):
+    def test_psv_icd(self, scan32, system32, prior):
         kwargs = dict(
             max_equits=2, seed=0, track_cost=False, sv_side=8, n_cores=4, prior=prior
         )
-        ref = psv_icd_reconstruct(scan32, system32, kernel="python", **kwargs)
-        res = psv_icd_reconstruct(scan32, system32, kernel=kernel, **kwargs)
+        with no_compiler():
+            ref = psv_icd_reconstruct(scan32, system32, **kwargs)
+        res = psv_icd_reconstruct(scan32, system32, **kwargs)
         assert np.array_equal(res.image, ref.image)
         assert np.array_equal(res.error_sinogram, ref.error_sinogram)
 
-    def test_gpu_icd_stale_waves(self, scan32, system32, kernel, prior):
+    def test_gpu_icd_stale_waves(self, scan32, system32, prior):
         """stale_width > 1 runs the bulk-synchronous wave variant."""
         params = GPUICDParams(sv_side=8, threadblocks_per_sv=4, batch_size=4)
         kwargs = dict(max_equits=2, seed=0, track_cost=False, params=params, prior=prior)
-        ref = gpu_icd_reconstruct(scan32, system32, kernel="python", **kwargs)
-        res = gpu_icd_reconstruct(scan32, system32, kernel=kernel, **kwargs)
+        with no_compiler():
+            ref = gpu_icd_reconstruct(scan32, system32, **kwargs)
+        res = gpu_icd_reconstruct(scan32, system32, **kwargs)
         assert np.array_equal(res.image, ref.image)
         assert np.array_equal(res.error_sinogram, ref.error_sinogram)
         assert res.trace.total_updates == ref.trace.total_updates
@@ -232,18 +233,14 @@ class TestKernelEquivalence:
 )
 @settings(max_examples=6, deadline=None)
 def test_kernels_identical_on_random_scans(system16, phantom16, seed, dose, init):
-    """Every kernel produces the oracle's images + error sinograms after 2 equits."""
+    """The solve gives the no-compiler images + error sinograms after 2 equits."""
     scan = simulate_scan(phantom16, system16, dose=dose, seed=seed)
-    ref, *others = (
-        icd_reconstruct(
-            scan, system16, max_equits=2, seed=seed, init=init,
-            track_cost=False, kernel=kernel,
-        )
-        for kernel in RUNNABLE_KERNELS
-    )
-    for res in others:
-        assert np.array_equal(res.image, ref.image)
-        assert np.array_equal(res.error_sinogram, ref.error_sinogram)
+    kwargs = dict(max_equits=2, seed=seed, init=init, track_cost=False)
+    with no_compiler():
+        ref = icd_reconstruct(scan, system16, **kwargs)
+    res = icd_reconstruct(scan, system16, **kwargs)
+    assert np.array_equal(res.image, ref.image)
+    assert np.array_equal(res.error_sinogram, ref.error_sinogram)
 
 
 # ----------------------------------------------------------------------
@@ -294,25 +291,25 @@ class TestCKernelGuards:
         for bad in (32 * 32, -1):
             order = np.array([0, 1, bad])
             with pytest.raises(ValueError, match="out of range"):
-                run_sweep(upd, order, x, e, zero_skip=False, kernel="c")
+                run_sweep(upd, order, x, e, zero_skip=False)
         assert np.array_equal(x, x0) and np.array_equal(e, e0)
 
     def test_sweep_rejects_wrong_buffers(self, scan32, system32):
         upd, x, e = self._state(scan32, system32)
         order = np.arange(4)
         with pytest.raises(TypeError, match="x must be"):
-            run_sweep(upd, order, x.astype(np.float32), e, zero_skip=False, kernel="c")
+            run_sweep(upd, order, x.astype(np.float32), e, zero_skip=False)
         with pytest.raises(TypeError, match="e must be"):
-            run_sweep(upd, order, x, e[:-1], zero_skip=False, kernel="c")
+            run_sweep(upd, order, x, e[:-1], zero_skip=False)
         with pytest.raises(TypeError, match="x must be"):
-            run_sweep(upd, order, x[::-1], e, zero_skip=False, kernel="c")
+            run_sweep(upd, order, x[::-1], e, zero_skip=False)
 
     def test_sv_visit_rejects_bad_order_and_svb(self, scan32, system32):
         upd, x, e = self._state(scan32, system32)
         sv = SuperVoxelGrid(system32, 8).svs[0]
         svb = sv.extract(e)
         svb0 = svb.copy()
-        kwargs = dict(zero_skip=False, stale_width=2, kernel="c")
+        kwargs = dict(zero_skip=False, stale_width=2)
         with pytest.raises(ValueError, match="out of range"):
             run_sv_visit(upd, sv, np.array([0, sv.n_voxels]), x, svb, **kwargs)
         assert np.array_equal(svb, svb0)
@@ -369,17 +366,18 @@ def test_view_reciprocal_is_floor_division_over_every_row(n_channels):
     np.testing.assert_array_equal(views, rows // n_channels)
 
 
-@pytest.mark.parametrize("kernel", RUNNABLE_KERNELS)
+@pytest.mark.parametrize("kernel", ["python", pytest.param("c", marks=NEEDS_C)])
 def test_sv_visit_refuses_an_sv_over_another_matrix(scan32, system32, kernel):
     """An SV was checked against the matrix it was built over, so a visit
     through an updater of an equal but distinct matrix is refused."""
-    updater = _updater(scan32, system32)
+    with no_compiler() if kernel == "python" else contextlib.nullcontext():
+        updater = _updater(scan32, system32)
+    assert updater.kernel == kernel
     twin = SystemMatrix(system32.geometry, system32.matrix.copy())
     sv = SuperVoxelGrid(twin, 8).svs[0]
     x = np.full(32 * 32, 0.01)
     svb = sv.extract(updater.initial_error(x))
     with pytest.raises(ValueError, match="another system matrix"):
         run_sv_visit(
-            updater, sv, np.arange(sv.n_voxels), x, svb,
-            zero_skip=False, stale_width=2, kernel=kernel,
+            updater, sv, np.arange(sv.n_voxels), x, svb, zero_skip=False, stale_width=2
         )

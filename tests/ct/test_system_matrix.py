@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.core.kernels import load_c_kernel
+from repro.core.kernels import load_c_kernel, no_compiler
 from repro.ct import (
     ParallelBeamGeometry,
     SystemMatrix,
@@ -210,17 +210,9 @@ BATTERY = {
 }
 
 
-def _failed_library() -> kernels._CLibrary:
-    """A library whose build failed, as on a host without a compiler."""
-    failed = kernels._CLibrary()
-    failed.error = "OSError: off for the oracle"
-    return failed
-
-
 def _oracle_build(geometry, **kwargs) -> SystemMatrix:
     """``build_system_matrix`` on its NumPy loop: the library fails to load."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_C_LIBRARY", _failed_library())
+    with no_compiler():
         return build_system_matrix(geometry, **kwargs)
 
 

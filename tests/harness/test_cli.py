@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness import cli
 from repro.harness.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 
 
@@ -236,6 +237,27 @@ class TestServiceCommands:
         assert (tmp_path / "jobs" / "cli-job" / "result.npz").exists()
         report = json.loads((tmp_path / "service.json").read_text())
         assert report["counters"]["service.jobs_completed"] == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["serve", "queue"],
+        # perfbench's deployment, hidden --worker-model included.
+        ["serve-http", "--host", "127.0.0.1", "--port", "0", "--scan-root", "/data",
+         "--worker-model", "process", "--cache-dir", "/c", "--checkpoint-root", "/k"],
+    ],
+    ids=["serve", "serve-http"],
+)
+def test_both_servers_pass_the_shared_flags_to_the_service(command):
+    args = build_parser().parse_args([
+        *command, "--workers", "3", "--heartbeat-timeout", "1.5",
+        "--job-deadline", "60", "--job-ttl", "3600", "--max-queue-depth", "32",
+    ])
+    assert cli._service_kwargs(args) == dict(
+        n_workers=3, heartbeat_timeout_s=1.5, job_deadline_s=60.0,
+        job_ttl_s=3600.0, max_queue_depth=32,
+    )
 
 
 class TestHttpCommands:

@@ -37,7 +37,7 @@ REFUSED = [
     ({"max_equit": 2}, "max_equit"),
     ({"checkpoint_every": 2}, "checkpoint_every"),
     ({"golden": "x"}, "golden"),
-    ({"kernel": "vectorized"}, "kernel"),
+    ({"kernel": "c"}, "kernel"),  # no job chooses the kernel
     ({"max_equits": "3"}, "max_equits"),
 ]
 REFUSED_IDS = [name for _, name in REFUSED]
@@ -113,7 +113,7 @@ ACCEPTED = [
              "track_cost": False, "init": np.zeros((16, 16))}),  # a rows child
     ("icd", {"max_equits": 3.0, "seed": np.int64(1), "track_cost": False}),  # chaos
     ("icd", {"seed": 2}),  # loadgen
-    ("icd", {"kernel": None, "stop_delta_hu": None, "max_equits": np.float32(2.0),
+    ("icd", {"stop_delta_hu": None, "max_equits": np.float32(2.0),
              "track_cost": np.bool_(False)}),
     ("icd", {"init": [[0.0] * 16] * 16, "golden": [[1] * 16] * 16}),
     ("gpu_icd", {"sv_side": np.int64(4), "batch_size": 8, "use_threshold": False}),
@@ -170,17 +170,3 @@ def test_every_accepted_param_binds_to_the_driver(scan16, tmp_path, monkeypatch,
         gpu = forwarded.get("params", bound.get("params"))
         assert gpu == GPUICDParams()
 
-
-class TestCacheKey:
-    def test_kernel_never_reaches_the_key(self, scan16):
-        base = {"max_equits": 1.0, "seed": 5, "track_cost": False}
-        kernels = [{}, {"kernel": "auto"}, {"kernel": "python"}, {"kernel": "c"}]
-        with ReconstructionService(n_workers=1, start=False) as svc:
-            ids = [
-                svc.submit(JobSpec(driver="icd", scan=scan16, params={**base, **k}))
-                for k in kernels
-            ]
-            assert len({svc.job(i).cache_key for i in ids}) == 1
-            svc.start()
-            assert svc.drain(timeout=120)
-            assert svc.report()["counters"]["service.jobs_deduped"] == 3

@@ -213,7 +213,8 @@ class TestProgressStream:
 
 
 class TestCheckpointsLeaveWithTheJob:
-    """A DONE or CANCELLED job's checkpoints are deleted before it is filed."""
+    """A DONE or CANCELLED job's checkpoints are deleted before it is filed,
+    a FAILED job's when it is evicted, and an emptied job directory with them."""
 
     def test_a_reused_id_after_done_runs_fresh(self, scan16, tmp_path):
         """A new job under a finished job's id must not resume from the old
@@ -235,6 +236,7 @@ class TestCheckpointsLeaveWithTheJob:
         assert np.array_equal(image_y, fresh)
 
     def test_a_drain_leaves_only_failed_jobs_checkpoints(self, scan16, tmp_path):
+        """... and evicting every job then leaves the root empty."""
         root = tmp_path / "ckpts"
         with ReconstructionService(n_workers=1, max_restarts=0, checkpoint_root=root) as svc:
             svc.submit(icd_spec(scan16, equits=2.0, job_id="done"))
@@ -242,15 +244,60 @@ class TestCheckpointsLeaveWithTheJob:
                 icd_spec(scan16, equits=1e4, stop_delta_hu=None, job_id="cancelled"),
                 on_progress=lambda e: e.kind == "checkpoint" and svc.cancel("cancelled"),
             )
-            svc.submit(JobSpec(driver="icd", scan=scan16, job_id="failed",
-                               params={"max_equits": 4.0, "track_cost": False},
-                               fault={"kill_at_iteration": 2}))
+            svc.submit(_killed_at_iteration_2(scan16, "failed"))
             group = submit_volume(svc, [scan16, scan16], params={"max_equits": 1.0},
                                   group_id="vol")
             assert svc.drain(timeout=120)
             states = {j: svc.job(j).state for j in ("done", "cancelled", "failed", group)}
             with pytest.raises(JobFailedError):
                 svc.result("failed", timeout=0)
+            kept = {p.parent.parent.name for p in root.rglob("ckpt-*")}
+            job_dirs = {p.name for p in root.iterdir()}
+            evicted = svc.evict_terminal(older_than_s=0)
+            left = list(root.iterdir())
         assert states == {"done": JobState.DONE, "cancelled": JobState.CANCELLED,
                           "failed": JobState.FAILED, "vol": JobState.DONE}
-        assert {p.parent.parent.name for p in root.rglob("ckpt-*")} == {"failed"}
+        assert kept == {"failed"}
+        assert job_dirs == {"failed"}  # no empty directory of a finished job
+        assert len(evicted) == 6  # four jobs and the group's two children
+        assert left == []
+
+    def test_a_resubmission_racing_eviction_runs_fresh(self, scan16, tmp_path):
+        """An evicted FAILED job's checkpoints are deleted under the registry
+        lock: a resubmission of its id waits, then starts fresh, not from
+        them, and keeps its own files."""
+        with ReconstructionService(
+            n_workers=1, max_restarts=0, checkpoint_root=tmp_path / "ckpts"
+        ) as svc:
+            svc.submit(_killed_at_iteration_2(scan16, "f"))
+            assert svc.drain(timeout=120) and svc.job("f").state is JobState.FAILED
+            assert any(svc.scheduler.checkpoint_dir_for("f").glob("ckpt-*"))
+            resubmit = threading.Thread(
+                target=svc.submit, args=(icd_spec(scan16, equits=2.0, job_id="f"),)
+            )
+            discard = svc.scheduler.discard_checkpoints
+
+            def racing_discard(job_id):
+                del svc.scheduler.discard_checkpoints  # race the eviction only
+                resubmit.start()
+                resubmit.join(timeout=0.5)
+                assert resubmit.is_alive()  # waiting for the registry lock
+                discard(job_id)
+
+            svc.scheduler.discard_checkpoints = racing_discard
+            assert svc.evict_terminal(older_than_s=0) == ["f"]
+            resubmit.join(timeout=30)
+            assert not resubmit.is_alive()
+            image = svc.result("f", timeout=120).image
+            running = [e for e in svc.job("f").events if e.kind == "RUNNING"]
+        assert running[0].detail["resumed"] is False
+        fresh = run_job(icd_spec(scan16, equits=2.0), checkpoint_dir=tmp_path / "fresh")
+        assert np.array_equal(image, fresh.image)
+
+
+def _killed_at_iteration_2(scan, job_id):
+    """A job whose worker is SIGKILLed at iteration 2, after checkpointing:
+    FAILED, with its checkpoints kept, under ``max_restarts=0``."""
+    return JobSpec(driver="icd", scan=scan, job_id=job_id,
+                   params={"max_equits": 4.0, "track_cost": False},
+                   fault={"kill_at_iteration": 2})

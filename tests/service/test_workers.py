@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.kernels import load_c_kernel
+from repro.core.kernels import load_c_kernel, no_compiler
 from repro.service import (
     Job,
     JobCancelledError,
@@ -92,22 +92,20 @@ class TestProcessModel:
         assert not any(k.startswith("kernel.") for k in service_counters)
 
     @pytest.mark.skipif(load_c_kernel() is not None, reason="the c kernel does not build here")
-    def test_worker_runs_the_compiled_kernel_bit_identical(self, scan16, tmp_path):
-        """``auto`` runs ``c`` in the forked worker and matches the oracle."""
-        with ReconstructionService(n_workers=1) as svc:
-            job_id = svc.submit(icd_spec(scan16, equits=2.0))
-            result = svc.result(job_id, timeout=120)
-            counters = svc.job(job_id).metrics.counters
-        assert counters["kernel.c.updates"] > 0
-        oracle = run_job(
-            JobSpec(
-                driver="icd",
-                scan=scan16,
-                params={"max_equits": 2.0, "seed": 0, "track_cost": False, "kernel": "python"},
-            ),
-            checkpoint_dir=tmp_path / "oracle-ckpts",
-        )
-        assert np.array_equal(result.image, oracle.image)
+    def test_worker_runs_the_compiled_kernel_bit_identical(self, scan16):
+        """The forked worker runs ``c`` and matches a worker forked without a compiler."""
+
+        def served_image(kernel):
+            with ReconstructionService(n_workers=1) as svc:
+                job_id = svc.submit(icd_spec(scan16, equits=2.0))
+                result = svc.result(job_id, timeout=120)
+                assert svc.job(job_id).metrics.counters[f"kernel.{kernel}.updates"] > 0
+            return result.image
+
+        compiled = served_image("c")
+        with no_compiler():  # in place before the service forks its worker
+            oracle = served_image("python")
+        assert np.array_equal(compiled, oracle)
 
     def test_cancel_mid_run_stops_child_cooperatively(self, scan16):
         cancelled = threading.Event()

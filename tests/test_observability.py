@@ -26,6 +26,7 @@ from repro.core import (
     icd_reconstruct,
     psv_icd_reconstruct,
 )
+from repro.core.kernels import no_compiler
 from repro.gpusim import GPUTimingModel
 from repro.observability import (
     NULL_RECORDER,
@@ -246,10 +247,11 @@ class TestDriverMetricsContent:
 
     def test_sv_visit_counters_per_flavor(self, scan32, system32):
         rec = MetricsRecorder()
-        res = psv_icd_reconstruct(
-            scan32, system32, max_equits=1, seed=0, track_cost=False,
-            sv_side=8, n_cores=4, kernel="python", metrics=rec,
-        )
+        with no_compiler():
+            res = psv_icd_reconstruct(
+                scan32, system32, max_equits=1, seed=0, track_cost=False,
+                sv_side=8, n_cores=4, metrics=rec,
+            )
         assert rec.counters["kernel.python.sv_visits"] == len(
             [s for w in res.trace.waves for s in w.sv_stats]
         )
