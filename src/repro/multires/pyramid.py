@@ -4,27 +4,25 @@
 from a cold start, then each finer level seeded with the bilinear
 prolongation of the previous level's iterate.  The per-level work is done
 by the *existing* drivers (``icd`` / ``psv_icd`` / ``gpu_icd``), so every
-kernel flavor, checkpoint format, and sentinel works unchanged at every
+kernel flavor, checkpoint and sentinel works unchanged at every
 level — this module only restricts the data down
 (:mod:`repro.multires.resample`) and carries the iterate up.
 
-Checkpoint layout (all inside the one job checkpoint directory, so the
-service's "does this job have checkpoints?" glob keeps working):
+Checkpoint layout: every level checkpoints into the one job checkpoint
+directory through the caller's manager scoped to the level
+(:meth:`~repro.resilience.CheckpointManager.scoped`), as
+``ckpt-L<level>-<iteration>.ckpt``.  The prefix keeps each level to its
+own files (listed, loaded and rotated apart, still matching the service's
+``ckpt-*.ckpt`` glob), and ``meta["multires_level"]`` is stamped into
+every snapshot beside the manager's own meta.  One manager writes every
+level, so a service job's disk-fault degradation covers the pyramid.
 
-* ``ckpt-L<level>-<iteration>.ckpt`` — the inner driver's ordinary
-  checkpoints, written through the caller's manager scoped to the level
-  (:meth:`~repro.resilience.CheckpointManager.scoped`), which prefixes the
-  level so each level only sees (and rotates) its own files and stamps
-  ``meta["multires_level"]`` into every snapshot.  One manager writes every
-  level, so a service job's disk-fault degradation covers the pyramid;
-* ``level-L<level>-final.npz`` — the finished image of each completed
-  *coarse* level, persisted atomically.  A marker write that fails with
-  ``OSError`` is counted (``multires.marker_writes_failed``) and skipped.
-
-Resume therefore lands in the correct pyramid stage: completed levels are
-restored from their final images (never re-run), the interrupted level
-resumes bit-identically from its own latest checkpoint, and levels not yet
-started are seeded exactly as an uninterrupted run would seed them.
+Resume therefore lands in the correct pyramid stage with no other record:
+each level resumes from its own latest checkpoint.  A finished level
+stops before its first iteration, because the drivers ask the stop rule
+about the restored history first, and hands its image up as an
+uninterrupted run would; the interrupted level continues bit-identically;
+levels not yet started are seeded exactly as in an uninterrupted run.
 
 Equits accounting: a coarse sweep touches fewer voxels, so level equits
 are also reported as *effective* fine-level equits scaled by
@@ -38,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 import inspect
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -48,7 +45,6 @@ from repro.core.icd import icd_reconstruct
 from repro.core.psv_icd import psv_icd_reconstruct
 from repro.ct.sinogram import ScanData
 from repro.ct.system_matrix import SystemMatrix
-from repro.io import CorruptFileError, load_reconstruction, save_reconstruction
 from repro.multires.resample import coarse_system_for, prolong_image, restrict_scan
 from repro.observability import MetricsRecorder, as_recorder
 from repro.resilience import CheckpointManager
@@ -66,8 +62,6 @@ BASE_DRIVERS = {
     "psv_icd": psv_icd_reconstruct,
     "gpu_icd": gpu_icd_reconstruct,
 }
-
-_LEVEL_MARKER_FORMAT = "repro-multires-level-v1"
 
 
 def parse_levels(levels, geometry) -> tuple[int, ...]:
@@ -159,7 +153,7 @@ def _level_scope(manager: CheckpointManager, level: int) -> CheckpointManager:
 
 @dataclass(frozen=True)
 class LevelRun:
-    """What one pyramid level did (or was restored from)."""
+    """What one pyramid level did."""
 
     level: int
     size: int
@@ -168,7 +162,6 @@ class LevelRun:
     effective_equits: float  # scaled to the finest raster: equits * (size/n)^2
     iterations: int
     seeded: bool  # init came from a coarser level's prolonged iterate
-    from_marker: bool  # restored from a persisted level-final, not re-run
 
 
 @dataclass
@@ -185,24 +178,6 @@ class MultiresResult:
     def total_effective_equits(self) -> float:
         """All pyramid work expressed in finest-raster equits."""
         return float(sum(run.effective_equits for run in self.levels))
-
-
-def _marker_path(root: Path, level: int) -> Path:
-    return root / f"level-L{level:02d}-final.npz"
-
-
-def _load_marker(root: Path, level: int, size: int):
-    """A completed level's persisted image + stats, or None."""
-    path = _marker_path(root, level)
-    if not path.is_file():
-        return None
-    try:
-        image, _, metadata = load_reconstruction(path)
-    except (CorruptFileError, OSError):
-        return None  # torn marker: re-run the level (checkpoints may remain)
-    if metadata.get("format") != _LEVEL_MARKER_FORMAT or image.shape != (size, size):
-        return None
-    return image, metadata
 
 
 def _coarse_equits_per_level(coarse_equits, n_levels: int) -> list[float]:
@@ -240,7 +215,6 @@ def multires_reconstruct(
     checkpoint_every: int = 1,
     resume_from=None,
     sentinel=None,
-    level_systems: dict[int, SystemMatrix] | None = None,
     **base_kwargs,
 ) -> MultiresResult:
     """Hierarchical (coarse-to-fine) reconstruction.
@@ -268,13 +242,10 @@ def multires_reconstruct(
         by prolongation.
     checkpoint / resume_from:
         Same contract as the base drivers, with ``resume_from`` limited to
-        ``None`` or ``"latest"``: on resume, completed levels restore from
-        their persisted final images and the interrupted level continues
-        bit-identically from its own latest checkpoint.
-    level_systems:
-        Optional prebuilt ``{size: SystemMatrix}`` overrides; coarse
-        systems are otherwise built once per geometry through a
-        process-wide cache.
+        ``None`` or ``"latest"``: on resume, every level resumes from its
+        own latest checkpoint, so a completed level stops at once and the
+        interrupted one continues bit-identically.  Coarse systems are
+        built once per geometry through a process-wide cache.
     base_kwargs:
         Forwarded to the base driver (e.g. ``sv_side=``/``n_cores=`` for
         ``psv_icd``).  Unknown names raise ``TypeError`` up front rather
@@ -313,7 +284,6 @@ def multires_reconstruct(
         base = checkpoint
     else:
         base = CheckpointManager(checkpoint)
-    resuming = resume_from is not None and base is not None
 
     level_runs: list[LevelRun] = []
     x_seed: np.ndarray | None = None
@@ -323,34 +293,8 @@ def multires_reconstruct(
         is_final = k == len(sizes) - 1
         scale = (size / n) ** 2
 
-        if resuming and not is_final:
-            restored = _load_marker(base.directory, k, size)
-            if restored is not None:
-                image, meta = restored
-                equits = float(meta.get("equits", 0.0))
-                level_runs.append(
-                    LevelRun(
-                        level=k,
-                        size=size,
-                        factor=factor,
-                        equits=equits,
-                        effective_equits=equits * scale,
-                        iterations=int(meta.get("iterations", 0)),
-                        seeded=k > 0,
-                        from_marker=True,
-                    )
-                )
-                x_seed = image
-                rec.count("multires.levels_restored")
-                continue
-
         scan_k = scan if factor == 1 else restrict_scan(scan, factor)
-        if factor == 1:
-            system_k = system
-        elif level_systems is not None and size in level_systems:
-            system_k = level_systems[size]
-        else:
-            system_k = coarse_system_for(scan_k.geometry)
+        system_k = system if factor == 1 else coarse_system_for(scan_k.geometry)
         seeded = x_seed is not None
         init_k = prolong_image(x_seed, size) if seeded else init
         manager = _level_scope(base, k) if base is not None else None
@@ -369,7 +313,7 @@ def multires_reconstruct(
                 metrics=metrics,
                 checkpoint=manager,
                 checkpoint_every=checkpoint_every,
-                resume_from="latest" if (manager is not None and resuming) else None,
+                resume_from=resume_from if manager is not None else None,
                 sentinel=sentinel,
                 **base_kwargs,
             )
@@ -385,7 +329,6 @@ def multires_reconstruct(
                 effective_equits=equits * scale,
                 iterations=iterations,
                 seeded=seeded,
-                from_marker=False,
             )
         )
         rec.count("multires.levels_run")
@@ -393,26 +336,6 @@ def multires_reconstruct(
             final_result = result
         else:
             x_seed = np.asarray(result.image, dtype=np.float64)
-            if base is not None:
-                try:
-                    save_reconstruction(
-                        _marker_path(base.directory, k),
-                        x_seed,
-                        None,
-                        metadata={
-                            "format": _LEVEL_MARKER_FORMAT,
-                            "multires_level": k,
-                            "size": size,
-                            "factor": factor,
-                            "equits": equits,
-                            "iterations": iterations,
-                        },
-                    )
-                except OSError:
-                    # The marker only saves a resume this level's re-run,
-                    # as a torn marker does: a disk fault must not fail
-                    # the solve.
-                    rec.count("multires.marker_writes_failed")
 
     # Combined history: the finest level's records, re-based by the
     # effective cost of all coarse work so `history.equits` reads as total

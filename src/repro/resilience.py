@@ -59,6 +59,7 @@ from typing import Any
 
 import numpy as np
 
+from repro import io as repro_io
 from repro.core.convergence import IterationRecord, RunHistory
 from repro.io import CorruptFileError, atomic_write
 from repro.observability import as_recorder
@@ -252,8 +253,10 @@ class Checkpoint:
             raise CorruptCheckpointError(
                 f"{source}: checksum mismatch (truncated or corrupted)"
             )
+        # A serving process reads npz files from several threads: take
+        # repro.io's read lock, as its own readers do.
         try:
-            with np.load(_stdio.BytesIO(body), allow_pickle=False) as data:
+            with repro_io._read_lock, np.load(_stdio.BytesIO(body), allow_pickle=False) as data:
                 fmt = str(data["format"])
                 if fmt != _CKPT_FORMAT:
                     raise CorruptCheckpointError(
@@ -632,6 +635,9 @@ class ResilienceHooks:
         self.resume_from = resume_from
         self.sentinel = sentinel
         self.rec = as_recorder(metrics)
+        #: checkpoints carry only this run's counts, so runs sharing a
+        #: recorder (pyramid levels) each merge back their own on resume.
+        self._counted_before = dict(self.rec.counters) if self.rec.enabled else {}
         self.max_rollbacks = int(max_rollbacks)
         self.rollbacks = 0
 
@@ -693,8 +699,8 @@ class ResilienceHooks:
         Returns ``(x, e, rng, history, iteration, total_updates)``; the
         arrays are private copies, the RNG is positioned exactly where the
         checkpointed run left it, the selector's update-amount state is
-        restored in place, and the checkpointed counters are merged into
-        the recorder (so resumed runs report whole-run totals).
+        restored in place, and the run's checkpointed counters are merged
+        into the recorder (so resumed runs report whole-run totals).
         """
         x = np.array(ckpt.x, dtype=np.float64, copy=True)
         e = np.array(ckpt.e, dtype=np.float64, copy=True)
@@ -759,7 +765,12 @@ class ResilienceHooks:
 
     # -- internals ------------------------------------------------------
     def _build(self, iteration, total_updates, x, e, rng, history, selector) -> Checkpoint:
-        counters = dict(self.rec.counters) if self.rec.enabled else {}
+        before = self._counted_before
+        counters = {
+            name: n - before.get(name, 0)
+            for name, n in (dict(self.rec.counters) if self.rec.enabled else {}).items()
+            if n != before.get(name, 0)
+        }
         return Checkpoint(
             driver=self.driver,
             iteration=int(iteration),

@@ -55,11 +55,14 @@ kind            injection
 
 Campaign-level injections (seeded coin flips): a ``DELETE`` of the
 shard group right after its POST (CANCELLED or a DONE photo-finish are
-both legal); after the drain, TTL eviction via
-``evict_terminal(older_than_s=0)`` with HTTP 410 probes of an evicted job
-and of the evicted group; and a queue-close race — submissions fired
-concurrently with ``service.close()`` must either land or fail with the
-typed queue-closed/service-closed errors, never anything else.
+both legal); after the drain, a FAILED ``result_out`` job's id (else
+job 0's) resubmitted with a new seed, which must end DONE like a clean
+job (``reuse_failed``/``reuse_done`` in the kind counts), then TTL
+eviction via ``evict_terminal(older_than_s=0)`` with HTTP 410 probes of
+an evicted job and of the evicted group; and a queue-close race —
+submissions fired concurrently with ``service.close()`` must either land
+or fail with the typed queue-closed/service-closed errors, never
+anything else.
 
 ``python -m repro chaos --campaigns N --seed S`` runs N campaigns and
 exits non-zero on any violation; its ``--report-json`` carries each
@@ -187,6 +190,7 @@ class ChaosPlan:
     jobs: tuple[ChaosJob, ...]
     evict_after_drain: bool
     close_race_submissions: int
+    reuse: ChaosJob
     cancel_group: bool = False
 
     @classmethod
@@ -236,15 +240,31 @@ class ChaosPlan:
                     via_http=kind in ("none", "dup"),
                 )
             )
-        # Keyword arguments evaluate in order: the group's coin is drawn
-        # after every older draw, so a seed keeps its job plan.
+        # Keyword arguments evaluate in order: the group's coin and the
+        # reused id are drawn after every older draw, so a seed keeps its
+        # job plan.
         return cls(
             seed=seed,
             jobs=tuple(jobs),
             evict_after_drain=rng.random() < 0.5,
             close_race_submissions=rng.choice((0, 2, 3)),
             cancel_group=rng.random() < 0.5,
+            reuse=_plan_reuse(rng, jobs),
         )
+
+
+def _plan_reuse(rng: random.Random, jobs: list[ChaosJob]) -> ChaosJob:
+    """A clean resubmission of a FAILED ``result_out`` job's id (else job
+    0's) under a seed no other job has, so it runs."""
+    failed = [job for job in jobs if job.kind == "result_out"]
+    target = rng.choice(failed) if failed else jobs[0]
+    return ChaosJob(
+        index=len(jobs),
+        job_id=target.job_id,
+        kind="reuse_failed" if failed else "reuse_done",
+        params={**target.params, "seed": 200 + target.index},
+        via_http=True,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +335,7 @@ def run_campaign(
     errors inside the harness itself do propagate.
     """
     res = CampaignResult(seed=plan.seed, n_jobs=len(plan.jobs))
-    for planned in plan.jobs:
+    for planned in (*plan.jobs, plan.reuse):
         res.kind_counts[planned.kind] = res.kind_counts.get(planned.kind, 0) + 1
     started = time.monotonic()
     tmp = None
@@ -341,6 +361,19 @@ def run_campaign(
         if code >= 500:
             violate(f"gateway answered {code} on {method} {path}: {payload[:120]!r}")
         return code, payload
+
+    def submit(planned: ChaosJob, on_progress=None) -> bool:
+        if not planned.via_http:
+            fault = dict(planned.fault) if planned.fault else None
+            service.submit(JobSpec(driver="icd", scan=scan, params=dict(planned.params),
+                                   job_id=planned.job_id, fault=fault), on_progress=on_progress)
+            return True
+        body = {"driver": "icd", "scan": "scan.npz", "params": planned.params,
+                "job_id": planned.job_id}
+        code = checked_http("POST", "/jobs", body)[0]
+        if code != 201:
+            violate(f"{planned.job_id} ({planned.kind}): HTTP submit -> {code}")
+        return code == 201
 
     service = ReconstructionService(
         n_workers=2,
@@ -375,31 +408,8 @@ def run_campaign(
                     if event.kind == "iteration" and event.iteration >= 2:
                         disarm_disk_fault(_dir)
 
-            if planned.via_http:
-                code, payload = checked_http(
-                    "POST",
-                    "/jobs",
-                    {
-                        "driver": "icd",
-                        "scan": "scan.npz",
-                        "params": planned.params,
-                        "job_id": planned.job_id,
-                    },
-                )
-                if code != 201:
-                    violate(
-                        f"{planned.job_id} ({planned.kind}): HTTP submit -> {code}"
-                    )
-                    continue
-            else:
-                spec = JobSpec(
-                    driver="icd",
-                    scan=scan,
-                    params=dict(planned.params),
-                    job_id=planned.job_id,
-                    fault=dict(planned.fault) if planned.fault else None,
-                )
-                service.submit(spec, on_progress=on_progress)
+            if not submit(planned, on_progress):
+                continue
             if planned.kind == "cancel":
                 service.cancel(planned.job_id)
 
@@ -416,49 +426,16 @@ def run_campaign(
 
         # -- per-job invariants ----------------------------------------
         for planned in plan.jobs:
-            job = service.job(planned.job_id)
-            res.job_states[planned.job_id] = job.state.value
-            label = f"{planned.job_id} ({planned.kind})"
-            if not job.terminal:
-                violate(f"{label}: not terminal after drain ({job.state.value})")
-                continue
-            terminal_events = [e for e in job.events if e.kind in _TERMINAL_KINDS]
-            if len(terminal_events) != 1:
-                violate(
-                    f"{label}: {len(terminal_events)} terminal events "
-                    f"({[e.kind for e in terminal_events]})"
-                )
-            event_kinds = {e.kind for e in job.events}
-            if planned.kind == "result_out":
-                if job.state is not JobState.FAILED:
-                    violate(f"{label}: expected FAILED, got {job.state.value}")
-                elif "ResultPersistError" not in (job.error or ""):
-                    violate(f"{label}: FAILED without typed error: {job.error!r}")
-                continue
-            if planned.kind == "cancel":
-                if job.state not in (JobState.CANCELLED, JobState.DONE):
-                    violate(f"{label}: expected CANCELLED/DONE, got {job.state.value}")
-            elif job.state is not JobState.DONE:
-                violate(
-                    f"{label}: expected DONE, got {job.state.value} ({job.error!r})"
-                )
-            if planned.kind == "kill" and "WORKER_CRASHED" not in event_kinds:
-                violate(f"{label}: SIGKILL left no WORKER_CRASHED event")
-            if planned.kind == "hang":
-                hung = [e for e in job.events if e.kind == "WORKER_HUNG"]
-                if not hung:
-                    violate(f"{label}: SIGSTOP left no WORKER_HUNG event")
-                elif hung[0].detail.get("reason") != "heartbeat_timeout":
-                    violate(f"{label}: WORKER_HUNG reason {hung[0].detail!r}")
-            if planned.kind == "ckpt_fault" and "CHECKPOINT_DEGRADED" not in event_kinds:
-                violate(f"{label}: disk fault left no CHECKPOINT_DEGRADED event")
-            if job.state is JobState.DONE and job.result is not None:
-                reference = _reference_image(planned.params)
-                if not np.array_equal(np.asarray(job.result.image), reference):
-                    violate(f"{label}: DONE image not bit-identical to reference")
+            res.job_states[planned.job_id] = _check_job(service, planned, violate)
 
         if group_submitted:
             _check_group(service, group_id, plan.cancel_group, res, violate)
+
+        # -- a reused id: a terminal job's id, a new seed ----------------
+        disarm_disk_fault(ckpt_root / plan.reuse.job_id)  # a result_out job's
+        if submit(plan.reuse):
+            service.drain(timeout=drain_timeout_s)
+            _check_job(service, plan.reuse, violate)
 
         if cache_faulted and service.cache.disk_write_failures < 1:
             violate("cache_fault campaign recorded no cache disk_write_failures")
@@ -551,6 +528,45 @@ def run_campaign(
             tmp.cleanup()
     res.duration_s = time.monotonic() - started
     return res
+
+
+def _check_job(service, planned: ChaosJob, violate) -> str:
+    """The invariants of the job now holding ``planned``'s id; returns its state."""
+    job = service.job(planned.job_id)
+    label = f"{planned.job_id} ({planned.kind})"
+    if not job.terminal:
+        violate(f"{label}: not terminal after drain ({job.state.value})")
+        return job.state.value
+    terminal_events = [e for e in job.events if e.kind in _TERMINAL_KINDS]
+    if len(terminal_events) != 1:
+        violate(f"{label}: terminal events {[e.kind for e in terminal_events]}")
+    event_kinds = {e.kind for e in job.events}
+    if planned.kind == "result_out":
+        if job.state is not JobState.FAILED:
+            violate(f"{label}: expected FAILED, got {job.state.value}")
+        elif "ResultPersistError" not in (job.error or ""):
+            violate(f"{label}: FAILED without typed error: {job.error!r}")
+        return job.state.value
+    if planned.kind == "cancel":
+        if job.state not in (JobState.CANCELLED, JobState.DONE):
+            violate(f"{label}: expected CANCELLED/DONE, got {job.state.value}")
+    elif job.state is not JobState.DONE:
+        violate(f"{label}: expected DONE, got {job.state.value} ({job.error!r})")
+    if planned.kind == "kill" and "WORKER_CRASHED" not in event_kinds:
+        violate(f"{label}: SIGKILL left no WORKER_CRASHED event")
+    if planned.kind == "hang":
+        hung = [e for e in job.events if e.kind == "WORKER_HUNG"]
+        if not hung:
+            violate(f"{label}: SIGSTOP left no WORKER_HUNG event")
+        elif hung[0].detail.get("reason") != "heartbeat_timeout":
+            violate(f"{label}: WORKER_HUNG reason {hung[0].detail!r}")
+    if planned.kind == "ckpt_fault" and "CHECKPOINT_DEGRADED" not in event_kinds:
+        violate(f"{label}: disk fault left no CHECKPOINT_DEGRADED event")
+    if job.state is JobState.DONE and job.result is not None:
+        reference = _reference_image(planned.params)
+        if not np.array_equal(np.asarray(job.result.image), reference):
+            violate(f"{label}: DONE image not bit-identical to reference")
+    return job.state.value
 
 
 def _check_group(service, group_id, cancelled, res, violate) -> None:

@@ -14,9 +14,9 @@ What a failed write costs is decided per file (DESIGN.md §16):
   terminal: it is the job's one irreplaceable artifact, so a persistent
   failure becomes a :class:`~repro.service.jobs.ResultPersistError`
   verdict with the errno;
-* the cache's disk tier, the intake's ``status.json`` and ``result.npz``,
-  the level marker and the verdict file are counted or suppressed by
-  their callers and retried by their next natural occasion.
+* the cache's disk tier, the intake's ``status.json`` and ``result.npz``
+  and the verdict file are counted or suppressed by their callers and
+  retried by their next natural occasion.
 """
 
 from __future__ import annotations

@@ -17,7 +17,10 @@ One contract and one function turn a spec into a driver call:
   :class:`~repro.resilience.CheckpointManager` and
   ``resume_from="latest"`` — a fresh job finds no checkpoint and starts
   clean, a job whose previous worker was killed resumes bit-identically
-  from its last snapshot instead of recomputing from scratch;
+  from its last snapshot instead of recomputing from scratch.  Every
+  snapshot carries the job's cache key (:func:`job_key`) in its ``meta``,
+  so the scheduler can tell a job's own checkpoints from those another
+  spec left under a reused id;
 * spec params naming :class:`GPUICDParams` fields fold into the
   ``params=`` object ``gpu_icd`` expects, under ``multires`` too;
 * the test-only ``fault`` hook arms an
@@ -49,6 +52,7 @@ from repro.ct.system_matrix import (
 )
 from repro.multires.pyramid import BASE_DRIVERS, multires_reconstruct
 from repro.resilience import FaultInjector, IntegritySentinel
+from repro.service.cache import cache_key
 from repro.service.faults import DegradingCheckpointManager
 from repro.service.jobs import JobSpec
 
@@ -57,6 +61,7 @@ __all__ = [
     "system_for",
     "clear_system_cache",
     "job_params",
+    "job_key",
     "run_job",
 ]
 
@@ -76,7 +81,7 @@ _DRIVER_FNS = {
 #: Driver kwargs :func:`run_job` passes itself; a job may not name them.
 _SERVICE_KWARGS = frozenset("metrics checkpoint checkpoint_every resume_from sentinel".split())
 #: Driver kwargs that take objects a JSON job cannot carry.
-_OBJECT_KWARGS = frozenset("prior grid neighborhood level_systems params".split())
+_OBJECT_KWARGS = frozenset("prior grid neighborhood params".split())
 #: The names a string-valued param may take.
 _CHOICES = {"init": ("fbp", "zero")}
 
@@ -166,6 +171,11 @@ def job_params(driver: str, params: dict[str, Any]) -> dict[str, Any]:
     return resolved
 
 
+def job_key(spec: JobSpec) -> str:
+    """The result-cache key of ``spec``: its driver, scan and resolved params."""
+    return cache_key(spec.driver, spec.scan, job_params(spec.driver, spec.params))
+
+
 def fault_sentinel(fault: dict[str, Any] | None) -> IntegritySentinel | None:
     """Build the kill-drill sentinel for a spec's ``fault`` hook, if any.
 
@@ -205,9 +215,11 @@ def run_job(
 
     The driver runs with :func:`job_params`' result: a spec without a
     ``stop_delta_hu`` param runs with :data:`DEFAULT_STOP_DELTA_HU`; the
-    spec's own value, ``None`` included, always wins.
+    spec's own value, ``None`` included, always wins.  Every checkpoint
+    records the job's cache key as ``meta["cache_key"]``.
     """
     kwargs = job_params(spec.driver, spec.params)
+    key = cache_key(spec.driver, spec.scan, kwargs)
     if kwargs.get("base_driver", spec.driver) == "gpu_icd":
         fields = {k: kwargs.pop(k) for k in _keywords(GPUICDParams) if k in kwargs}
         if fields:
@@ -219,6 +231,7 @@ def run_job(
     # checkpointing (CHECKPOINT_DEGRADED on the job, one probe per save)
     # instead of failing an otherwise-healthy reconstruction.
     manager = DegradingCheckpointManager(checkpoint_dir, recorder=metrics)
+    manager.meta["cache_key"] = key
     first_life = not manager.paths()
     sentinel = fault_sentinel(spec.fault) if first_life else None
 

@@ -4,19 +4,22 @@ Each supervisor thread loops: take the highest-priority pending job, then
 
 1. honour a cancel that arrived while the job was queued (PENDING →
    CANCELLED without running anything);
-2. consult the :class:`~repro.service.cache.ResultCache` — a duplicate of
+2. delete checkpoints a FAILED job of another spec left under a reused
+   id: unless the newest valid one carries the job's cache key (``run_job``
+   stamps it), the job goes on as a fresh one;
+3. consult the :class:`~repro.service.cache.ResultCache` — a duplicate of
    an already-finished reconstruction is served the cached volume (PENDING
    → DONE, ``from_cache=True``) without recomputation.  The check is
    *skipped* when the job already has checkpoints on disk: a mid-flight
    job whose worker died must resume, not be short-circuited by a result
    some other submission produced;
-3. run the job in a worker *subprocess* (:mod:`repro.service.worker`)
+4. run the job in a worker *subprocess* (:mod:`repro.service.worker`)
    with a per-job checkpoint directory (``<root>/<job_id>/checkpoints``)
    and ``resume_from="latest"``.  Progress and cancel are relayed over a
    pipe / shared flag, the result comes back as the repo's npz container,
    and a crashed (SIGKILL'd) subprocess is respawned to resume
    bit-identically from the job's newest checkpoint;
-4. file the outcome: DONE (result stored in the cache), CANCELLED (the
+5. file the outcome: DONE (result stored in the cache), CANCELLED (the
    cooperative :class:`JobCancelledError` surfaced at an iteration
    boundary), or FAILED (the exception message lands in ``job.error``).
    A DONE or CANCELLED job's checkpoint directory is deleted just before
@@ -46,6 +49,7 @@ from typing import Callable
 
 from repro.core.kernels import load_c_kernel
 from repro.observability import MetricsRecorder, as_recorder
+from repro.resilience import CheckpointManager
 from repro.service.cache import ResultCache
 from repro.service.jobs import (
     Job,
@@ -270,6 +274,23 @@ class Scheduler:
         except OSError:  # not empty, or never made
             pass
 
+    def _keep_own_checkpoints(self, job: Job, ckpt_dir: Path) -> bool:
+        """Whether ``ckpt_dir`` holds checkpoints of ``job``'s spec; if its
+        newest valid checkpoint carries another ``meta["cache_key"]``, or
+        none, its ``ckpt-*.ckpt`` files (only those) are deleted and counted
+        in ``service.checkpoints_discarded``."""
+        manager = CheckpointManager(ckpt_dir)
+        paths = manager.paths()
+        if not paths:
+            return False
+        newest = manager.load_latest()
+        if newest is not None and newest.meta.get("cache_key") == job.cache_key:
+            return True
+        for path in paths:
+            path.unlink(missing_ok=True)
+        self._count("service.checkpoints_discarded")
+        return False
+
     def _file_terminal(self, job: Job, state: JobState, **detail) -> bool:
         """Transition ``job`` terminal, tolerating a lost race.
 
@@ -321,7 +342,7 @@ class Scheduler:
             return
 
         ckpt_dir = self.checkpoint_dir_for(job.job_id)
-        has_checkpoints = any(ckpt_dir.glob("ckpt-*.ckpt"))
+        has_checkpoints = self._keep_own_checkpoints(job, ckpt_dir)
 
         if job.cache_key is not None and not has_checkpoints:
             entry = self.cache.get(job.cache_key)
@@ -384,13 +405,14 @@ class Scheduler:
                 )
             )
 
-    def _consume_verdict(self, ckpt_dir: Path) -> tuple | None:
-        """Read and clear a child-persisted fallback verdict, if any.
+    def _consume_verdict(self, job: Job, ckpt_dir: Path) -> tuple | None:
+        """Read and clear a child-persisted fallback verdict of ``job``, if any.
 
         A worker whose pipe tore at the end writes ``verdict.json`` next
         to its result container; consuming it before (re)spawning keeps a
-        finished job from being re-run.  An unreadable file is dropped —
-        the crash path (resume from checkpoints) is always safe.
+        finished job from being re-run.  An unreadable file, or one that
+        names another job's cache key, is dropped with the container — the
+        crash path (resume from checkpoints) is always safe.
         """
         path = worker_verdict_path(ckpt_dir)
         try:
@@ -398,12 +420,13 @@ class Scheduler:
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
-            path.unlink(missing_ok=True)
-            return None
+            doc = None
         path.unlink(missing_ok=True)
-        if isinstance(doc, dict) and isinstance(doc.get("kind"), str):
+        ours = isinstance(doc, dict) and doc.get("cache_key") == job.cache_key
+        if ours and isinstance(doc.get("kind"), str):
             self._count("service.worker_verdict_files")
             return (doc["kind"], doc.get("payload"))
+        worker_result_path(ckpt_dir).unlink(missing_ok=True)
         return None
 
     def _supervise(self, job: Job, ckpt_dir: Path):
@@ -451,7 +474,7 @@ class Scheduler:
         while True:
             # A previous life may have finished but lost its pipe: its
             # persisted verdict stands in for the send.
-            verdict = self._consume_verdict(ckpt_dir)
+            verdict = self._consume_verdict(job, ckpt_dir)
             hung_reason = None
             exitcode = None
             if verdict is None:
@@ -524,7 +547,7 @@ class Scheduler:
                 if verdict is None and hung_reason is None:
                     # The child may have finished but lost the pipe race:
                     # check for a persisted verdict before calling it a crash.
-                    verdict = self._consume_verdict(ckpt_dir)
+                    verdict = self._consume_verdict(job, ckpt_dir)
 
             if verdict is not None:
                 kind, payload = verdict

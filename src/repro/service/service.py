@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.observability import MetricsRecorder
-from repro.service.cache import ResultCache, cache_key
+from repro.service.cache import ResultCache
 from repro.service.jobs import (
     EvictedJobError,
     Job,
@@ -43,7 +43,7 @@ from repro.service.jobs import (
 from repro.service.progress import ProgressEvent
 from repro.service.queue import JobQueue
 from repro.service.reaper import JobReaper
-from repro.service.runner import job_params
+from repro.service.runner import job_key
 from repro.service.scheduler import Scheduler
 
 __all__ = ["ReconstructionService"]
@@ -206,16 +206,10 @@ class ReconstructionService:
         :class:`~repro.service.queue.AdmissionError` when the pending
         queue is at capacity (the job is *not* registered either way).
         """
-        params = job_params(spec.driver, spec.params)
         job_id = spec.job_id if spec.job_id is not None else uuid.uuid4().hex[:12]
         # The key covers everything that determines iterates: the spec,
         # plus the defaults run_job resolves for what it omits.
-        job = Job(
-            job_id,
-            spec,
-            cache_key=cache_key(spec.driver, spec.scan, params),
-            clock=self.clock,
-        )
+        job = Job(job_id, spec, cache_key=job_key(spec), clock=self.clock)
         self.register(job, enqueue=True)
         if on_progress is not None:
             self._subscribers[job_id] = on_progress

@@ -37,10 +37,11 @@ is deliberately tiny:
   exactly like the service-restart kill drill, except the service never
   went down;
 * **a lost pipe is not a lost verdict**: if the verdict send fails after
-  one retry, the child persists it as ``verdict.json`` next to the result
-  container (best-effort: a disk fault there drops it).  The parent
-  consumes the file before (re)spawning, so a finished job is never
-  re-run just because its pipe tore at the end;
+  one retry, the child persists it, with the job's cache key, as
+  ``verdict.json`` next to the result container (best-effort: a disk
+  fault there drops it).  The parent consumes the file before
+  (re)spawning, so a finished job is never re-run just because its pipe
+  tore at the end, and drops a verdict of another spec's job;
 * **an orphan stops**: a child whose parent died (``os.getppid()``
   changed) stops sending, leaves the driver loop at the next iteration
   boundary, and returns with no verdict and no verdict file.  Its
@@ -210,31 +211,19 @@ def _heartbeat_loop(recorder: _RelayRecorder, stop: threading.Event, interval_s:
             return
 
 
-def _persist_verdict(checkpoint_dir: str, kind: str, payload) -> None:
+def _persist_verdict(checkpoint_dir: str, kind: str, payload, key: str) -> None:
     """Write the fallback verdict file atomically; best-effort.
 
-    Called only after the pipe is torn, so there is nobody to tell about a
-    failure here — the parent will classify a missing file as a crash and
-    resume from checkpoints, which is safe (just slower) even for a
-    finished job.
+    ``key`` is the job's cache key, which the parent checks.  Called only
+    after the pipe is torn, so there is nobody to tell about a failure
+    here — the parent will classify a missing file as a crash and resume
+    from checkpoints, which is safe (just slower) even for a finished job.
     """
     with contextlib.suppress(OSError):
         atomic_write(
             worker_verdict_path(checkpoint_dir),
-            json.dumps({"kind": kind, "payload": payload}).encode(),
+            json.dumps({"kind": kind, "payload": payload, "cache_key": key}).encode(),
         )
-
-
-def _deliver_verdict(
-    recorder: _RelayRecorder, checkpoint_dir: str, kind: str, payload
-) -> None:
-    """Send the verdict over the pipe, falling back to the verdict file.
-
-    An orphan delivers nothing: a persisted cancelled or failed verdict
-    would end the job in the next service life, which should resume it.
-    """
-    if not recorder.send((kind, payload), retries=1) and not recorder.orphaned:
-        _persist_verdict(checkpoint_dir, kind, payload)
 
 
 def _save_result(result_path: Path, result, spec: JobSpec) -> None:
@@ -279,11 +268,19 @@ def process_worker_main(
     inherits; it is closed here so that the child never holds its own
     pipe open.
     """
-    from repro.service.runner import run_job  # deferred: keep fork startup lean
+    from repro.service.runner import job_key, run_job  # deferred: keep fork startup lean
 
     if parent_end is not None:
         parent_end.close()
     recorder = _RelayRecorder(conn, cancel_event)
+
+    def deliver(kind: str, payload) -> None:
+        # Over the pipe, else to the verdict file.  An orphan delivers
+        # nothing: a persisted cancelled or failed verdict would end the
+        # job in the next service life, which should resume it.
+        if not recorder.send((kind, payload), retries=1) and not recorder.orphaned:
+            _persist_verdict(checkpoint_dir, kind, payload, job_key(spec))
+
     hb_stop = threading.Event()
     hb_thread = None
     if heartbeat_interval_s is not None and heartbeat_interval_s > 0:
@@ -305,12 +302,10 @@ def process_worker_main(
         except _Orphaned:
             return  # nobody to tell; the next service life resumes the job
         except JobCancelledError as exc:
-            _deliver_verdict(recorder, checkpoint_dir, "cancelled", str(exc))
+            deliver("cancelled", str(exc))
             return
         except BaseException as exc:  # the verdict IS the error channel
-            _deliver_verdict(
-                recorder, checkpoint_dir, "failed", f"{type(exc).__name__}: {exc}"
-            )
+            deliver("failed", f"{type(exc).__name__}: {exc}")
             return
         try:
             _save_result(worker_result_path(checkpoint_dir), result, spec)
@@ -318,24 +313,14 @@ def process_worker_main(
             # The terminal disk fault: the result is irreplaceable, so a
             # persistently unwritable container fails the job with the
             # errno in the detail (the parent raises the typed error).
-            _deliver_verdict(
-                recorder,
-                checkpoint_dir,
-                "failed",
-                f"ResultPersistError[errno={exc.errno}]: {exc}",
-            )
+            deliver("failed", f"ResultPersistError[errno={exc.errno}]: {exc}")
             return
         except BaseException as exc:
             # A non-disk save failure must still be a FAILED verdict, not a
             # silent clean exit.
-            _deliver_verdict(
-                recorder,
-                checkpoint_dir,
-                "failed",
-                f"result save failed: {type(exc).__name__}: {exc}",
-            )
+            deliver("failed", f"result save failed: {type(exc).__name__}: {exc}")
             return
-        _deliver_verdict(recorder, checkpoint_dir, "done", dict(recorder.counters))
+        deliver("done", dict(recorder.counters))
     finally:
         hb_stop.set()
         if hb_thread is not None:

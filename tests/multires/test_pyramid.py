@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -15,11 +16,13 @@ import pytest
 from repro.core.icd import icd_reconstruct
 from repro.ct import build_system_matrix, scaled_geometry, shepp_logan, simulate_scan
 from repro.multires.pyramid import (
+    BASE_DRIVERS,
     _level_scope,
     multires_reconstruct,
     parse_levels,
 )
-from repro.resilience import Checkpoint, CheckpointManager
+from repro.observability import MetricsRecorder
+from repro.resilience import Checkpoint, CheckpointManager, FaultInjector
 
 
 class TestParseLevels:
@@ -135,18 +138,34 @@ class TestMultiresReconstruct:
             )
 
 
+def _iterations_by_level(rec):
+    """``{level: [iteration indexes]}`` of the ``iteration`` spans a
+    pyramid run recorded under each ``multires_level`` span."""
+    return {
+        root.meta["level"]: [c.meta["index"] for c in root.children if c.name == "iteration"]
+        for root in rec.roots
+        if root.name == "multires_level"
+    }
+
+
+def _assert_same_run(a, b):
+    np.testing.assert_array_equal(a.image, b.image)
+    np.testing.assert_array_equal(a.error_sinogram, b.error_sinogram)
+    assert a.history.records == b.history.records
+    assert a.history.stop_reason == b.history.stop_reason
+    assert a.levels == b.levels
+
+
 class TestLevelCheckpoints:
-    def test_level_scoped_files_and_markers(self, mr_scan, mr_system, tmp_path):
+    def test_only_level_checkpoints_are_written(self, mr_scan, mr_system, tmp_path):
         multires_reconstruct(
             mr_scan, mr_system, levels=[16, 32], coarse_equits=2.0,
             max_equits=2.0, seed=0, track_cost=False, checkpoint=tmp_path,
         )
         names = sorted(p.name for p in tmp_path.iterdir())
+        assert all(re.fullmatch(r"ckpt-L0[01]-\d{8}\.ckpt", n) for n in names), names
         assert any(n.startswith("ckpt-L00-") for n in names)
         assert any(n.startswith("ckpt-L01-") for n in names)
-        assert "level-L00-final.npz" in names
-        # Level files still match the service liveness glob.
-        assert list(tmp_path.glob("ckpt-*.ckpt"))
 
     def test_manager_isolation_between_levels(self, tmp_path):
         from repro.core.convergence import RunHistory
@@ -185,25 +204,39 @@ class TestLevelCheckpoints:
     def test_resume_after_completion_is_bit_identical(
         self, mr_scan, mr_system, tmp_path
     ):
-        kwargs = dict(levels=[16, 32], coarse_equits=1.0, max_equits=2.0,
-                      seed=0, track_cost=False, checkpoint=tmp_path)
-        first = multires_reconstruct(mr_scan, mr_system, **kwargs)
-        resumed = multires_reconstruct(
-            mr_scan, mr_system, resume_from="latest", **kwargs
-        )
-        np.testing.assert_array_equal(first.image, resumed.image)
-        assert resumed.levels[0].from_marker
+        """Every level resumes from its final checkpoint and stops at once:
+        no iteration runs, and counters stay whole-run totals."""
+        for base_driver in BASE_DRIVERS:
+            kwargs = dict(levels=[16, 32], coarse_equits=1.0, max_equits=2.0,
+                          seed=0, base_driver=base_driver,
+                          checkpoint=tmp_path / base_driver)
+            rec_first, rec_resumed = MetricsRecorder(), MetricsRecorder()
+            first = multires_reconstruct(mr_scan, mr_system, metrics=rec_first, **kwargs)
+            resumed = multires_reconstruct(
+                mr_scan, mr_system, resume_from="latest", metrics=rec_resumed, **kwargs
+            )
+            _assert_same_run(first, resumed)
+            assert _iterations_by_level(rec_resumed) == {0: [], 1: []}, base_driver
+            assert rec_resumed.counters["checkpoint.resumes"] == 2
+            for name, n in rec_first.counters.items():
+                if name.startswith(("kernel.", "multires.")):
+                    assert rec_resumed.counters[name] == n, (base_driver, name)
 
-    def test_corrupt_marker_reruns_level(self, mr_scan, mr_system, tmp_path):
-        kwargs = dict(levels=[16, 32], coarse_equits=1.0, max_equits=2.0,
-                      seed=0, track_cost=False, checkpoint=tmp_path)
+    def test_torn_level_checkpoint_falls_back(self, mr_scan, mr_system, tmp_path):
+        kwargs = dict(levels=[16, 32], coarse_equits=2.0, max_equits=2.0,
+                      seed=0, checkpoint=tmp_path)
         first = multires_reconstruct(mr_scan, mr_system, **kwargs)
-        (tmp_path / "level-L00-final.npz").write_bytes(b"torn")
+        level0 = _level_scope(CheckpointManager(tmp_path), 0).paths()
+        assert len(level0) >= 2
+        FaultInjector.truncate_file(level0[-1])
+        rec = MetricsRecorder()
         resumed = multires_reconstruct(
-            mr_scan, mr_system, resume_from="latest", **kwargs
+            mr_scan, mr_system, resume_from="latest", metrics=rec, **kwargs
         )
-        assert not resumed.levels[0].from_marker
-        np.testing.assert_array_equal(first.image, resumed.image)
+        _assert_same_run(first, resumed)
+        # Level 0 replays only its last iteration, from the previous file.
+        last = first.levels[0].iterations
+        assert _iterations_by_level(rec) == {0: [last], 1: []}
 
 
 # ----------------------------------------------------------------------
@@ -258,25 +291,37 @@ def test_sigkill_mid_fine_level_resumes_at_level_one(
         f"child should die by SIGKILL, got rc={returncode}\n{stdout}\n{stderr}"
     )
 
-    # The kill landed mid-level-1: the coarse level's final image was
-    # persisted, and only fine-level checkpoints beyond it exist.
-    assert (ckpt_dir / "level-L00-final.npz").is_file()
+    # The kill landed mid-level-1: both levels left checkpoints, and
+    # nothing else.
+    assert list(ckpt_dir.glob("ckpt-L00-*.ckpt"))
     assert list(ckpt_dir.glob("ckpt-L01-*.ckpt"))
+    assert {p.name[:8] for p in ckpt_dir.iterdir()} == {"ckpt-L00", "ckpt-L01"}
 
+    kwargs = dict(levels=[16, 32], coarse_equits=2.0, max_equits=8.0, seed=0,
+                  track_cost=False)
+    rec = MetricsRecorder()
     resumed = multires_reconstruct(
-        mr_scan, mr_system, levels=[16, 32], coarse_equits=2.0, max_equits=8.0,
-        seed=0, track_cost=False, checkpoint=ckpt_dir, resume_from="latest",
+        mr_scan, mr_system, checkpoint=ckpt_dir, resume_from="latest",
+        metrics=rec, **kwargs,
     )
-    # Resume landed in the correct pyramid stage: the coarse level was
-    # restored from its marker, never re-run.
-    assert resumed.levels[0].from_marker
-    assert not resumed.levels[1].from_marker
+    # Resume landed in the correct pyramid stage: the coarse level resumed
+    # from its final checkpoint and ran no iteration; the fine level
+    # re-ran iteration 4, whose kill came before its checkpoint.
+    iterations = _iterations_by_level(rec)
+    assert iterations[0] == []
+    assert iterations[1][0] == 4
+    assert rec.counters["checkpoint.resumes"] == 2
 
-    reference = multires_reconstruct(
-        mr_scan, mr_system, levels=[16, 32], coarse_equits=2.0, max_equits=8.0,
-        seed=0, track_cost=False,
-    )
+    reference = multires_reconstruct(mr_scan, mr_system, **kwargs)
     np.testing.assert_array_equal(resumed.image, reference.image)
+    np.testing.assert_array_equal(resumed.error_sinogram, reference.error_sinogram)
+    assert [r.iteration for r in resumed.history.records] == [
+        r.iteration for r in reference.history.records
+    ]
+    assert [r.equits for r in resumed.history.records] == [
+        r.equits for r in reference.history.records
+    ]
+    assert resumed.levels == reference.levels
 
 
 # ----------------------------------------------------------------------

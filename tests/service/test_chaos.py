@@ -41,13 +41,28 @@ class TestChaosPlan:
                 if job.kind in ("kill", "hang", "ckpt_fault", "result_out"):
                     assert job.params["seed"] >= 100
 
+    def test_reuse_takes_a_failed_id_when_the_plan_has_one(self):
+        for seed in range(20):
+            plan = ChaosPlan.generate(seed, n_jobs=6)
+            failed = [j for j in plan.jobs if j.kind == "result_out"]
+            target = next(j for j in plan.jobs if j.job_id == plan.reuse.job_id)
+            assert target in failed if failed else target is plan.jobs[0]
+            assert plan.reuse.kind == ("reuse_failed" if failed else "reuse_done")
+            seeds = {j.params["seed"] for j in plan.jobs}
+            assert plan.reuse.params == {**target.params, "seed": plan.reuse.params["seed"]}
+            assert plan.reuse.params["seed"] not in seeds
+            assert plan.reuse.via_http and plan.reuse.fault is None
+
 
 class TestCampaignSmoke:
     def test_process_campaign_runs_clean(self):
         plan = ChaosPlan.generate(0, n_jobs=4)
+        assert plan.reuse.kind == "reuse_failed"
         result = run_campaign(plan, drain_timeout_s=120)
         assert result.ok, result.violations
         assert result.job_states and result.duration_s > 0
+        assert result.kind_counts["reuse_failed"] == 1
+        assert result.counters["service.checkpoints_discarded"] == 1
 
     def test_run_campaigns_alternates_models_and_summarizes(self):
         results = run_campaigns(2, seed=5, n_jobs=3)

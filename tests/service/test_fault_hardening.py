@@ -62,7 +62,7 @@ from repro.service import (
 )
 from repro.service import worker
 from repro.service.faults import DegradingCheckpointManager, next_backoff
-from repro.service.runner import run_job, system_for
+from repro.service.runner import job_key, run_job, system_for
 from repro.service.worker import worker_result_path, worker_verdict_path
 
 
@@ -369,20 +369,7 @@ def _verdict_writer(request):
     yield _Writer(
         ckpt_dir.parent,
         worker_verdict_path(ckpt_dir),
-        lambda: worker._persist_verdict(str(ckpt_dir), "done", {}),
-    )
-
-
-@contextlib.contextmanager
-def _level_marker_writer(request):
-    ckpt_dir = request.getfixturevalue("tmp_path") / "job" / "checkpoints"
-    scan = request.getfixturevalue("scan64")
-    rec = MetricsRecorder()
-    yield _Writer(
-        ckpt_dir,
-        ckpt_dir / "level-L00-final.npz",
-        lambda: run_job(multires_spec(scan), checkpoint_dir=ckpt_dir, metrics=rec),
-        lambda: int(rec.counters.get("multires.marker_writes_failed", 0)),
+        lambda: worker._persist_verdict(str(ckpt_dir), "done", {}, "key"),
     )
 
 
@@ -397,7 +384,6 @@ _DURABLE_WRITERS = {
     "intake-result": ("count", _intake_result_writer),
     "job-spec": ("raise", _job_spec_writer),
     "verdict": ("suppress", _verdict_writer),
-    "level-marker": ("count", _level_marker_writer),
 }
 
 
@@ -501,20 +487,6 @@ class TestServiceCheckpointDegradation:
         assert rec.counters.get("checkpoint.degraded", 0) == 1
         assert rec.counters.get("checkpoint.saves_suppressed", 0) >= 2
         assert not list(ckpt_dir.glob("ckpt-*.ckpt"))
-
-    def test_multires_marker_write_failure_is_counted_not_fatal(self, tmp_path, scan64):
-        """A level-final marker that cannot be written is skipped: the job
-        finishes bit-identically, and a resume re-runs that level."""
-        ckpt_dir = tmp_path / "job" / "checkpoints"
-        (ckpt_dir / "level-L00-final.npz").mkdir(parents=True)
-        rec = MetricsRecorder()
-        result = run_job(multires_spec(scan64), checkpoint_dir=ckpt_dir, metrics=rec)
-        assert rec.counters.get("multires.marker_writes_failed", 0) == 1
-        reference = run_job(multires_spec(scan64), checkpoint_dir=tmp_path / "reference")
-        assert np.array_equal(result.image, reference.image)
-        resumed = run_job(multires_spec(scan64), checkpoint_dir=ckpt_dir)
-        assert [run.from_marker for run in resumed.levels] == [False, False]
-        assert np.array_equal(resumed.image, reference.image)
 
 
 # ----------------------------------------------------------------------
@@ -697,15 +669,16 @@ class TestVerdictFile:
 
     def test_consume_round_trip_deletes_and_counts(self, tmp_path):
         svc, sched = self._scheduler(tmp_path)
+        job = SimpleNamespace(cache_key="k1")
         with svc:
             ckpt_dir = sched.checkpoint_dir_for("j1")
             path = worker_verdict_path(ckpt_dir)
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps({"kind": "done", "payload": {"a": 1}}))
-            assert sched._consume_verdict(ckpt_dir) == ("done", {"a": 1})
+            path.write_text(json.dumps({"kind": "done", "payload": {"a": 1}, "cache_key": "k1"}))
+            assert sched._consume_verdict(job, ckpt_dir) == ("done", {"a": 1})
             assert not path.exists()
             assert svc.rec.counters["service.worker_verdict_files"] == 1
-            assert sched._consume_verdict(ckpt_dir) is None
+            assert sched._consume_verdict(job, ckpt_dir) is None
 
     def test_corrupt_verdict_is_dropped_and_deleted(self, tmp_path):
         svc, sched = self._scheduler(tmp_path)
@@ -714,8 +687,25 @@ class TestVerdictFile:
             path = worker_verdict_path(ckpt_dir)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text("{not json")
-            assert sched._consume_verdict(ckpt_dir) is None
+            assert sched._consume_verdict(SimpleNamespace(cache_key="k2"), ckpt_dir) is None
             assert not path.exists()  # a torn file must not wedge respawns
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"kind": "done", "payload": {}}),
+        json.dumps({"kind": "done", "payload": {}, "cache_key": "another spec"}),
+    ], ids=["unkeyed", "other-key"])
+    def test_a_verdict_not_of_the_job_is_dropped_with_its_result(self, tmp_path, text):
+        svc, sched = self._scheduler(tmp_path)
+        with svc:
+            ckpt_dir = sched.checkpoint_dir_for("j2")
+            path = worker_verdict_path(ckpt_dir)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+            save_reconstruction(worker_result_path(ckpt_dir), np.zeros((4, 4)), None)
+            assert sched._consume_verdict(SimpleNamespace(cache_key="k2"), ckpt_dir) is None
+            assert not path.exists()
+            assert not worker_result_path(ckpt_dir).exists()
+            assert "service.worker_verdict_files" not in svc.rec.counters
 
     def test_preseeded_done_verdict_skips_the_run(self, tmp_path, scan16):
         """A finished-but-pipe-lost life's verdict file makes the next
@@ -729,7 +719,8 @@ class TestVerdictFile:
             worker_result_path(job_dir / "checkpoints"), image, None, metadata={}
         )
         worker_verdict_path(job_dir / "checkpoints").write_text(
-            json.dumps({"kind": "done", "payload": {}})
+            json.dumps({"kind": "done", "payload": {},
+                        "cache_key": job_key(icd_spec(scan16))})
         )
         with ReconstructionService(n_workers=1, checkpoint_root=ckpt_root) as svc:
             svc.submit(icd_spec(scan16, job_id=job_id))
@@ -742,6 +733,46 @@ class TestVerdictFile:
         assert job.iteration == 0  # nothing actually ran
         # The parent loaded the worker's result container and removed it.
         assert not worker_result_path(job_dir / "checkpoints").exists()
+
+    def test_a_lost_pipe_delivers_the_verdict_through_the_file(
+        self, tmp_path, scan16, monkeypatch
+    ):
+        """The worker stamps its job's cache key into the verdict file, so
+        the parent consumes it instead of counting a crash."""
+        send = worker._RelayRecorder.send
+        monkeypatch.setattr(  # the forked worker inherits the torn pipe
+            worker._RelayRecorder, "send",
+            lambda self, message, **kw: message[0] != "done" and send(self, message, **kw),
+        )
+        with ReconstructionService(n_workers=1, checkpoint_root=tmp_path / "ckpts") as svc:
+            result = svc.result(svc.submit(icd_spec(scan16)), timeout=120)
+            counters = dict(svc.rec.counters)
+        assert counters["service.worker_verdict_files"] == 1
+        assert "service.worker_crashes" not in counters
+        assert np.array_equal(np.asarray(result.image), reference_image(scan16, tmp_path))
+
+    def test_a_verdict_of_another_spec_does_not_become_the_result(self, tmp_path, scan16):
+        """A verdict left under a reused id by a job of another spec is
+        dropped with its result container: the new job runs, and neither
+        its image nor its cache entry is the seeded one."""
+        job_id = "verdict-other"
+        ckpt_dir = tmp_path / "ckpts" / job_id / "checkpoints"
+        ckpt_dir.parent.mkdir(parents=True)
+        save_reconstruction(worker_result_path(ckpt_dir), np.full((16, 16), 7.0), None)
+        worker_verdict_path(ckpt_dir).write_text(
+            json.dumps({"kind": "done", "payload": {},
+                        "cache_key": job_key(icd_spec(scan16, seed=5))})
+        )
+        with ReconstructionService(n_workers=1, checkpoint_root=tmp_path / "ckpts") as svc:
+            svc.submit(icd_spec(scan16, job_id=job_id))
+            result = svc.result(job_id, timeout=120)
+            job = svc.job(job_id)
+            cached = svc.cache.get(job.cache_key)
+        assert job.iteration >= 1
+        reference = reference_image(scan16, tmp_path)
+        assert np.array_equal(np.asarray(result.image), reference)
+        assert np.array_equal(cached.image, reference)
+        assert not worker_verdict_path(ckpt_dir).exists()
 
 
 # ----------------------------------------------------------------------

@@ -15,16 +15,23 @@ import threading
 import numpy as np
 import pytest
 
+from repro.ct import ParallelBeamGeometry, shepp_logan, simulate_scan
+from repro.io import arm_disk_fault, disarm_disk_fault, load_reconstruction, save_scan
 from repro.multires import submit_volume
+from repro.resilience import CheckpointManager
 from repro.service import (
+    DirectoryService,
     Job,
     JobFailedError,
     JobSpec,
     JobState,
     JobStateError,
     ReconstructionService,
+    read_status,
     run_job,
+    write_job_spec,
 )
+from repro.service.runner import system_for
 
 
 def icd_spec(scan, *, seed=0, priority=0, equits=1.0, job_id=None, **params):
@@ -292,6 +299,98 @@ class TestCheckpointsLeaveWithTheJob:
             running = [e for e in svc.job("f").events if e.kind == "RUNNING"]
         assert running[0].detail["resumed"] is False
         fresh = run_job(icd_spec(scan16, equits=2.0), checkpoint_dir=tmp_path / "fresh")
+        assert np.array_equal(image, fresh.image)
+
+
+class TestAReusedIdResumesOnlyItsOwnSpec:
+    """A FAILED job keeps its checkpoints for a resubmission of its spec;
+    a job of another spec under the id discards them and runs fresh."""
+
+    def test_every_checkpoint_carries_the_job_cache_key(self, tmp_path):
+        geometry = ParallelBeamGeometry(n_pixels=32, n_views=48, n_channels=64)
+        scan = simulate_scan(shepp_logan(32), system_for(geometry), seed=1)
+        spec = JobSpec(driver="multires", scan=scan,
+                       params={"levels": [16, 32], "max_equits": 2.0, "track_cost": False})
+        with ReconstructionService(n_workers=1, start=False) as svc:
+            key = svc.job(svc.submit(spec)).cache_key
+        run_job(spec, checkpoint_dir=tmp_path)
+        metas = [CheckpointManager(tmp_path).load(p).meta for p in sorted(tmp_path.iterdir())]
+        assert {m["multires_level"] for m in metas} == {0, 1}
+        assert {m["cache_key"] for m in metas} == {key}
+
+    def test_a_reused_id_after_failed_runs_fresh(self, scan16, tmp_path):
+        """Job ``x`` is killed at iteration 3 and FAILED; a new ``x`` of
+        another spec neither resumes from its checkpoints nor files a wrong
+        image under its own cache key, which a later ``y`` is served."""
+        second = dict(seed=1, equits=5.0, stop_delta_hu=None)
+        with ReconstructionService(
+            n_workers=1, max_restarts=0, checkpoint_root=tmp_path / "ckpts",
+            cache_dir=tmp_path / "cache",
+        ) as svc:
+            svc.submit(JobSpec(driver="icd", scan=scan16, job_id="x",
+                               params={"max_equits": 4.0, "seed": 0, "track_cost": False,
+                                       "stop_delta_hu": None},
+                               fault={"kill_at_iteration": 3}))
+            assert svc.drain(timeout=120) and svc.job("x").state is JobState.FAILED
+            assert any(svc.scheduler.checkpoint_dir_for("x").glob("ckpt-*"))
+            svc.submit(icd_spec(scan16, job_id="x", **second))
+            image_x = svc.result("x", timeout=120).image
+            running = [e for e in svc.job("x").events if e.kind == "RUNNING"]
+            svc.submit(icd_spec(scan16, job_id="y", **second))
+            image_y = svc.result("y", timeout=120).image
+            from_cache = svc.job("y").from_cache
+            counters = dict(svc.rec.counters)
+        assert running[0].detail["resumed"] is False
+        assert counters["service.checkpoints_discarded"] == 1
+        assert from_cache
+        fresh = run_job(icd_spec(scan16, **second), checkpoint_dir=tmp_path / "fresh").image
+        assert np.array_equal(image_x, fresh)
+        assert np.array_equal(image_y, fresh)
+
+    def test_a_reused_group_id_with_other_params_runs_fresh_children(self, scan16, tmp_path):
+        """Child ``g-s000`` of group ``g`` fails on its result write and keeps
+        its checkpoints; group ``g`` resubmitted with other params runs both
+        children fresh."""
+        root = tmp_path / "ckpts"
+        params = {"max_equits": 3.0, "seed": 2, "track_cost": False}
+        with ReconstructionService(n_workers=1, checkpoint_root=root) as svc:
+            arm_disk_fault(root / "g-s000")  # the result write fails: FAILED
+            submit_volume(svc, [scan16, scan16], params={**params, "seed": 0}, group_id="g")
+            assert svc.drain(timeout=120)
+            assert svc.job("g-s000").state is JobState.FAILED
+            assert any(svc.scheduler.checkpoint_dir_for("g-s000").glob("ckpt-*"))
+            disarm_disk_fault(root / "g-s000")
+            submit_volume(svc, [scan16, scan16], params=params, group_id="g")
+            stack = svc.result("g", timeout=120).image
+            running = [e for e in svc.job("g-s000").events if e.kind == "RUNNING"]
+            discarded = svc.rec.counters["service.checkpoints_discarded"]
+        assert discarded == 1
+        assert running[0].detail["resumed"] is False
+        # Both slices are one scan: g-s001 is served g-s000's fresh image.
+        fresh = run_job(icd_spec(scan16, **params, equits=3.0), checkpoint_dir=tmp_path / "f")
+        for image in stack:
+            assert np.array_equal(image, fresh.image)
+
+    def test_a_queue_directory_spec_reusing_a_failed_id_runs_fresh(self, scan16, tmp_path):
+        save_scan(tmp_path / "scan.npz", scan16)
+        first = {"max_equits": 3.0, "seed": 0, "track_cost": False}
+        second = {"max_equits": 4.0, "seed": 1, "track_cost": False}
+        job_dir = tmp_path / "jobs" / "j"
+        with DirectoryService(tmp_path, n_workers=1) as intake:
+            arm_disk_fault(job_dir)  # the result write fails: FAILED
+            write_job_spec(tmp_path, "j", driver="icd", scan_path="scan.npz", params=first)
+            assert intake.run(drain=True, max_seconds=120)
+            assert intake.service.job("j").state is JobState.FAILED
+            assert any((job_dir / "checkpoints").glob("ckpt-*"))
+            disarm_disk_fault(job_dir)
+            write_job_spec(tmp_path, "j", driver="icd", scan_path="scan.npz", params=second)
+            assert intake.run(drain=True, max_seconds=120)
+            counters = dict(intake.service.rec.counters)
+        assert read_status(tmp_path, "j")["state"] == "DONE"
+        assert counters["service.checkpoints_discarded"] == 1
+        image, _, _ = load_reconstruction(job_dir / "result.npz")
+        fresh = run_job(JobSpec(driver="icd", scan=scan16, params=second),
+                        checkpoint_dir=tmp_path / "fresh")
         assert np.array_equal(image, fresh.image)
 
 
